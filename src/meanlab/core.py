@@ -194,8 +194,23 @@ def _as_1d_float(entries: object, what: str) -> np.ndarray:
     return a
 
 
+class _Entries:
+    """Length, indexing and iteration over a container's ``entries`` array."""
+
+    __slots__ = ()
+
+    def __len__(self) -> int:
+        return int(self.entries.size)
+
+    def __getitem__(self, i: int) -> float:
+        return float(self.entries[i])
+
+    def __iter__(self) -> Iterator[float]:
+        return iter(self.entries.tolist())
+
+
 @dataclass(frozen=True, eq=False)
-class Weighting:
+class Weighting(_Entries):
     """A finite probability vector: nonnegative entries summing to 1.
 
     The float entries must sum to 1 within ``WEIGHT_SUM_TOL`` — out-of-tolerance
@@ -210,14 +225,16 @@ class Weighting:
 
     def __post_init__(self) -> None:
         a = _as_1d_float(self.entries, "weighting")
-        if a.size < 1:
-            raise ValueError("weighting needs at least one entry")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("weighting entries must be finite")
-        if np.any(a < 0.0):
-            raise ValueError("weighting entries must be nonnegative")
-        total = float(np.sum(a))
-        if abs(total - 1.0) > WEIGHT_SUM_TOL:
+        total = float(a.sum())
+        # A finite sum near 1 with a nonnegative minimum accepts in two
+        # reductions; anything else finds its reason below, in a fixed order.
+        if not (abs(total - 1.0) <= WEIGHT_SUM_TOL and a.min() >= 0.0):
+            if a.size < 1:
+                raise ValueError("weighting needs at least one entry")
+            if not np.all(np.isfinite(a)):
+                raise ValueError("weighting entries must be finite")
+            if np.any(a < 0.0):
+                raise ValueError("weighting entries must be nonnegative")
             raise ValueError(
                 f"weighting sums to {total!r}, off by more than {WEIGHT_SUM_TOL}"
                 " — normalize explicitly if that is intended"
@@ -227,25 +244,17 @@ class Weighting:
             ex = tuple(self.exact)
             if len(ex) != a.size:
                 raise ValueError("exact entries must match float entries in length")
-            if any(f < 0 for f in ex):
+            nums = [f.numerator for f in ex]
+            dens = [f.denominator for f in ex]
+            if min(nums) < 0:
                 raise ValueError("exact entries must be nonnegative")
-            if not _exact_sum_is_one(ex):
+            common = math.lcm(*dens)
+            if sum(n * (common // d) for n, d in zip(nums, dens)) != common:
                 raise ValueError("exact entries must sum to exactly 1")
-            diffs = np.abs(a - np.array([float(f) for f in ex]))
-            if np.any(diffs > EXACT_MATCH_TOL):
-                raise ValueError(
-                    f"exact entries drift from floats by up to {float(diffs.max())!r}"
-                )
+            drift = float(np.abs(a - np.array([n / d for n, d in zip(nums, dens)])).max())
+            if drift > EXACT_MATCH_TOL:
+                raise ValueError(f"exact entries drift from floats by up to {drift!r}")
             object.__setattr__(self, "exact", ex)
-
-    def __len__(self) -> int:
-        return int(self.entries.size)
-
-    def __getitem__(self, i: int) -> float:
-        return float(self.entries[i])
-
-    def __iter__(self) -> Iterator[float]:
-        return iter(self.entries.tolist())
 
     @property
     def support(self) -> np.ndarray:
@@ -253,42 +262,25 @@ class Weighting:
         return self.entries > 0.0
 
 
-def _exact_sum_is_one(ex: tuple[Fraction, ...]) -> bool:
-    denoms = {f.denominator for f in ex}
-    if len(denoms) == 1:
-        (d,) = denoms
-        return sum(f.numerator for f in ex) == d
-    return sum(ex) == 1
-
-
 @dataclass(frozen=True, eq=False)
-class ValueVector:
+class ValueVector(_Entries):
     """A nonempty vector of nonnegative finite reals (inputs to a mean)."""
 
     entries: np.ndarray
 
     def __post_init__(self) -> None:
         a = _as_1d_float(self.entries, "value vector")
-        if a.size < 1:
-            raise ValueError("value vector needs at least one entry")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("value entries must be finite")
-        if np.any(a < 0.0):
+        if not (a.size and a.min() >= 0.0 and a.max() < math.inf):
+            if a.size < 1:
+                raise ValueError("value vector needs at least one entry")
+            if not np.all(np.isfinite(a)):
+                raise ValueError("value entries must be finite")
             raise ValueError("value entries must be nonnegative")
         object.__setattr__(self, "entries", _read_only(a))
 
-    def __len__(self) -> int:
-        return int(self.entries.size)
-
-    def __getitem__(self, i: int) -> float:
-        return float(self.entries[i])
-
-    def __iter__(self) -> Iterator[float]:
-        return iter(self.entries.tolist())
-
 
 @dataclass(frozen=True, eq=False)
-class SignedVector:
+class SignedVector(_Entries):
     """A finite real vector of any length, including length 0 (norm inputs)."""
 
     entries: np.ndarray
@@ -298,15 +290,6 @@ class SignedVector:
         if not np.all(np.isfinite(a)):
             raise ValueError("signed entries must be finite")
         object.__setattr__(self, "entries", _read_only(a))
-
-    def __len__(self) -> int:
-        return int(self.entries.size)
-
-    def __getitem__(self, i: int) -> float:
-        return float(self.entries[i])
-
-    def __iter__(self) -> Iterator[float]:
-        return iter(self.entries.tolist())
 
 
 @dataclass(frozen=True)
@@ -472,7 +455,7 @@ def _finite_power_mean(pp: float, ws: np.ndarray, xs: np.ndarray) -> float:
     a, r3 = _two_sum(a1, a2)
     da = (r1 + r2) + r3
     t = np.exp2(a)  # dominant term is 2^~0; far terms underflow harmlessly
-    S = float(np.dot(ws, t))
+    S = float((ws * t).sum())  # pairwise: rounding grows like log n, not n
     T = float(np.dot(ws, t * da))  # first-order correction to Σ w·2^(a+da)
     m_s, k_s = math.frexp(S)
     g = math.log2(m_s) + T / S  # log₂(S) − k_s, corrected

@@ -19,6 +19,9 @@ weight still contributes its term), and ``a^b`` follows float semantics with
 one deliberate convention: **0^0 = 1**.  Division by zero, a negative base
 raised to a non-integer power, and non-finite results are reported as
 evaluation errors rather than propagated.
+
+Each tree is compiled once, on its first evaluation, into nested Python
+closures; later evaluations of the same tree only run those closures.
 """
 
 from __future__ import annotations
@@ -26,6 +29,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Any, Callable
 
 from .core import ValueVector, Weighting
 
@@ -77,6 +82,11 @@ class MeanExpr:
     """Base class for expression nodes."""
 
     __slots__ = ()
+
+    @cached_property
+    def _compiled(self) -> Callable[[Any, Any], float]:
+        """This tree as a closure of (weight list, value list), built on first use."""
+        return _compile(self, in_reducer=False)
 
 
 @dataclass(frozen=True)
@@ -286,54 +296,59 @@ def _pow(a: float, b: float) -> float:
         raise ExprEvalError("overflow in '^'") from None
 
 
+def _compile(node: MeanExpr, in_reducer: bool) -> Callable[[Any, Any], float]:
+    """The closure f(w, x) that evaluates ``node``.
+
+    At the top level w and x are the entry lists; inside a reducer body they
+    are the weight and value at one index.  Operands run left before right.
+    """
+    if isinstance(node, Literal):
+        value = node.value
+        return lambda w, x: value
+    if isinstance(node, (WeightRef, ValueRef)):
+        if not in_reducer:
+            raise TypeError(f"{node!r} outside a reducer")
+        return (lambda w, x: w) if isinstance(node, WeightRef) else (lambda w, x: x)
+    if isinstance(node, Neg):
+        f = _compile(node.operand, in_reducer)
+        return lambda w, x: -f(w, x)
+    if isinstance(node, BinOp):
+        a = _compile(node.left, in_reducer)
+        b = _compile(node.right, in_reducer)
+        if node.op == "+":
+            return lambda w, x: a(w, x) + b(w, x)
+        if node.op == "-":
+            return lambda w, x: a(w, x) - b(w, x)
+        if node.op == "*":
+            return lambda w, x: a(w, x) * b(w, x)
+        if node.op == "/":
+            return lambda w, x: _div(a(w, x), b(w, x))
+        return lambda w, x: _pow(a(w, x), b(w, x))
+    if isinstance(node, Reduce):
+        if in_reducer:
+            raise TypeError(f"nested reducer {node!r}")
+        f = _compile(node.body, True)
+        reduce = _REDUCE[node.kind]
+        return lambda ws, xs: reduce(map(f, ws, xs))
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def _div(a: float, b: float) -> float:
+    try:
+        return a / b
+    except ZeroDivisionError:
+        raise ExprEvalError("division by zero") from None
+
+
+_REDUCE = {"sum": math.fsum, "prod": lambda items: math.prod(items, start=1.0),
+           "max": max, "min": min}
+
+
 def eval_mean_expr(expr: MeanExpr, w: Weighting, x: ValueVector) -> float:
     """Evaluate an expression on a weighting/value pair of equal length."""
     if len(w) != len(x):
         raise ValueError(f"length mismatch: {len(w)} weights vs {len(x)} values")
-    ws = w.entries.tolist()
-    xs = x.entries.tolist()
-
-    def ev(node: MeanExpr, i: int | None) -> float:
-        if isinstance(node, Literal):
-            return node.value
-        if isinstance(node, WeightRef):
-            assert i is not None
-            return ws[i]
-        if isinstance(node, ValueRef):
-            assert i is not None
-            return xs[i]
-        if isinstance(node, Neg):
-            return -ev(node.operand, i)
-        if isinstance(node, BinOp):
-            a = ev(node.left, i)
-            b = ev(node.right, i)
-            if node.op == "+":
-                return a + b
-            if node.op == "-":
-                return a - b
-            if node.op == "*":
-                return a * b
-            if node.op == "/":
-                try:
-                    return a / b
-                except ZeroDivisionError:
-                    raise ExprEvalError("division by zero") from None
-            return _pow(a, b)
-        if isinstance(node, Reduce):
-            items = (ev(node.body, j) for j in range(len(ws)))
-            if node.kind == "sum":
-                return math.fsum(items)
-            if node.kind == "prod":
-                out = 1.0
-                for v in items:
-                    out *= v
-                return out
-            if node.kind == "max":
-                return max(items)
-            return min(items)
-        raise TypeError(f"not an expression node: {node!r}")
-
-    result = ev(expr, None)
+    result = expr._compiled(w.entries.tolist(), x.entries.tolist())
     if not math.isfinite(result):
         raise ExprEvalError(f"non-finite result {result!r}")
     return result

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator
 
 import numpy as np
@@ -692,7 +692,7 @@ def _witness_from_counterexample(check: _CheckDef, ce: Counterexample) -> dict:
 def _run_check(system: MeanSystem, cfg: CheckConfig, check: _CheckDef) -> CheckReport:
     note = _DERIVED_NOTE if check.derived else None
     if system.positivity_only and not cfg.positive_weights_only:
-        cfg = CheckConfig(cfg.seed, cfg.trials, cfg.max_n, cfg.rel_tol, cfg.slack, True)
+        cfg = replace(cfg, positive_weights_only=True)
     if check.name == "zero_weight" and cfg.positive_weights_only:
         return CheckReport(check.name, True, 0, None, 0.0,
                            note=f"{_NOT_APPLICABLE} with strictly positive weights")

@@ -149,6 +149,12 @@ def test_overflow_raises():
         eval_mean_expr(parse_mean_expr("sum(x^999)^999"), W(1.0), V(10.0))
 
 
+def test_hand_built_trees_outside_the_grammar_raise_type_error():
+    for tree in (BinOp("+", WeightRef(), Literal(1.0)), Reduce("sum", Reduce("max", ValueRef()))):
+        with pytest.raises(TypeError):
+            eval_mean_expr(tree, W(1.0), V(1.0))
+
+
 def test_mismatched_lengths_rejected():
     with pytest.raises(ValueError):
         eval_mean_expr(parse_mean_expr("sum(w*x)"), W(1.0), V(1.0, 2.0))
@@ -203,6 +209,104 @@ def test_format_round_trips_random_trees():
     for _ in range(300):
         tree = _random_tree(rng, 4, False)
         assert parse_mean_expr(format_mean_expr(tree)) == tree
+
+
+def _interpret(expr, w, x):
+    """The tree-walking interpreter the compiled closures replaced, kept as the
+    reference they must match bit for bit."""
+    if len(w) != len(x):
+        raise ValueError(f"length mismatch: {len(w)} weights vs {len(x)} values")
+    ws = w.entries.tolist()
+    xs = x.entries.tolist()
+
+    def ev(node, i):
+        if isinstance(node, Literal):
+            return node.value
+        if isinstance(node, WeightRef):
+            return ws[i]
+        if isinstance(node, ValueRef):
+            return xs[i]
+        if isinstance(node, Neg):
+            return -ev(node.operand, i)
+        if isinstance(node, BinOp):
+            a = ev(node.left, i)
+            b = ev(node.right, i)
+            if node.op == "+":
+                return a + b
+            if node.op == "-":
+                return a - b
+            if node.op == "*":
+                return a * b
+            if node.op == "/":
+                try:
+                    return a / b
+                except ZeroDivisionError:
+                    raise ExprEvalError("division by zero") from None
+            try:
+                return math.pow(a, b)
+            except ValueError:
+                if a == 0.0 and b < 0.0:
+                    raise ExprEvalError("zero raised to a negative power") from None
+                raise ExprEvalError(
+                    f"negative base {a!r} with non-integer exponent {b!r}"
+                ) from None
+            except OverflowError:
+                raise ExprEvalError("overflow in '^'") from None
+        items = (ev(node.body, j) for j in range(len(ws)))
+        if node.kind == "sum":
+            return math.fsum(items)
+        if node.kind == "prod":
+            out = 1.0
+            for v in items:
+                out *= v
+            return out
+        return max(items) if node.kind == "max" else min(items)
+
+    result = ev(expr, None)
+    if not math.isfinite(result):
+        raise ExprEvalError(f"non-finite result {result!r}")
+    return result
+
+
+def _outcome(evaluate, tree, w, x):
+    try:
+        return evaluate(tree, w, x).hex()
+    except Exception as exc:  # the type and message must match too
+        return type(exc), str(exc)
+
+
+# Reducer edge cases random trees rarely reach: fsum's ValueError on inf - inf
+# and OverflowError on a finite overflow escape as they are, NaN and inf
+# results are evaluation errors.
+_EDGE_SOURCES = [
+    "sum(w*(x-1)*1e300*1e300)",
+    "sum(x*1e308)",
+    "sum(x*1e300*1e300-x*1e300*1e300)",
+    "prod(x*1e300)",
+    "max(x*1e300*1e300)-1",
+    "min(x)^0 + prod(w^0)",
+]
+
+
+def test_compiled_trees_match_the_interpreter_bit_for_bit():
+    for source in _EDGE_SOURCES:
+        for w, x in ((uniform(2), V(0.5, 2.0)), (W(1.0), V(0.0)), (uniform(2), V(1.5, 1.5))):
+            tree = parse_mean_expr(source)
+            assert _outcome(eval_mean_expr, tree, w, x) == _outcome(_interpret, tree, w, x)
+    rng = np.random.default_rng(5)
+    raised = 0
+    for _ in range(400):
+        tree = _random_tree(rng, 5, False)
+        for _ in range(3):
+            n = int(rng.integers(1, 6))
+            g = rng.exponential(1.0, n) * (rng.random(n) < 0.7)
+            g[int(rng.integers(n))] += 0.5
+            w = Weighting(g / g.sum())
+            x = ValueVector(np.where(rng.random(n) < 0.3, 0.0, 10.0 ** rng.uniform(-3, 3, n)))
+            want = _outcome(_interpret, tree, w, x)
+            assert _outcome(eval_mean_expr, tree, w, x) == want, format_mean_expr(tree)
+            raised += isinstance(want, tuple)
+    assert 0 < raised < 1200  # both outcomes are exercised
 
 
 # ── Systems built from expressions ────────────────────────────────────────────
