@@ -37,6 +37,7 @@ from .core import (
     power_mean,
     uniform,
 )
+from .harness import CheckConfig
 from .systems import MeanSystem
 
 __all__ = [
@@ -257,14 +258,21 @@ class CharacterizationConfig:
     sample_count: int = 30
 
     def __post_init__(self) -> None:
-        if self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
-        if self.trials < 1:
-            raise ValueError("need at least one trial")
-        if self.max_n < 2:
-            raise ValueError("max_n must be at least 2")
-        if not self.deltas or any(not 0.0 < d <= 1.0 for d in self.deltas):
-            raise ValueError("deltas must be a nonempty tuple of values in (0, 1]")
+        # The settings both configs have follow CheckConfig's rules.
+        CheckConfig(seed=self.seed, trials=self.trials, max_n=self.max_n,
+                    rel_tol=self.rel_tol, slack=self.slack)
+        if not 2 <= self.weight_denominator_max <= 10 ** 6:  # expand_rational's cap
+            raise ValueError("weight_denominator_max must lie in [2, 1000000]")
+        if self.sample_count < 2:
+            raise ValueError("need at least two sample points")
+        # The sandwich stage grids each delta at denominator ceil(2/delta), at
+        # most rational_sandwich's default 10**6, and moves delta of weight off
+        # coordinates that can weigh as little as 1/(2*max_n).
+        smallest_weight = 0.5 / self.max_n
+        if not self.deltas or any(not 0.0 < d <= smallest_weight or 2.0 / d > 10 ** 6
+                                  for d in self.deltas):
+            raise ValueError("deltas must be a nonempty tuple of values in "
+                             f"[2e-06, {smallest_weight!r}] (1/(2*max_n))")
 
 
 @dataclass(frozen=True)
@@ -310,7 +318,7 @@ def _stage_uniform(system: MeanSystem, cfg: CharacterizationConfig,
         w = uniform(n)
         try:
             got = system(w, x)
-        except ArithmeticError as exc:
+        except (ArithmeticError, ValueError) as exc:
             return StageReport("uniform", False, trial + 1, math.inf,
                                {"n": n, "x": x.entries.tolist(), "error": str(exc)})
         want = power_mean(p, w, x)
@@ -344,11 +352,11 @@ def _stage_rational(system: MeanSystem, cfg: CharacterizationConfig,
         w = _rational_weighting(rng, n, cfg.weight_denominator_max,
                                 system.positivity_only)
         x = ValueVector(_stage_values(rng, n))
+        uw, ux = expand_rational(w, x)
         try:
             got = system(w, x)
-            uw, ux = expand_rational(w, x)
             via_uniform = system(uw, ux)
-        except ArithmeticError as exc:
+        except (ArithmeticError, ValueError) as exc:
             return StageReport("rational", False, trial + 1, math.inf,
                                {"w": w.entries.tolist(), "x": x.entries.tolist(),
                                 "error": str(exc)})
@@ -378,7 +386,7 @@ def _stage_sandwich(system: MeanSystem, cfg: CharacterizationConfig) -> StageRep
             try:
                 sr = rational_sandwich(system, w, x, delta)
                 slope = transfer_slope_estimate(system, w, x, delta)
-            except ArithmeticError as exc:
+            except (ArithmeticError, ValueError) as exc:
                 return StageReport("sandwich", False, trial + 1, math.inf,
                                    {"w": w.entries.tolist(), "x": x.entries.tolist(),
                                     "delta": delta, "error": str(exc)})

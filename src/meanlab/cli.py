@@ -175,9 +175,12 @@ def _load_vectors(args: argparse.Namespace) -> tuple[Weighting, ValueVector]:
         w_raw = _parse_float_list(args.w, "--w")
         x_raw = _parse_float_list(args.x, "--x")
     try:
-        return Weighting(w_raw), ValueVector(x_raw)
+        w, x = Weighting(w_raw), ValueVector(x_raw)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
+    if len(w) != len(x):
+        raise _UsageError(f"length mismatch: {len(w)} weights vs {len(x)} values")
+    return w, x
 
 
 def _seed_from(args: argparse.Namespace) -> int:
@@ -254,11 +257,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     w, x = _load_vectors(args)
     try:
         value = system(w, x)
-    except ArithmeticError as exc:
+    except (ArithmeticError, ValueError) as exc:
         _fail(f"evaluation failed: {exc}")
         return 1
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
     if args.format is None:
         text = repr(value) + "\n"
         if args.output:

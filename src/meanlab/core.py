@@ -65,113 +65,80 @@ EXACT_MATCH_TOL = 1e-15
 _LN2 = math.log(2.0)
 
 
-# ── Exponents: the extended real line with a tagged zero ──────────────────────
-
-_TAGS = ("neg_inf", "zero", "finite", "pos_inf")
+# ── Exponents: the extended real line ─────────────────────────────────────────
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Exponent:
-    """An exponent p ∈ [−∞, +∞] with p = 0 kept as its own tag.
+    """An exponent p ∈ [−∞, +∞], held as its float.
 
-    The zero case is separated because M_0 is defined by a limit (the
-    geometric mean) rather than by the finite-p formula.  ``value`` is
-    meaningful only for the ``finite`` tag and is then nonzero and finite.
-    Ordering agrees with the extended real line.
+    A float holds every extended real exactly, so ``value`` alone says which
+    regime applies; ``tag`` names it.  p = 0 is its own regime because M_0 is
+    defined by a limit (the geometric mean) rather than by the finite-p
+    formula.  −0.0 is stored as 0.0.  Ordering agrees with the extended real
+    line.
     """
 
-    tag: str
-    value: float | None = None
+    value: float
 
     def __post_init__(self) -> None:
-        if self.tag not in _TAGS:
-            raise ValueError(f"unknown exponent tag {self.tag!r}")
-        if self.tag == "finite":
-            v = self.value
-            if v is None or not math.isfinite(v) or v == 0.0:
-                raise ValueError("finite exponent needs a nonzero finite value")
-        elif self.value is not None:
-            raise ValueError(f"tag {self.tag!r} does not carry a value")
+        v = float(self.value)
+        if math.isnan(v):
+            raise ValueError("exponent cannot be NaN")
+        object.__setattr__(self, "value", v + 0.0)  # −0.0 + 0.0 is 0.0
 
     # constructors ------------------------------------------------------------
     @staticmethod
     def finite(value: float) -> "Exponent":
-        return Exponent("finite", float(value))
+        v = float(value)
+        if not math.isfinite(v) or v == 0.0:
+            raise ValueError("finite exponent needs a nonzero finite value")
+        return Exponent(v)
 
     @classmethod
     def from_real(cls, p: float) -> "Exponent":
-        """Map an extended real to its tagged form (0.0 becomes the zero tag)."""
-        p = float(p)
-        if math.isnan(p):
-            raise ValueError("exponent cannot be NaN")
-        if p == math.inf:
-            return POS_INF
-        if p == -math.inf:
-            return NEG_INF
-        if p == 0.0:
-            return ZERO
-        return cls("finite", p)
+        """Map an extended real to its exponent (NaN is rejected)."""
+        return cls(p)
 
     @classmethod
     def parse(cls, text: str) -> "Exponent":
         """Parse 'inf', '-inf', '0', or a finite decimal."""
-        t = text.strip().lower()
-        if t in ("inf", "+inf", "infinity", "+infinity"):
-            return POS_INF
-        if t in ("-inf", "-infinity"):
-            return NEG_INF
         try:
-            return cls.from_real(float(t))
+            return cls(float(text))
         except ValueError:
             raise ValueError(f"cannot parse exponent from {text!r}") from None
 
     # views -------------------------------------------------------------------
+    @property
+    def tag(self) -> str:
+        """The regime: 'neg_inf', 'zero', 'finite' or 'pos_inf'."""
+        v = self.value
+        if v == 0.0:
+            return "zero"
+        if math.isfinite(v):
+            return "finite"
+        return "pos_inf" if v > 0.0 else "neg_inf"
+
     def as_float(self) -> float:
-        if self.tag == "pos_inf":
-            return math.inf
-        if self.tag == "neg_inf":
-            return -math.inf
-        if self.tag == "zero":
-            return 0.0
-        assert self.value is not None
         return self.value
 
     @property
     def is_finite(self) -> bool:
-        return self.tag in ("zero", "finite")
+        return math.isfinite(self.value)
 
     def __str__(self) -> str:
-        if self.tag == "pos_inf":
-            return "inf"
-        if self.tag == "neg_inf":
-            return "-inf"
-        if self.tag == "zero":
-            return "0"
-        return repr(self.value)
-
-    # total order on the extended real line -----------------------------------
-    def __lt__(self, other: "Exponent") -> bool:
-        return self.as_float() < other.as_float()
-
-    def __le__(self, other: "Exponent") -> bool:
-        return self.as_float() <= other.as_float()
-
-    def __gt__(self, other: "Exponent") -> bool:
-        return self.as_float() > other.as_float()
-
-    def __ge__(self, other: "Exponent") -> bool:
-        return self.as_float() >= other.as_float()
+        return "0" if self.value == 0.0 else repr(self.value)
 
 
-POS_INF = Exponent("pos_inf")
-NEG_INF = Exponent("neg_inf")
-ZERO = Exponent("zero")
+POS_INF = Exponent(math.inf)
+NEG_INF = Exponent(-math.inf)
+ZERO = Exponent(0.0)
 
 ExponentLike = Union[Exponent, float, int, str]
 
 
 def as_exponent(p: ExponentLike) -> Exponent:
-    """Coerce a float/int/str to an Exponent (0 → zero tag, ±inf → infinities)."""
+    """Coerce a float/int/str to an Exponent."""
     if isinstance(p, Exponent):
         return p
     if isinstance(p, str):
@@ -411,14 +378,13 @@ def power_mean(p: ExponentLike, w: Weighting, x: ValueVector) -> float:
     supp = w.support
     ws = w.entries[supp]
     xs = x.entries[supp]
-    if p.tag == "pos_inf":
-        return float(xs.max())
-    if p.tag == "neg_inf":
-        return float(xs.min())
-    if p.tag == "zero":
-        return _geometric_mean(ws, xs)
-    assert p.value is not None
     pp = p.value
+    if pp == math.inf:
+        return float(xs.max())
+    if pp == -math.inf:
+        return float(xs.min())
+    if pp == 0.0:
+        return _geometric_mean(ws, xs)
     has_zero = bool(np.any(xs == 0.0))
     if pp < 0.0:
         if has_zero:
@@ -502,19 +468,18 @@ def power_mean_oracle(
     supp = w.support
     ws = [float(v) for v in w.entries[supp]]
     xs = [float(v) for v in x.entries[supp]]
-    if p.tag == "pos_inf":
+    if p.value == math.inf:
         return max(xs)
-    if p.tag == "neg_inf":
+    if p.value == -math.inf:
         return min(xs)
     with mp.workprec(precision_bits):
-        if p.tag == "zero":
+        if p.value == 0.0:
             if any(v == 0.0 for v in xs):
                 return 0.0
             acc = mp.mpf(1)
             for wi, xi in zip(ws, xs):
                 acc *= mp.power(mp.mpf(xi), mp.mpf(wi))
             return float(acc)
-        assert p.value is not None
         pp = mp.mpf(p.value)
         if p.value < 0.0 and any(v == 0.0 for v in xs):
             return 0.0
@@ -592,9 +557,7 @@ def tensor_values(x, y):
 
 def _norm_exponent(q: ExponentLike) -> Exponent:
     q = as_exponent(q)
-    if q.tag == "pos_inf":
-        return q
-    if q.tag == "finite" and q.value is not None and q.value >= 1.0:
+    if q.value >= 1.0:
         return q
     raise ValueError(f"norm exponent must lie in [1, inf], got {q}")
 
@@ -612,9 +575,8 @@ def p_norm(q: ExponentLike, x: SignedVector) -> float:
     amax = float(a.max())
     if amax == 0.0:
         return 0.0
-    if q.tag == "pos_inf":
+    if q.value == math.inf:
         return amax
-    assert q.value is not None
     r = np.sort(a[a > 0.0]) / amax
     s = float(np.add.reduce(np.power(r, q.value)))
     return amax * s ** (1.0 / q.value)
@@ -631,7 +593,7 @@ def norm_from_mean(mean: Callable[[Weighting, ValueVector], float],
     n = len(x)
     if n == 0:
         return 0.0
-    factor = 1.0 if q.tag == "pos_inf" else float(n) ** (1.0 / q.value)  # type: ignore[operator]
+    factor = float(n) ** (1.0 / q.value)  # n ** 0 = 1 at q = inf
     return factor * mean(uniform(n), ValueVector(np.abs(x.entries)))
 
 

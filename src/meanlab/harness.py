@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Iterator
 
 import numpy as np
@@ -234,6 +234,10 @@ def _gen_index_map(rng: np.random.Generator, max_n: int, positive_only: bool) ->
 # ── Check definitions ─────────────────────────────────────────────────────────
 
 
+def _always_valid(cfg: CheckConfig, wit: dict) -> bool:
+    return True
+
+
 @dataclass(frozen=True)
 class _CheckDef:
     name: str
@@ -241,14 +245,10 @@ class _CheckDef:
     derived: bool
     make_trial: Callable[[CheckConfig, int, np.random.Generator], dict]
     evaluate: Callable[[MeanSystem, dict], tuple[float, float]]
-    valid: Callable[[CheckConfig, dict], bool] = field(default=lambda cfg, wit: True)
+    valid: Callable[[CheckConfig, dict], bool] = _always_valid
     merge_groups: tuple[tuple[str, ...], ...] = ()  # (weight_field, value_fields…)
     weight_fields: tuple[str, ...] = ("w",)
     scalar_fields: tuple[str, ...] = ()
-
-
-def _always_valid(cfg: CheckConfig, wit: dict) -> bool:
-    return True
 
 
 def _weights_admissible(cfg: CheckConfig, wit: dict, fields: tuple[str, ...]) -> bool:
@@ -510,25 +510,25 @@ def _valid_homogeneity(cfg: CheckConfig, wit: dict) -> bool:
 
 _CHECKS: tuple[_CheckDef, ...] = (
     _CheckDef("functoriality", "equality", False, _mk_functoriality,
-              _ev_functoriality, _always_valid, merge_groups=()),
+              _ev_functoriality),
     _CheckDef("consistency", "equality", False, _mk_consistency, _ev_consistency,
               _valid_consistency, scalar_fields=("c",)),
     _CheckDef("monotonicity", "inequality", False, _mk_monotonicity,
               _ev_monotonicity, _valid_monotonicity,
               merge_groups=(("w", "x", "y"),)),
     _CheckDef("convexity", "inequality", False, _mk_convexity, _ev_convexity,
-              _always_valid, merge_groups=(("w", "x", "y"),)),
+              merge_groups=(("w", "x", "y"),)),
     _CheckDef("multiplicativity", "equality", False, _mk_multiplicativity,
-              _ev_multiplicativity, _always_valid,
-              merge_groups=(("w", "x"), ("v", "y")), weight_fields=("w", "v")),
+              _ev_multiplicativity, merge_groups=(("w", "x"), ("v", "y")),
+              weight_fields=("w", "v")),
     _CheckDef("symmetry", "equality", True, _mk_symmetry, _ev_symmetry,
-              _valid_symmetry, merge_groups=()),
+              _valid_symmetry),
     _CheckDef("repetition", "equality", True, _mk_repetition, _ev_repetition,
-              _valid_repetition, merge_groups=()),
+              _valid_repetition),
     _CheckDef("zero_weight", "equality", True, _mk_zero_weight, _ev_zero_weight,
-              _valid_zero_weight, merge_groups=()),
+              _valid_zero_weight),
     _CheckDef("transfer", "inequality", True, _mk_transfer, _ev_transfer,
-              _valid_transfer, merge_groups=(), scalar_fields=("epsilon",)),
+              _valid_transfer, scalar_fields=("epsilon",)),
     _CheckDef("homogeneity", "equality", True, _mk_homogeneity, _ev_homogeneity,
               _valid_homogeneity, merge_groups=(("w", "x"),), scalar_fields=("c",)),
 )

@@ -229,10 +229,47 @@ def test_characterization_report_bytes_are_stable():
     assert a == b
 
 
+def test_system_raising_value_error_after_the_probes_fails_a_stage():
+    # The probes take 31 calls; with 60 trials the uniform stage takes the
+    # next 60 and the rational stage the 120 after those.
+    for fail_at, stage in ((41, "uniform"), (101, "rational"), (213, "sandwich")):
+        honest = builtin_power_mean_system(2)
+        calls = 0
+
+        def flaky(w, x):
+            nonlocal calls
+            calls += 1
+            if calls == fail_at:
+                raise ValueError("flaky system gave up")
+            return honest(w, x)
+
+        report = verify_characterization(MeanSystem(flaky, "flaky"), _FAST)
+        assert report.verdict == "counterexample"
+        failed = [s for s in report.stages if not s.passed]
+        assert [s.name for s in failed] == [stage]
+        assert failed[0].detail["error"] == "flaky system gave up"
+
+
 def test_config_validation():
-    with pytest.raises(ValueError):
-        CharacterizationConfig(seed=-4)
-    with pytest.raises(ValueError):
-        CharacterizationConfig(deltas=())
-    with pytest.raises(ValueError):
-        CharacterizationConfig(deltas=(0.0,))
+    CharacterizationConfig(weight_denominator_max=10 ** 6, deltas=(2e-6, 0.0625))
+    bad = [
+        dict(seed=-4),
+        dict(trials=0),
+        dict(max_n=1),
+        dict(rel_tol=math.nan),
+        dict(rel_tol=0.0),
+        dict(slack=math.nan),
+        dict(slack=-1.0),
+        dict(deltas=()),
+        dict(deltas=(0.0,)),
+        dict(deltas=(0.5,)),  # above 1/(2*max_n), the smallest sandwich weight
+        dict(max_n=100),  # the default delta 1e-2 exceeds 1/(2*max_n) = 0.005
+        dict(deltas=(1e-7,)),  # grid denominator 2e7 exceeds 1e6
+        dict(deltas=(math.nan,)),
+        dict(weight_denominator_max=1),
+        dict(weight_denominator_max=10 ** 6 + 1),
+        dict(sample_count=1),
+    ]
+    for kwargs in bad:
+        with pytest.raises(ValueError):
+            CharacterizationConfig(**kwargs)

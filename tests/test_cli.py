@@ -114,6 +114,19 @@ def test_runtime_evaluation_error_exits_1(capsys):
     assert code == 1 and "evaluation failed" in err
 
 
+def test_eval_system_value_error_exits_1(capsys):
+    # math.fsum raises ValueError on inf + -inf inside the system.
+    code, out, err = run_cli(capsys, "eval", "--dsl", "sum(w*(x-1)*1e300*1e300)",
+                             "--w", "0.5,0.5", "--x", "0,2")
+    assert code == 1 and out == "" and "evaluation failed" in err
+
+
+def test_eval_length_mismatch_exits_2(capsys):
+    code, _, err = run_cli(capsys, "eval", "--dsl", "sum(w*x)",
+                           "--w", "0.5,0.5", "--x", "1,2,3")
+    assert code == 2 and "length mismatch" in err
+
+
 def test_usage_errors_from_argparse_exit_2(capsys):
     assert main([]) == 2
     assert main(["no-such-command"]) == 2
@@ -239,6 +252,15 @@ def test_characterize_degenerate_exits_1(capsys):
                            "--trials", "20")
     assert code == 1
     assert json.loads(out)["verdict"] == "degenerate"
+
+
+def test_characterize_out_of_range_settings_exit_2(capsys):
+    # A stage cannot use any of these; each must be a usage error.
+    for flags in (["--rel-tol", "nan"], ["--slack", "nan"],
+                  ["--max-denominator", "1"], ["--max-denominator", "3000000"],
+                  ["--delta", "0.5"], ["--delta", "1e-7"], ["--samples", "1"]):
+        code, out, err = run_cli(capsys, "characterize", "--dsl", "sum(w*x^2)", *flags)
+        assert code == 2 and out == "" and err.startswith("meanlab: "), flags
 
 
 def test_sandwich_ordered_exits_0(capsys):

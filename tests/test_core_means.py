@@ -56,6 +56,11 @@ def test_exponent_parse_and_str():
     assert Exponent.parse("0") == ZERO
     assert str(POS_INF) == "inf" and str(NEG_INF) == "-inf" and str(ZERO) == "0"
     assert str(Exponent.finite(2.0)) == "2.0"
+    assert [p.tag for p in (NEG_INF, ZERO, Exponent.finite(-0.5), POS_INF)] == [
+        "neg_inf", "zero", "finite", "pos_inf"]
+    assert Exponent(-0.0) == ZERO and hash(Exponent(-0.0)) == hash(ZERO)
+    assert str(Exponent(-0.0)) == "0"
+    assert [p.value for p in (NEG_INF, ZERO, POS_INF)] == [-math.inf, 0.0, math.inf]
     with pytest.raises(ValueError):
         Exponent.parse("two")
     with pytest.raises(ValueError):
