@@ -80,6 +80,7 @@ from .characterize import (
     rational_sandwich,
     recover_exponent,
     recovery_to_dict,
+    sandwich_denominator,
     sandwich_to_dict,
     transfer_slope_estimate,
     verify_characterization,
@@ -112,7 +113,8 @@ __all__ = [
     "report_to_dict", "suite_to_dict", "deterministic_json", "json_ready",
     # identification
     "indicator_probe", "recover_exponent", "RecoveryResult",
-    "rational_sandwich", "SandwichResult", "transfer_slope_estimate",
+    "rational_sandwich", "sandwich_denominator", "SandwichResult",
+    "transfer_slope_estimate",
     "CharacterizationConfig", "CharacterizationReport", "StageReport",
     "verify_characterization",
     "recovery_to_dict", "sandwich_to_dict", "characterization_to_dict",

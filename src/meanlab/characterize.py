@@ -46,6 +46,7 @@ __all__ = [
     "recover_exponent",
     "SandwichResult",
     "rational_sandwich",
+    "sandwich_denominator",
     "transfer_slope_estimate",
     "CharacterizationConfig",
     "StageReport",
@@ -188,23 +189,34 @@ def _sweep(w: Weighting, order: np.ndarray, denominator: int) -> Weighting:
     return Weighting(np.array([k / d for k in numerators]), exact=exact)
 
 
+def sandwich_denominator(delta: float, max_denominator: int = 10 ** 6) -> int:
+    """The grid denominator D of :func:`rational_sandwich`: least D with 2/D <= delta.
+
+    Raises ``ValueError`` when delta lies outside (0, 1] or D would exceed
+    ``max_denominator``.
+    """
+    if not (0.0 < delta <= 1.0):
+        raise ValueError("delta must lie in (0, 1]")
+    d = math.ceil(2.0 / delta)
+    if d > max_denominator:
+        raise ValueError(f"denominator {d} exceeds max_denominator={max_denominator}")
+    return d
+
+
 def rational_sandwich(system: MeanSystem, w: Weighting, x: ValueVector,
                       delta: float, max_denominator: int = 10 ** 6) -> SandwichResult:
     """Bracket ``system(w, x)`` between denominator-D rational weightings.
 
-    D is the smallest integer with 2/D <= delta, so both brackets differ from
-    ``w`` by less than delta in every coordinate.  The upper bracket is built
-    by sweeping coordinates in ascending order of value (carry drifts toward
+    D is :func:`sandwich_denominator`, so both brackets differ from ``w`` by
+    less than delta in every coordinate.  The upper bracket is built by
+    sweeping coordinates in ascending order of value (carry drifts toward
     larger values); the lower one sweeps descending.  Raises ``ValueError``
-    when delta is out of range or D would exceed ``max_denominator``.
+    when delta is out of range, D would exceed ``max_denominator`` or the
+    lengths differ, before the system is called.
     """
-    if not (0.0 < delta <= 1.0):
-        raise ValueError("delta must lie in (0, 1]")
+    d = sandwich_denominator(delta, max_denominator)
     if len(w) != len(x):
         raise ValueError("weighting and value vector must have equal length")
-    d = math.ceil(2.0 / delta)
-    if d > max_denominator:
-        raise ValueError(f"denominator {d} exceeds max_denominator={max_denominator}")
     ascending = np.argsort(x.entries, kind="stable")
     w_upper = _sweep(w, ascending, d)
     w_lower = _sweep(w, ascending[::-1], d)
@@ -333,7 +345,9 @@ def _stage_uniform(system: MeanSystem, cfg: CharacterizationConfig,
 
 def _rational_weighting(rng: np.random.Generator, n: int, denominator_max: int,
                         positive_only: bool) -> Weighting:
-    q = int(rng.integers(max(2, n if positive_only else 2), denominator_max + 1))
+    # n positive weights need a denominator of at least n, even above the cap
+    low = max(2, n if positive_only else 2)
+    q = int(rng.integers(low, max(low, denominator_max) + 1))
     probs = rng.dirichlet(np.ones(n))
     if positive_only:
         counts = np.ones(n, dtype=np.int64) + rng.multinomial(q - n, probs)

@@ -39,6 +39,7 @@ from .characterize import (
     rational_sandwich,
     recover_exponent,
     recovery_to_dict,
+    sandwich_denominator,
     sandwich_to_dict,
     verify_characterization,
 )
@@ -288,6 +289,8 @@ def _cmd_axioms(args: argparse.Namespace) -> int:
 
 def _cmd_recover(args: argparse.Namespace) -> int:
     system = _build_system(args)
+    if args.samples < 2:
+        raise _UsageError("need at least two sample points")
     try:
         result = recover_exponent(system, args.samples)
     except (ValueError, ArithmeticError) as exc:
@@ -317,13 +320,15 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
 
 def _cmd_sandwich(args: argparse.Namespace) -> int:
     system = _build_system(args)
-    w, x = _load_vectors(args)
+    w, x = _load_vectors(args)  # rejects a length mismatch
+    try:
+        sandwich_denominator(args.delta, args.max_denominator)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
     try:
         result = rational_sandwich(system, w, x, args.delta,
                                    max_denominator=args.max_denominator)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
-    except ArithmeticError as exc:
+    except (ArithmeticError, ValueError) as exc:
         _fail(f"evaluation failed: {exc}")
         return 1
     payload = {"system": system.label, **sandwich_to_dict(result)}

@@ -254,7 +254,8 @@ class SignedVector(_Entries):
 
     def __post_init__(self) -> None:
         a = _as_1d_float(self.entries, "signed vector")
-        if not np.all(np.isfinite(a)):
+        # Not a.sum(): finite entries such as (1e308, 1e308) overflow it and warn.
+        if not np.isfinite(a).all():
             raise ValueError("signed entries must be finite")
         object.__setattr__(self, "entries", _read_only(a))
 
@@ -358,6 +359,10 @@ def _div_dd(a_hi: float, a_lo: float, b: float) -> tuple[float, float]:
 
 # ── Power mean evaluation ─────────────────────────────────────────────────────
 
+#: Vectors of at most this many entries are evaluated on Python floats; above
+#: it numpy's vector arithmetic outweighs its fixed per-call cost.
+_SCALAR_MAX_N = 32
+
 
 def power_mean(p: ExponentLike, w: Weighting, x: ValueVector) -> float:
     """Evaluate the weighted power mean M_p(w, x).
@@ -373,12 +378,40 @@ def power_mean(p: ExponentLike, w: Weighting, x: ValueVector) -> float:
     tolerance with which the weights sum to 1.
     """
     p = as_exponent(p)
-    if len(w) != len(x):
-        raise ValueError(f"length mismatch: {len(w)} weights vs {len(x)} values")
-    supp = w.support
-    ws = w.entries[supp]
-    xs = x.entries[supp]
-    pp = p.value
+    n = w.entries.size
+    if n != x.entries.size:
+        raise ValueError(f"length mismatch: {n} weights vs {x.entries.size} values")
+    if n <= _SCALAR_MAX_N:
+        return _scalar_power_mean(p.value, w.entries.tolist(), x.entries.tolist())
+    return _numpy_power_mean(p.value, w.entries, x.entries)
+
+
+def _scalar_power_mean(pp: float, wl: list[float], xl: list[float]) -> float:
+    """:func:`power_mean` on Python floats, for short vectors."""
+    if math.isinf(pp):
+        xs = [xi for wi, xi in zip(wl, xl) if wi > 0.0]
+        return max(xs) if pp > 0.0 else min(xs)
+    ws: list[float] = []
+    xs = []
+    for wi, xi in zip(wl, xl):
+        if wi > 0.0:
+            if xi > 0.0:
+                ws.append(wi)
+                xs.append(xi)
+            elif pp <= 0.0:
+                return 0.0  # limit of the mean as any x_i ↓ 0 with p ≤ 0
+    if not xs:
+        return 0.0  # p > 0 and every supported value is zero
+    if pp == 0.0:
+        return _scalar_geometric_mean(ws, xs)
+    return _scalar_finite_power_mean(pp, ws, xs)
+
+
+def _numpy_power_mean(pp: float, we: np.ndarray, xe: np.ndarray) -> float:
+    """:func:`power_mean` on arrays, for long vectors."""
+    supp = we > 0.0
+    ws = we[supp]
+    xs = xe[supp]
     if pp == math.inf:
         return float(xs.max())
     if pp == -math.inf:
@@ -396,6 +429,41 @@ def power_mean(p: ExponentLike, w: Weighting, x: ValueVector) -> float:
         ws = ws[keep]
         xs = xs[keep]
     return _finite_power_mean(pp, ws, xs)
+
+
+def _scalar_finite_power_mean(pp: float, ws: list[float], xs: list[float]) -> float:
+    """:func:`_finite_power_mean` on Python floats, with ``math.fsum`` sums."""
+    es: list[int] = []
+    lms: list[float] = []
+    for xi in xs:
+        m, e = math.frexp(xi)
+        es.append(e)
+        lms.append(math.log2(m))
+    lx = [e + lm for e, lm in zip(es, lms)]
+    ref = lx.index(max(lx) if pp > 0.0 else min(lx))
+    e_ref, lm_ref = es[ref], lms[ref]
+    c = _SPLIT * pp  # Dekker split of p, shared by every product below
+    ph = c - (c - pp)
+    pl = pp - ph
+    s_terms: list[float] = []
+    t_terms: list[float] = []
+    for wi, e, lm in zip(ws, es, lms):
+        ue = e - e_ref  # a small integer, so its Dekker split is (ue, 0)
+        um = lm - lm_ref
+        a1 = pp * ue
+        r1 = (ph * ue - a1) + pl * ue
+        a2 = pp * um
+        c = _SPLIT * um
+        uh = c - (c - um)
+        ul = um - uh
+        r2 = ((ph * uh - a2) + ph * ul + pl * uh) + pl * ul
+        a = a1 + a2  # _two_sum(a1, a2), inline
+        v = a - a1
+        r3 = (a1 - (a - v)) + (a2 - v)
+        wt = wi * 2.0 ** a
+        s_terms.append(wt)
+        t_terms.append(wt * ((r1 + r2) + r3))
+    return _root_of_power_sum(pp, math.fsum(s_terms), math.fsum(t_terms), xs[ref])
 
 
 def _finite_power_mean(pp: float, ws: np.ndarray, xs: np.ndarray) -> float:
@@ -423,13 +491,28 @@ def _finite_power_mean(pp: float, ws: np.ndarray, xs: np.ndarray) -> float:
     t = np.exp2(a)  # dominant term is 2^~0; far terms underflow harmlessly
     S = float((ws * t).sum())  # pairwise: rounding grows like log n, not n
     T = float(np.dot(ws, t * da))  # first-order correction to Σ w·2^(a+da)
+    return _root_of_power_sum(pp, S, T, float(xs[ref]))
+
+
+def _root_of_power_sum(pp: float, S: float, T: float, x_ref: float) -> float:
+    """x_ref · (S + T)^(1/p), with S = Σ w · 2^(p·u) and T its correction."""
     m_s, k_s = math.frexp(S)
     g = math.log2(m_s) + T / S  # log₂(S) − k_s, corrected
     q_hi, q_lo = _div_dd(float(k_s), g, pp)  # log₂(S)/p as a pair
     n0 = math.floor(q_hi)
     f = (q_hi - n0) + q_lo
-    m_ref, e_ref = math.frexp(float(xs[ref]))
+    m_ref, e_ref = math.frexp(x_ref)
     return math.ldexp(m_ref * float(np.exp2(f)), e_ref + int(n0))
+
+
+def _scalar_geometric_mean(ws: list[float], xs: list[float]) -> float:
+    """:func:`_geometric_mean` on Python floats and strictly positive xs."""
+    parts: list[float] = []
+    for wi, xi in zip(ws, xs):
+        m, e = math.frexp(xi)
+        parts.extend(_two_prod(wi, float(e)))
+        parts.append(wi * math.log2(m))
+    return _exp2_of_exact_sum(parts)
 
 
 def _geometric_mean(ws: np.ndarray, xs: np.ndarray) -> float:
@@ -440,9 +523,12 @@ def _geometric_mean(ws: np.ndarray, xs: np.ndarray) -> float:
     e = e.astype(np.float64)
     lm = np.log2(m)
     ph, pl = _two_prod(ws, e)  # w·e split exactly; |e| ≤ 1075 so no overflow
-    parts = np.concatenate([ph, pl, ws * lm]).tolist()
-    total = math.fsum(parts)
-    n0 = int(round(total))
+    return _exp2_of_exact_sum(np.concatenate([ph, pl, ws * lm]).tolist())
+
+
+def _exp2_of_exact_sum(parts: list[float]) -> float:
+    """2 raised to the exactly rounded sum of ``parts``, without overflow."""
+    n0 = int(round(math.fsum(parts)))
     frac = math.fsum(parts + [float(-n0)])
     return math.ldexp(float(np.exp2(frac)), n0)
 

@@ -229,6 +229,15 @@ def test_characterization_report_bytes_are_stable():
     assert a == b
 
 
+def test_positive_only_system_with_a_small_denominator_cap():
+    # n positive weights need a denominator of at least n, here above the cap
+    cfg = CharacterizationConfig(weight_denominator_max=5, trials=30)
+    report = verify_characterization(
+        builtin_power_mean_system(2, positivity_only=True), cfg)
+    assert report.verdict == "consistent"
+    assert [s.name for s in report.stages if s.passed] == ["uniform", "rational", "sandwich"]
+
+
 def test_system_raising_value_error_after_the_probes_fails_a_stage():
     # The probes take 31 calls; with 60 trials the uniform stage takes the
     # next 60 and the rational stage the 120 after those.

@@ -231,6 +231,11 @@ def test_recover_invalid_probe_exits_1(capsys):
     assert code == 1 and "recovery failed" in err
 
 
+def test_recover_too_few_samples_exits_2(capsys):
+    code, out, err = run_cli(capsys, "recover", "--builtin", "2", "--samples", "1")
+    assert code == 2 and out == "" and "two sample points" in err
+
+
 def test_characterize_consistent_builtin(capsys):
     code, out, _ = run_cli(capsys, "characterize", "--builtin", "2",
                            "--trials", "40", "--seed", "0")
@@ -282,6 +287,19 @@ def test_sandwich_bad_delta_exits_2(capsys):
                            "--w", "0.5,0.5", "--x", "1,2", "--delta", "1e-9",
                            "--max-denominator", "100")
     assert code == 2 and "denominator" in err
+    code, _, err = run_cli(capsys, "sandwich", "--builtin", "2",
+                           "--w", "0.5,0.5", "--x", "1,2,3", "--delta", "0.1")
+    assert code == 2 and "length" in err
+    # checked before the system runs, so a raising system changes nothing
+    code, _, err = run_cli(capsys, "sandwich", "--dsl", "sum(w*(x-1)*1e300*1e300)",
+                           "--w", "0.5,0.5", "--x", "0,2", "--delta", "0")
+    assert code == 2 and "delta" in err
+
+
+def test_sandwich_system_value_error_exits_1(capsys):
+    code, out, err = run_cli(capsys, "sandwich", "--dsl", "sum(w*(x-1)*1e300*1e300)",
+                             "--w", "0.5,0.5", "--x", "0,2", "--delta", "0.1")
+    assert code == 1 and out == "" and err.startswith("meanlab: evaluation failed: ")
 
 
 def test_console_script_is_installed():

@@ -1,7 +1,9 @@
 """Core evaluation: frozen examples against independent oracles, then law
 properties under seeded random sweeps."""
 
+import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -31,6 +33,7 @@ from meanlab import (
     tensor_weights,
     uniform,
 )
+from meanlab import core
 
 
 def W(*entries):
@@ -116,6 +119,10 @@ _NAN, _INF = math.nan, math.inf
     (ValueVector, [2.0, -1.0], None, "value entries must be nonnegative"),
     (ValueVector, [[1.0]], None, "value vector must be one-dimensional"),
     (ValueVector, [], None, "value vector needs at least one entry"),
+    (SignedVector, [1.0, _NAN], None, "signed entries must be finite"),
+    (SignedVector, [_INF, -_INF], None, "signed entries must be finite"),
+    (SignedVector, [-_INF, -1.0], None, "signed entries must be finite"),
+    (SignedVector, [[1.0]], None, "signed vector must be one-dimensional"),
 ])
 def test_container_rejections(make, entries, exact, message):
     args = (np.array(entries, dtype=np.float64),) + ((exact,) if exact else ())
@@ -135,6 +142,9 @@ def test_value_vector_validation():
     assert list(V(0.0, 2.5)) == [0.0, 2.5] and V(0.0, 2.5)[1] == 2.5
     assert len(S()) == 0  # signed vectors may be empty and negative
     assert S(-2.0)[0] == -2.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # finite entries whose sum overflows pass quietly
+        assert list(S(1e308, 1e308, -1e308)) == [1e308, 1e308, -1e308]
 
 
 def test_index_map_validation():
@@ -243,6 +253,63 @@ def test_large_n_stays_in_the_oracle_envelope(seed):
                                 for v, c in zip(small.tolist(), counts))
             want = float(mpmath.power(total, 1 / mpmath.mpf(p)))
         assert abs(power_mean(p, w, x) - want) <= 1e-13 * want
+
+
+# ── Scalar and numpy evaluation paths ─────────────────────────────────────────
+# power_mean evaluates short vectors on Python floats and long ones with numpy;
+# both paths must meet the oracle envelope on either side of the crossover.
+
+
+def _differential_case(rng, n, adversarial):
+    lo, hi = (-300.0, 300.0) if adversarial else (-3.0, 3.0)
+    w = np.power(10.0, rng.uniform(-12.0 if adversarial else -1.0, 0.0, n))
+    if n >= 2 and rng.random() < 0.3:
+        w[rng.permutation(n)[: int(rng.integers(1, n))]] = 0.0
+    x = np.power(10.0, rng.uniform(lo, hi, n))
+    x[rng.random(n) < 0.1] = 0.0
+    return w / w.sum(), x
+
+
+def test_scalar_and_numpy_paths_agree_across_the_crossover():
+    rng = np.random.default_rng(4)
+    regimes = [math.inf, -math.inf, 0.0, "finite"]
+    for n in range(1, 2 * core._SCALAR_MAX_N + 1):
+        for regime, adversarial in itertools.product(regimes, (False, True)):
+            p = regime
+            if regime == "finite":
+                p = float(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(math.log10(0.5),
+                                                                          math.log10(500.0)))
+            we, xe = _differential_case(rng, n, adversarial)
+            fast = core._scalar_power_mean(p, we.tolist(), xe.tolist())
+            bulk = core._numpy_power_mean(p, we, xe)
+            want = power_mean_oracle(p, Weighting(we), ValueVector(xe))
+            for got in (fast, bulk):
+                assert abs(got - want) <= 1e-13 * max(abs(want), 1e-300), (n, p, got, want)
+            assert abs(fast - bulk) <= 1e-14 * max(abs(bulk), 1e-300), (n, p, fast, bulk)
+            # the finite and geometric kernels themselves, on a positive support
+            keep = (we > 0.0) & (xe > 0.0)
+            if math.isfinite(p) and keep.any():
+                ws, xs = we[keep], xe[keep]
+                if p == 0.0:
+                    a = core._scalar_geometric_mean(ws.tolist(), xs.tolist())
+                    b = core._geometric_mean(ws, xs)
+                else:
+                    a = core._scalar_finite_power_mean(p, ws.tolist(), xs.tolist())
+                    b = core._finite_power_mean(p, ws, xs)
+                assert abs(a - b) <= 1e-14 * b, (n, p, a, b)
+
+
+def test_power_mean_dispatch_follows_the_crossover(monkeypatch):
+    calls = []
+    monkeypatch.setattr(core, "_scalar_power_mean",
+                        lambda p, w, x: calls.append(("scalar", type(w), len(w))) or 1.0)
+    monkeypatch.setattr(core, "_numpy_power_mean",
+                        lambda p, w, x: calls.append(("numpy", type(w), len(w))) or 1.0)
+    edge = core._SCALAR_MAX_N
+    for n in (1, edge, edge + 1, 2 * edge):
+        power_mean(2.0, uniform(n), ValueVector(np.ones(n)))
+    assert calls == [("scalar", list, 1), ("scalar", list, edge),
+                     ("numpy", np.ndarray, edge + 1), ("numpy", np.ndarray, 2 * edge)]
 
 
 def test_oracle_matches_simple_cases():
