@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -33,6 +32,7 @@ from .core import (
     POS_INF,
     ValueVector,
     Weighting,
+    _weighting_from_counts,
     expand_rational,
     power_mean,
     uniform,
@@ -172,21 +172,27 @@ class SandwichResult:
 def _sweep(w: Weighting, order: np.ndarray, denominator: int) -> Weighting:
     # Sweep in the given order, flooring each weight (plus accumulated carry)
     # to the grid; the carry flows to later positions in the sweep, and the
-    # final position absorbs whatever remains.  Exact rational arithmetic.
+    # final position absorbs whatever remains.  With S_j the exact prefix sum
+    # of the swept weights, the carry makes numerator j
+    # floor(d·S_j) − floor(d·S_{j−1}); S_j is summed in integers over one
+    # power-of-two denominator 2**e (a float weight is an integer over 2**k).
     d = denominator
+    order = order.tolist()
+    floats = w.entries.tolist()
+    ratios = [floats[i].as_integer_ratio() for i in order[:-1]]
+    e = max((den.bit_length() for _, den in ratios), default=1) - 1
     numerators = [0] * len(order)
-    carry = Fraction(0)
-    for j, idx in enumerate(order[:-1]):
-        exact = Fraction(float(w.entries[idx])) + carry
-        k = math.floor(exact * d)
-        numerators[idx] = k
-        carry = exact - Fraction(k, d)
-    assigned = sum(numerators)
-    numerators[order[-1]] = d - assigned
+    total = 0  # S_j · 2**e
+    floor_before = 0  # floor(d·S_{j−1})
+    for idx, (num, den) in zip(order, ratios):
+        total += num << (e + 1 - den.bit_length())
+        floor_here = (d * total) >> e
+        numerators[idx] = floor_here - floor_before
+        floor_before = floor_here
+    numerators[order[-1]] = d - floor_before
     if numerators[order[-1]] < 0:
         raise ValueError("weights sum above 1 beyond tolerance; cannot bracket")
-    exact = tuple(Fraction(k, d) for k in numerators)
-    return Weighting(np.array([k / d for k in numerators]), exact=exact)
+    return _weighting_from_counts(numerators, d)
 
 
 def sandwich_denominator(delta: float, max_denominator: int = 10 ** 6) -> int:
@@ -353,8 +359,7 @@ def _rational_weighting(rng: np.random.Generator, n: int, denominator_max: int,
         counts = np.ones(n, dtype=np.int64) + rng.multinomial(q - n, probs)
     else:
         counts = rng.multinomial(q, probs)
-    exact = tuple(Fraction(int(k), q) for k in counts)
-    return Weighting(counts / q, exact=exact)
+    return _weighting_from_counts(counts.tolist(), q)
 
 
 def _stage_rational(system: MeanSystem, cfg: CharacterizationConfig,

@@ -26,6 +26,7 @@ compensated path.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -183,8 +184,9 @@ class Weighting(_Entries):
     The float entries must sum to 1 within ``WEIGHT_SUM_TOL`` — out-of-tolerance
     input is rejected rather than silently renormalized (see
     :func:`normalize_weights` for the explicit fixup).  Optionally a tuple of
-    exact ``Fraction`` entries rides along; it must sum to exactly 1 and match
-    the floats entrywise within ``EXACT_MATCH_TOL``.
+    exact rational entries rides along (``Fraction`` or ``int``, stored as
+    ``Fraction``); it must sum to exactly 1 and match the floats entrywise
+    within ``EXACT_MATCH_TOL``.
     """
 
     entries: np.ndarray
@@ -211,6 +213,10 @@ class Weighting(_Entries):
             ex = tuple(self.exact)
             if len(ex) != a.size:
                 raise ValueError("exact entries must match float entries in length")
+            if not all(type(f) is Fraction for f in ex):
+                if not all(isinstance(f, numbers.Rational) for f in ex):
+                    raise ValueError("exact entries must be rationals (Fraction or int)")
+                ex = tuple(map(Fraction, ex))
             nums = [f.numerator for f in ex]
             dens = [f.denominator for f in ex]
             if min(nums) < 0:
@@ -318,11 +324,36 @@ def normalize_weights(entries: Sequence[float] | np.ndarray) -> Weighting:
     return Weighting(a / total)
 
 
+def _weighting_from_counts(counts: list[int], d: int) -> Weighting:
+    """The weighting (k / d for k in counts) with exact twins Fraction(k, d).
+
+    Only the integers are checked: nonnegative counts summing to d.  That
+    implies every rule the public constructor enforces, so it is not re-run:
+    each float is the correctly rounded k / d, within 2⁻⁵³ of its twin, and
+    the floats sum to 1 within 2⁻⁵³.  Each distinct count makes one Fraction.
+    """
+    if d < 1 or sum(counts) != d or min(counts) < 0:
+        raise ValueError("counts must be nonnegative integers summing to the denominator")
+    distinct = set(counts)
+    if len(distinct) == 1:  # uniform: k = d / n for every entry
+        k = counts[0]
+        entries = np.full(len(counts), k / d)
+        exact = (Fraction(k, d),) * len(counts)
+    else:
+        twins = {k: Fraction(k, d) for k in distinct}
+        entries = np.array([k / d for k in counts])
+        exact = tuple(map(twins.__getitem__, counts))
+    w = object.__new__(Weighting)
+    object.__setattr__(w, "entries", _read_only(entries))
+    object.__setattr__(w, "exact", exact)
+    return w
+
+
 def uniform(n: int) -> Weighting:
     """The uniform weighting u_n = (1/n, …, 1/n), with exact rationals attached."""
     if n < 1:
         raise ValueError("uniform weighting needs n ≥ 1")
-    return Weighting(np.full(n, 1.0 / n), exact=(Fraction(1, n),) * n)
+    return _weighting_from_counts([1] * n, n)
 
 
 # ── Double-double helpers (Dekker splitting; no fma required) ─────────────────

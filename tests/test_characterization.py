@@ -2,6 +2,7 @@
 and the staged verifier's three verdicts."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from meanlab import (
     transfer_slope_estimate,
     verify_characterization,
 )
+from meanlab import characterize
 from meanlab.systems import MeanSystem
 
 
@@ -138,6 +140,50 @@ def test_sandwich_brackets_carry_exact_fractions():
     sr = rational_sandwich(builtin_power_mean_system(1), W(0.3, 0.7), V(5.0, 1.0), 0.1)
     assert sr.w_lower.exact is not None and sr.w_upper.exact is not None
     assert sum(sr.w_lower.exact) == 1 and sum(sr.w_upper.exact) == 1
+
+
+def _fraction_sweep(w, order, d):
+    """The numerators of the Fraction carry loop that ``_sweep`` replaced."""
+    numerators = [0] * len(order)
+    carry = Fraction(0)
+    for idx in order[:-1]:
+        exact = Fraction(float(w.entries[idx])) + carry
+        k = math.floor(exact * d)
+        numerators[idx] = k
+        carry = exact - Fraction(k, d)
+    numerators[order[-1]] = d - sum(numerators)
+    return numerators
+
+
+def _sweep_case(rng):
+    n = int(rng.integers(1, 9))
+    d = int(10.0 ** rng.uniform(0.0, 6.0))
+    kind = rng.integers(4)
+    if kind == 0:  # on a grid, so d·S_j often lands on an integer
+        q = int(rng.choice([d, max(1, d // 2), 2 * d, int(rng.integers(1, 10**6))]))
+        counts = rng.multinomial(q, rng.dirichlet(np.ones(n)))
+        entries = counts / q
+    else:
+        entries = rng.exponential(1.0, n)
+        if kind == 2:  # tiny weights, subnormals included
+            entries[rng.random(n) < 0.4] = 10.0 ** rng.uniform(-323.0, -12.0)
+        entries[rng.random(n) < 0.2] = 0.0  # zero weights
+        entries[0] += entries.sum() == 0.0
+        entries = entries / entries.sum()
+    return Weighting(entries), rng.permutation(n), d
+
+
+def test_sweep_matches_the_fraction_carry_loop():
+    rng = np.random.default_rng(17)
+    for _ in range(10_000):
+        w, order, d = _sweep_case(rng)
+        for o in (order, order[::-1]):  # both sweep orders, as the sandwich uses them
+            want = _fraction_sweep(w, o, d)
+            got = characterize._sweep(w, o, d)
+            assert [f.numerator * (d // f.denominator) for f in got.exact] == want, (w, o, d)
+            assert got.entries.tolist() == [k / d for k in want]
+            again = Weighting(got.entries.copy(), exact=got.exact)  # the public checks pass
+            assert again.entries.tolist() == got.entries.tolist() and again.exact == got.exact
 
 
 def test_sandwich_parameter_guards():
