@@ -45,7 +45,7 @@ from .dsl import (
     format_mean_expr,
     parse_mean_expr,
 )
-from .systems import MeanSystem, builtin_power_mean_system, dsl_mean_system
+from .systems import MeanSystem, SystemEvalError, builtin_power_mean_system, dsl_mean_system
 from .harness import (
     CheckConfig,
     CheckReport,
@@ -102,7 +102,7 @@ __all__ = [
     "parse_mean_expr", "eval_mean_expr", "format_mean_expr",
     "ExprSyntaxError", "ExprEvalError",
     # systems
-    "MeanSystem", "builtin_power_mean_system", "dsl_mean_system",
+    "MeanSystem", "SystemEvalError", "builtin_power_mean_system", "dsl_mean_system",
     # law checking
     "CheckConfig", "CheckReport", "Counterexample", "PROPERTY_NAMES",
     "run_full_suite", "suite_passed", "replay_counterexample",

@@ -38,7 +38,7 @@ from .core import (
     uniform,
 )
 from .harness import CheckConfig
-from .systems import MeanSystem
+from .systems import MeanSystem, SystemEvalError
 
 __all__ = [
     "indicator_probe",
@@ -336,7 +336,7 @@ def _stage_uniform(system: MeanSystem, cfg: CharacterizationConfig,
         w = uniform(n)
         try:
             got = system(w, x)
-        except (ArithmeticError, ValueError) as exc:
+        except SystemEvalError as exc:
             return StageReport("uniform", False, trial + 1, math.inf,
                                {"n": n, "x": x.entries.tolist(), "error": str(exc)})
         want = power_mean(p, w, x)
@@ -375,7 +375,7 @@ def _stage_rational(system: MeanSystem, cfg: CharacterizationConfig,
         try:
             got = system(w, x)
             via_uniform = system(uw, ux)
-        except (ArithmeticError, ValueError) as exc:
+        except SystemEvalError as exc:
             return StageReport("rational", False, trial + 1, math.inf,
                                {"w": w.entries.tolist(), "x": x.entries.tolist(),
                                 "error": str(exc)})
@@ -405,7 +405,7 @@ def _stage_sandwich(system: MeanSystem, cfg: CharacterizationConfig) -> StageRep
             try:
                 sr = rational_sandwich(system, w, x, delta)
                 slope = transfer_slope_estimate(system, w, x, delta)
-            except (ArithmeticError, ValueError) as exc:
+            except SystemEvalError as exc:
                 return StageReport("sandwich", False, trial + 1, math.inf,
                                    {"w": w.entries.tolist(), "x": x.entries.tolist(),
                                     "delta": delta, "error": str(exc)})
@@ -440,11 +440,11 @@ def verify_characterization(system: MeanSystem,
     cfg = cfg or CharacterizationConfig()
     try:
         recovery = recover_exponent(system, cfg.sample_count)
-    except ValueError as exc:
-        return CharacterizationReport("counterexample", None, (), note=str(exc))
-    except ArithmeticError as exc:
+    except SystemEvalError as exc:
         return CharacterizationReport("counterexample", None, (),
                                       note=f"probe evaluation failed: {exc}")
+    except ValueError as exc:  # probes no single exponent explains
+        return CharacterizationReport("counterexample", None, (), note=str(exc))
     if recovery.degenerate_zero:
         return CharacterizationReport(
             "degenerate", recovery, (),

@@ -52,7 +52,7 @@ from .harness import (
     suite_passed,
     suite_to_dict,
 )
-from .systems import MeanSystem, builtin_power_mean_system, dsl_mean_system
+from .systems import MeanSystem, SystemEvalError, builtin_power_mean_system, dsl_mean_system
 
 __all__ = ["main", "build_parser"]
 
@@ -256,11 +256,7 @@ def _fail(message: str) -> None:
 def _cmd_eval(args: argparse.Namespace) -> int:
     system = _build_system(args)
     w, x = _load_vectors(args)
-    try:
-        value = system(w, x)
-    except (ArithmeticError, ValueError) as exc:
-        _fail(f"evaluation failed: {exc}")
-        return 1
+    value = system(w, x)
     if args.format is None:
         text = repr(value) + "\n"
         if args.output:
@@ -293,7 +289,7 @@ def _cmd_recover(args: argparse.Namespace) -> int:
         raise _UsageError("need at least two sample points")
     try:
         result = recover_exponent(system, args.samples)
-    except (ValueError, ArithmeticError) as exc:
+    except ValueError as exc:  # probes no single exponent explains
         _fail(f"recovery failed: {exc}")
         return 1
     payload = {"system": system.label, **recovery_to_dict(result)}
@@ -325,12 +321,8 @@ def _cmd_sandwich(args: argparse.Namespace) -> int:
         sandwich_denominator(args.delta, args.max_denominator)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
-    try:
-        result = rational_sandwich(system, w, x, args.delta,
-                                   max_denominator=args.max_denominator)
-    except (ArithmeticError, ValueError) as exc:
-        _fail(f"evaluation failed: {exc}")
-        return 1
+    result = rational_sandwich(system, w, x, args.delta,
+                               max_denominator=args.max_denominator)
     payload = {"system": system.label, **sandwich_to_dict(result)}
     _emit(args, payload)
     return 0 if result.ordered else 1
@@ -356,6 +348,9 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         _fail(str(exc))
         return 2
+    except SystemEvalError as exc:
+        _fail(f"evaluation failed: {exc}")
+        return 1
 
 
 def _entry() -> None:

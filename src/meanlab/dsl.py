@@ -17,8 +17,8 @@ Evaluation maps an expression and a (weighting, values) pair to a scalar:
 reducers run their body over every index i (no support filtering — a zero
 weight still contributes its term), and ``a^b`` follows float semantics with
 one deliberate convention: **0^0 = 1**.  Division by zero, a negative base
-raised to a non-integer power, and non-finite results are reported as
-evaluation errors rather than propagated.
+raised to a non-integer power, a ``sum`` that meets inf - inf or overflows,
+and non-finite results are reported as evaluation errors, not propagated.
 
 Each tree is compiled once, on its first evaluation, into nested Python
 closures; later evaluations of the same tree only run those closures.
@@ -348,7 +348,10 @@ def eval_mean_expr(expr: MeanExpr, w: Weighting, x: ValueVector) -> float:
     """Evaluate an expression on a weighting/value pair of equal length."""
     if len(w) != len(x):
         raise ValueError(f"length mismatch: {len(w)} weights vs {len(x)} values")
-    result = expr._compiled(w.entries.tolist(), x.entries.tolist())
+    try:
+        result = expr._compiled(w.entries.tolist(), x.entries.tolist())
+    except (ValueError, OverflowError) as exc:  # math.fsum: inf - inf, or an overflow
+        raise ExprEvalError(str(exc)) from None
     if not math.isfinite(result):
         raise ExprEvalError(f"non-finite result {result!r}")
     return result

@@ -35,7 +35,7 @@ from .core import (
     tensor_values,
     tensor_weights,
 )
-from .systems import MeanSystem
+from .systems import MeanSystem, SystemEvalError
 
 __all__ = [
     "CheckConfig",
@@ -164,17 +164,12 @@ def _residual(kind: str, lhs: float, rhs: float) -> float:
     return (lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
 
 
-class _InvalidWitness(Exception):
-    """A candidate input that does not satisfy the check's preconditions."""
-
-
 def _evaluate(check: "_CheckDef", system: MeanSystem, wit: dict):
-    """Returns (lhs, rhs, residual, error_message)."""
+    """Returns (lhs, rhs, residual, error_message).  A witness that does not fit
+    the check raises ValueError; a failing system is a failing trial."""
     try:
         lhs, rhs = check.evaluate(system, wit)
-    except ValueError as exc:  # structurally bad input (vector/weighting rules)
-        raise _InvalidWitness(str(exc)) from exc
-    except ArithmeticError as exc:  # the system itself failed to evaluate
+    except SystemEvalError as exc:
         return math.nan, math.nan, math.inf, str(exc)
     return lhs, rhs, _residual(check.kind, lhs, rhs), None
 
@@ -232,6 +227,11 @@ def _gen_index_map(rng: np.random.Generator, max_n: int, positive_only: bool) ->
 
 
 # ── Check definitions ─────────────────────────────────────────────────────────
+#
+# Each ``_ev_*`` raises ValueError before it calls the system when a witness
+# does not fit its law (``MeanSystem.__call__`` rejects unequal lengths), so
+# shrink moves and replayed counterexamples meet the same rules.  ``valid``
+# only narrows a check to strictly positive weights.
 
 
 def _always_valid(cfg: CheckConfig, wit: dict) -> bool:
@@ -294,10 +294,6 @@ def _ev_consistency(system: MeanSystem, wit: dict) -> tuple[float, float]:
     return system(Weighting(np.array([1.0])), ValueVector(np.array([c]))), c
 
 
-def _valid_consistency(cfg: CheckConfig, wit: dict) -> bool:
-    return float(wit["c"]) >= 0.0
-
-
 # monotonicity ------------------------------------------------------------------
 
 
@@ -311,11 +307,10 @@ def _mk_monotonicity(cfg: CheckConfig, trial: int, rng: np.random.Generator) -> 
 
 def _ev_monotonicity(system: MeanSystem, wit: dict) -> tuple[float, float]:
     w = Weighting(wit["w"])
-    return system(w, ValueVector(wit["x"])), system(w, ValueVector(wit["y"]))
-
-
-def _valid_monotonicity(cfg: CheckConfig, wit: dict) -> bool:
-    return bool(np.all(np.asarray(wit["y"]) >= np.asarray(wit["x"])))
+    x, y = ValueVector(wit["x"]), ValueVector(wit["y"])
+    if np.any(y.entries < x.entries):
+        raise ValueError("monotonicity needs y >= x")
+    return system(w, x), system(w, y)
 
 
 # convexity ----------------------------------------------------------------------
@@ -381,14 +376,11 @@ def _mk_symmetry(cfg: CheckConfig, trial: int, rng: np.random.Generator) -> dict
 def _ev_symmetry(system: MeanSystem, wit: dict) -> tuple[float, float]:
     w = np.asarray(wit["w"])
     x = np.asarray(wit["x"])
+    if sorted(wit["sigma"]) != list(range(len(w))):
+        raise ValueError("sigma must be a permutation of the weight indices")
     sigma = np.array(wit["sigma"], dtype=np.intp)
     lhs = system(Weighting(w), ValueVector(x))
     return lhs, system(Weighting(w[sigma]), ValueVector(x[sigma]))
-
-
-def _valid_symmetry(cfg: CheckConfig, wit: dict) -> bool:
-    sigma = wit["sigma"]
-    return sorted(sigma) == list(range(len(wit["w"])))
 
 
 # repetition ---------------------------------------------------------------------
@@ -410,10 +402,6 @@ def _ev_repetition(system: MeanSystem, wit: dict) -> tuple[float, float]:
     return lhs, system(Weighting(merged), ValueVector(x))
 
 
-def _valid_repetition(cfg: CheckConfig, wit: dict) -> bool:
-    return len(wit["w"]) == len(wit["x"]) + 1
-
-
 # zero weight --------------------------------------------------------------------
 
 
@@ -430,10 +418,6 @@ def _ev_zero_weight(system: MeanSystem, wit: dict) -> tuple[float, float]:
     x = np.asarray(wit["x"])
     lhs = system(Weighting(np.append(w, 0.0)), ValueVector(x))
     return lhs, system(Weighting(w), ValueVector(x[:-1]))
-
-
-def _valid_zero_weight(cfg: CheckConfig, wit: dict) -> bool:
-    return len(wit["x"]) == len(wit["w"]) + 1
 
 
 # transfer -----------------------------------------------------------------------
@@ -459,24 +443,19 @@ def _mk_transfer(cfg: CheckConfig, trial: int, rng: np.random.Generator) -> dict
 def _ev_transfer(system: MeanSystem, wit: dict) -> tuple[float, float]:
     w = np.asarray(wit["w"]).copy()
     x = ValueVector(wit["x"])
-    lhs = system(Weighting(wit["w"]), x)
     eps = float(wit["epsilon"])
+    if not (2 <= len(w) == len(x) and 0.0 <= eps <= float(w[-1])
+            and x.entries[-1] <= x.entries[-2]):
+        raise ValueError("transfer needs n >= 2, 0 <= epsilon <= w[-1], x[-1] <= x[-2]")
+    lhs = system(Weighting(wit["w"]), x)
     w[-2] += eps
     w[-1] -= eps
     return lhs, system(Weighting(w), x)
 
 
 def _valid_transfer(cfg: CheckConfig, wit: dict) -> bool:
-    w = np.asarray(wit["w"])
-    x = np.asarray(wit["x"])
-    eps = float(wit["epsilon"])
-    if len(w) < 2 or len(w) != len(x):
-        return False
-    if not 0.0 <= eps <= float(w[-1]):
-        return False
-    if cfg.positive_weights_only and eps >= float(w[-1]):
-        return False
-    return bool(x[-1] <= x[-2])
+    # Strictly positive weights stay so: the move may not empty w[-1].
+    return not (cfg.positive_weights_only and float(wit["epsilon"]) >= float(wit["w"][-1]))
 
 
 # homogeneity --------------------------------------------------------------------
@@ -502,35 +481,27 @@ def _ev_homogeneity(system: MeanSystem, wit: dict) -> tuple[float, float]:
     return system(w, ValueVector(c * x)), c * system(w, ValueVector(x))
 
 
-def _valid_homogeneity(cfg: CheckConfig, wit: dict) -> bool:
-    return float(wit["c"]) >= 0.0
-
-
 # registry -----------------------------------------------------------------------
 
 _CHECKS: tuple[_CheckDef, ...] = (
     _CheckDef("functoriality", "equality", False, _mk_functoriality,
               _ev_functoriality),
     _CheckDef("consistency", "equality", False, _mk_consistency, _ev_consistency,
-              _valid_consistency, scalar_fields=("c",)),
+              scalar_fields=("c",)),
     _CheckDef("monotonicity", "inequality", False, _mk_monotonicity,
-              _ev_monotonicity, _valid_monotonicity,
-              merge_groups=(("w", "x", "y"),)),
+              _ev_monotonicity, merge_groups=(("w", "x", "y"),)),
     _CheckDef("convexity", "inequality", False, _mk_convexity, _ev_convexity,
               merge_groups=(("w", "x", "y"),)),
     _CheckDef("multiplicativity", "equality", False, _mk_multiplicativity,
               _ev_multiplicativity, merge_groups=(("w", "x"), ("v", "y")),
               weight_fields=("w", "v")),
-    _CheckDef("symmetry", "equality", True, _mk_symmetry, _ev_symmetry,
-              _valid_symmetry),
-    _CheckDef("repetition", "equality", True, _mk_repetition, _ev_repetition,
-              _valid_repetition),
-    _CheckDef("zero_weight", "equality", True, _mk_zero_weight, _ev_zero_weight,
-              _valid_zero_weight),
+    _CheckDef("symmetry", "equality", True, _mk_symmetry, _ev_symmetry),
+    _CheckDef("repetition", "equality", True, _mk_repetition, _ev_repetition),
+    _CheckDef("zero_weight", "equality", True, _mk_zero_weight, _ev_zero_weight),
     _CheckDef("transfer", "inequality", True, _mk_transfer, _ev_transfer,
               _valid_transfer, scalar_fields=("epsilon",)),
     _CheckDef("homogeneity", "equality", True, _mk_homogeneity, _ev_homogeneity,
-              _valid_homogeneity, merge_groups=(("w", "x"),), scalar_fields=("c",)),
+              merge_groups=(("w", "x"),), scalar_fields=("c",)),
 )
 
 _CHECK_INDEX = {c.name: i for i, c in enumerate(_CHECKS)}
@@ -634,7 +605,7 @@ def _shrink(system: MeanSystem, cfg: CheckConfig, check: _CheckDef,
                 continue
             try:
                 _, _, resid, _ = _evaluate(check, system, cand)
-            except _InvalidWitness:
+            except ValueError:  # the move left a witness that does not fit
                 continue
             if resid > tol:  # still failing: accept and restart the scan
                 best, best_size = cand, size
@@ -747,12 +718,17 @@ def suite_passed(reports) -> bool:
 
 def replay_counterexample(system: MeanSystem, property_name: str,
                           counterexample: Counterexample) -> tuple[float, float, float]:
-    """Re-evaluate a reported counterexample; returns (lhs, rhs, residual)."""
+    """Re-evaluate a reported counterexample; returns (lhs, rhs, residual).
+    Raises ValueError for an unknown property or a counterexample that does
+    not fit its check."""
     if property_name not in _CHECK_INDEX:
         raise ValueError(f"unknown property {property_name!r}")
     check = _CHECKS[_CHECK_INDEX[property_name]]
     wit = _witness_from_counterexample(check, counterexample)
-    lhs, rhs, resid, _ = _evaluate(check, system, wit)
+    try:
+        lhs, rhs, resid, _ = _evaluate(check, system, wit)
+    except KeyError as exc:
+        raise ValueError(f"{property_name} counterexample lacks the field {exc}") from None
     return lhs, rhs, resid
 
 

@@ -8,13 +8,20 @@ defined by a DSL expression (see :mod:`meanlab.dsl`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import Callable
 
 from .core import ExponentLike, ValueVector, Weighting, as_exponent, power_mean
 from .dsl import eval_mean_expr, format_mean_expr, parse_mean_expr
 
-__all__ = ["MeanSystem", "builtin_power_mean_system", "dsl_mean_system"]
+__all__ = ["MeanSystem", "SystemEvalError", "builtin_power_mean_system", "dsl_mean_system"]
+
+
+class SystemEvalError(ArithmeticError):
+    """A system raised (its exception is the ``__cause__``, its message kept)
+    or returned something other than a finite real number."""
 
 
 @dataclass(frozen=True)
@@ -30,7 +37,21 @@ class MeanSystem:
     positivity_only: bool = field(default=False)
 
     def __call__(self, w: Weighting, x: ValueVector) -> float:
-        return self.evaluate(w, x)
+        """The value as a float: the one boundary between meanlab and the black
+        box.  Any ``Exception`` from the system, or a result that is not a
+        finite real number, is a ``SystemEvalError``; unequal lengths are a
+        ``ValueError``, raised before the system runs."""
+        if w.entries.size != x.entries.size:
+            raise ValueError(f"length mismatch: {len(w)} weights vs {len(x)} values")
+        try:
+            value = self.evaluate(w, x)
+            if type(value) is not float and isinstance(value, Real):
+                value = float(value)
+        except Exception as exc:
+            raise SystemEvalError(str(exc)) from exc
+        if type(value) is not float or not math.isfinite(value):
+            raise SystemEvalError(f"result {value!r} is not a finite real number")
+        return value
 
 
 def builtin_power_mean_system(p: ExponentLike, positivity_only: bool = False) -> MeanSystem:

@@ -115,7 +115,8 @@ def test_runtime_evaluation_error_exits_1(capsys):
 
 
 def test_eval_system_value_error_exits_1(capsys):
-    # math.fsum raises ValueError on inf + -inf inside the system.
+    # math.fsum raises ValueError on inf + -inf inside the system; the DSL
+    # reports it as an evaluation error.
     code, out, err = run_cli(capsys, "eval", "--dsl", "sum(w*(x-1)*1e300*1e300)",
                              "--w", "0.5,0.5", "--x", "0,2")
     assert code == 1 and out == "" and "evaluation failed" in err
@@ -300,6 +301,32 @@ def test_sandwich_system_value_error_exits_1(capsys):
     code, out, err = run_cli(capsys, "sandwich", "--dsl", "sum(w*(x-1)*1e300*1e300)",
                              "--w", "0.5,0.5", "--x", "0,2", "--delta", "0.1")
     assert code == 1 and out == "" and err.startswith("meanlab: evaluation failed: ")
+
+
+_HOSTILE = "sum(w*(x-1)*1e300*1e300)"
+
+
+@pytest.mark.parametrize("argv", [["axioms", "--trials", "30"], ["recover"],
+                                  ["characterize", "--trials", "20"]],
+                         ids=lambda argv: argv[0])
+def test_hostile_dsl_fails_with_the_error_recorded(capsys, argv):
+    # Its terms overflow to -inf (or to both infinities, which fsum rejects)
+    # wherever a value differs from 1.
+    code, out, err = run_cli(capsys, *argv, "--dsl", _HOSTILE)
+    assert code == 1
+    if argv[0] == "recover":
+        assert out == "" and err == "meanlab: evaluation failed: non-finite result -inf\n"
+        return
+    assert err == ""
+    payload = json.loads(out)
+    assert payload["passed"] is False
+    if argv[0] == "characterize":
+        assert payload["note"] == "probe evaluation failed: non-finite result -inf"
+        return
+    for check in payload["checks"]:
+        assert not check["passed"]
+        assert check["counterexample"]["aux"]["error"] in (
+            "non-finite result -inf", "-inf + inf in fsum")
 
 
 def test_console_script_is_installed():

@@ -147,6 +147,11 @@ def test_fractional_power_of_negative_raises():
 def test_overflow_raises():
     with pytest.raises(ExprEvalError):
         eval_mean_expr(parse_mean_expr("sum(x^999)^999"), W(1.0), V(10.0))
+    # fsum's own failures, with fsum's message
+    with pytest.raises(ExprEvalError, match=r"^intermediate overflow in fsum$"):
+        eval_mean_expr(parse_mean_expr("sum(x*1e308)"), W(0.5, 0.5), V(1.5, 1.5))
+    with pytest.raises(ExprEvalError, match=r"^-inf \+ inf in fsum$"):
+        eval_mean_expr(parse_mean_expr("sum(w*(x-1)*1e300*1e300)"), W(0.5, 0.5), V(0.0, 2.0))
 
 
 def test_hand_built_trees_outside_the_grammar_raise_type_error():
@@ -254,7 +259,10 @@ def _interpret(expr, w, x):
                 raise ExprEvalError("overflow in '^'") from None
         items = (ev(node.body, j) for j in range(len(ws)))
         if node.kind == "sum":
-            return math.fsum(items)
+            try:
+                return math.fsum(items)
+            except (ValueError, OverflowError) as exc:
+                raise ExprEvalError(str(exc)) from None
         if node.kind == "prod":
             out = 1.0
             for v in items:
@@ -276,8 +284,8 @@ def _outcome(evaluate, tree, w, x):
 
 
 # Reducer edge cases random trees rarely reach: fsum's ValueError on inf - inf
-# and OverflowError on a finite overflow escape as they are, NaN and inf
-# results are evaluation errors.
+# and OverflowError on a finite overflow become ExprEvalError with fsum's
+# message, NaN and inf results are evaluation errors.
 _EDGE_SOURCES = [
     "sum(w*(x-1)*1e300*1e300)",
     "sum(x*1e308)",

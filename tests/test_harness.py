@@ -132,6 +132,34 @@ def test_replay_round_trips_through_json():
         replay_counterexample(system, "no_such_property", restored)
 
 
+def test_replay_rejects_counterexamples_that_do_not_fit():
+    # An honest system: none of these may come back as a confirmed violation.
+    system = builtin_power_mean_system(2)
+
+    def ce(w, x, **aux):
+        return Counterexample(w=w, x=x, aux=aux, lhs=0.0, rhs=1.0, residual=1.0)
+
+    cases = [
+        ("symmetry", ce((0.5, 0.5), (1.0, 2.0), sigma=[0, 0])),  # not a permutation
+        ("symmetry", ce((0.5, 0.5), (1.0, 2.0), sigma=[0, 5])),  # index out of range
+        ("symmetry", ce((0.5, 0.5), (1.0, 2.0))),                # no sigma
+        ("consistency", ce(None, None)),                         # no c
+        ("monotonicity", ce((0.5, 0.6), (1.0, 2.0), y=[2.0, 3.0])),  # sum above 1
+        ("monotonicity", ce((0.5, 0.5), (1.0, 2.0), y=[0.0, 3.0])),  # y below x
+        ("consistency", ce(None, None, c=-1.0)),                 # negative value
+        ("homogeneity", ce((0.5, 0.5), (1.0, 2.0), c=-2.0)),
+        ("repetition", ce((0.5, 0.5), (1.0, 2.0))),              # needs n + 1 weights
+        ("zero_weight", ce((0.5, 0.5), (1.0, 2.0))),             # needs n + 1 values
+        ("transfer", ce((1.0,), (1.0,), epsilon=0.0)),          # needs two coordinates
+        ("transfer", ce((0.5, 0.5), (1.0, 2.0, 3.0), epsilon=0.1)),
+        ("transfer", ce((0.5, 0.5), (1.0, 2.0), epsilon=0.1)),   # toward the smaller value
+    ]
+    for name, bad in cases:
+        with pytest.raises(ValueError):
+            replay_counterexample(system, name, bad)
+            pytest.fail(f"{name} {bad} replayed")
+
+
 def test_reports_serialize_to_identical_bytes():
     cfg = CheckConfig(seed=3, trials=60)
     system = builtin_power_mean_system(2)
