@@ -37,7 +37,7 @@ from .core import (
     power_mean,
     uniform,
 )
-from .harness import CheckConfig
+from .harness import CheckConfig, _trial_rngs
 from .systems import MeanSystem, SystemEvalError
 
 __all__ = [
@@ -221,7 +221,7 @@ def rational_sandwich(system: MeanSystem, w: Weighting, x: ValueVector,
     lengths differ, before the system is called.
     """
     d = sandwich_denominator(delta, max_denominator)
-    if len(w) != len(x):
+    if w.entries.size != x.entries.size:
         raise ValueError("weighting and value vector must have equal length")
     ascending = np.argsort(x.entries, kind="stable")
     w_upper = _sweep(w, ascending, d)
@@ -248,10 +248,18 @@ def transfer_slope_estimate(system: MeanSystem, w: Weighting, x: ValueVector,
     how sandwich brackets differ from their target.  Requires every weight to
     exceed ``step``.
     """
+    return _transfer_slope(system, w, x, step, None)
+
+
+def _transfer_slope(system: MeanSystem, w: Weighting, x: ValueVector, step: float,
+                    base: float | None) -> float:
+    # ``base`` is system(w, x) when the caller has it already (the sandwich
+    # stage takes it from rational_sandwich); None evaluates it here.
     order = np.argsort(x.entries, kind="stable")
     if np.any(w.entries[order[:-1]] < step):
         raise ValueError("every weight (except the largest-value one) must exceed step")
-    base = system(w, x)
+    if base is None:
+        base = system(w, x)
     total = 0.0
     for j in range(len(order) - 1):
         shifted = w.entries.copy()
@@ -316,10 +324,6 @@ class CharacterizationReport:
         return self.verdict == "consistent"
 
 
-def _stage_rng(cfg: CharacterizationConfig, stage: int, trial: int) -> np.random.Generator:
-    return np.random.default_rng((cfg.seed, 100 + stage, trial))
-
-
 def _stage_values(rng: np.random.Generator, n: int, zero_prob: float = 0.1) -> np.ndarray:
     vals = np.power(10.0, rng.uniform(-4.0, 4.0, n))
     vals[rng.random(n) < zero_prob] = 0.0
@@ -329,8 +333,7 @@ def _stage_values(rng: np.random.Generator, n: int, zero_prob: float = 0.1) -> n
 def _stage_uniform(system: MeanSystem, cfg: CharacterizationConfig,
                    p: Exponent) -> StageReport:
     worst = 0.0
-    for trial in range(cfg.trials):
-        rng = _stage_rng(cfg, 0, trial)
+    for trial, rng in enumerate(_trial_rngs(cfg.seed, 100, cfg.trials)):
         n = int(rng.integers(1, cfg.max_n + 1))
         x = ValueVector(_stage_values(rng, n))
         w = uniform(n)
@@ -365,8 +368,7 @@ def _rational_weighting(rng: np.random.Generator, n: int, denominator_max: int,
 def _stage_rational(system: MeanSystem, cfg: CharacterizationConfig,
                     p: Exponent) -> StageReport:
     worst = 0.0
-    for trial in range(cfg.trials):
-        rng = _stage_rng(cfg, 1, trial)
+    for trial, rng in enumerate(_trial_rngs(cfg.seed, 101, cfg.trials)):
         n = int(rng.integers(1, cfg.max_n + 1))
         w = _rational_weighting(rng, n, cfg.weight_denominator_max,
                                 system.positivity_only)
@@ -395,8 +397,7 @@ def _stage_rational(system: MeanSystem, cfg: CharacterizationConfig,
 def _stage_sandwich(system: MeanSystem, cfg: CharacterizationConfig) -> StageReport:
     trials = max(1, cfg.trials // 4)
     worst = 0.0
-    for trial in range(trials):
-        rng = _stage_rng(cfg, 2, trial)
+    for trial, rng in enumerate(_trial_rngs(cfg.seed, 102, trials)):
         n = int(rng.integers(2, cfg.max_n + 1))
         g = rng.exponential(1.0, n)
         w = Weighting(0.5 * g / g.sum() + 0.5 / n)  # every entry >= 1/(2n)
@@ -404,7 +405,7 @@ def _stage_sandwich(system: MeanSystem, cfg: CharacterizationConfig) -> StageRep
         for delta in cfg.deltas:
             try:
                 sr = rational_sandwich(system, w, x, delta)
-                slope = transfer_slope_estimate(system, w, x, delta)
+                slope = _transfer_slope(system, w, x, delta, sr.value_at)
             except SystemEvalError as exc:
                 return StageReport("sandwich", False, trial + 1, math.inf,
                                    {"w": w.entries.tolist(), "x": x.entries.tolist(),

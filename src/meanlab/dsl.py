@@ -346,7 +346,7 @@ _REDUCE = {"sum": math.fsum, "prod": lambda items: math.prod(items, start=1.0),
 
 def eval_mean_expr(expr: MeanExpr, w: Weighting, x: ValueVector) -> float:
     """Evaluate an expression on a weighting/value pair of equal length."""
-    if len(w) != len(x):
+    if w.entries.size != x.entries.size:
         raise ValueError(f"length mismatch: {len(w)} weights vs {len(x)} values")
     try:
         result = expr._compiled(w.entries.tolist(), x.entries.tolist())

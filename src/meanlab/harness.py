@@ -177,8 +177,75 @@ def _evaluate(check: "_CheckDef", system: MeanSystem, wit: dict):
 # ── Input generators ──────────────────────────────────────────────────────────
 
 
-def _rng_for(cfg: CheckConfig, check_index: int, trial: int) -> np.random.Generator:
-    return np.random.default_rng((cfg.seed, check_index, trial))
+# ``_trial_rngs`` re-states what ``np.random.default_rng((seed, stream, t))``
+# does: numpy's SeedSequence (O'Neill's seed_seq_fe: hash the entropy words into
+# a pool of four, cross-mix the pool, hash it out into four 64-bit words) and
+# PCG64's set-seed step.  The hashing runs as array arithmetic over the trial
+# indices, up to _SEED_BLOCK at a time; only the 128-bit set-seed step and the
+# state write are paid per trial.  Each word of seed, stream and t must fit in 32 bits, or
+# SeedSequence lays the entropy out differently.
+
+_WORD = 1 << 32
+_MASK128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG_DEFAULT_MULTIPLIER_128
+_SEED_BLOCK = 1024  # trials hashed per array pass; bounds the memory used
+
+
+def _hash_chain(init: int, mult: int, length: int) -> np.ndarray:
+    chain = [init]
+    for _ in range(length - 1):
+        chain.append(chain[-1] * mult % _WORD)
+    return np.array(chain, dtype=np.uint64)[:, None]
+
+
+_HASH_A = _hash_chain(0x43B0D7E5, 0x931E8875, 17)  # INIT_A, MULT_A: pool mixing
+_HASH_B = _hash_chain(0x8B51F9DD, 0x58F38DED, 9)  # INIT_B, MULT_B: state output
+# Round s of the cross-mix hashes pool row s once per other row, in row order.
+_MIX_ROUNDS = tuple((s, [d for d in range(4) if d != s],
+                     _HASH_A[4 + 3 * s:7 + 3 * s], _HASH_A[5 + 3 * s:8 + 3 * s])
+                    for s in range(4))
+_U16, _U32 = np.uint64(16), np.uint64(32)
+_LOW32 = np.uint64(_WORD - 1)
+_MIX_L, _MIX_R = np.uint64(0xCA01F9DD), np.uint64(0x4973F715)
+
+
+def _hashmix(v: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    v = (v ^ xor) * mult & _LOW32
+    return v ^ v >> _U16
+
+
+def _seed_words(seed: int, stream: int, t: np.ndarray) -> list[list[int]]:
+    """SeedSequence((seed, stream, t)).generate_state(4, np.uint64) for every t,
+    as four lists of Python ints (one list per output word)."""
+    pool = np.zeros((4, t.size), dtype=np.uint64)
+    pool[0], pool[1], pool[2] = seed, stream, t  # pool[3]: the zero pad
+    pool = _hashmix(pool, _HASH_A[0:4], _HASH_A[1:5])
+    for src, dsts, xor, mult in _MIX_ROUNDS:
+        mixed = _MIX_L * pool[dsts] - _MIX_R * _hashmix(pool[src], xor, mult) & _LOW32
+        pool[dsts] = mixed ^ mixed >> _U16
+    words = _hashmix(np.concatenate((pool, pool)), _HASH_B[0:8], _HASH_B[1:9])
+    return (words[0::2] | words[1::2] << _U32).tolist()
+
+
+def _trial_rngs(seed: int, stream: int, trials: int) -> Iterator[np.random.Generator]:
+    """For t in range(trials), a Generator that draws as
+    ``np.random.default_rng((seed, stream, t))`` does.  Every trial gets the
+    same Generator object, reseeded in place: draw from it before advancing."""
+    if not (0 <= seed < _WORD and 0 <= stream < _WORD and trials <= _WORD):
+        for t in range(trials):
+            yield np.random.default_rng((seed, stream, t))
+        return
+    bitgen = np.random.PCG64(0)
+    rng = np.random.Generator(bitgen)
+    for start in range(0, trials, _SEED_BLOCK):
+        t = np.arange(start, min(trials, start + _SEED_BLOCK), dtype=np.uint64)
+        for s0, s1, s2, s3 in zip(*_seed_words(seed, stream, t)):
+            # pcg_setseq_128_srandom_r with initstate (s0, s1), initseq (s2, s3)
+            inc = (s2 << 65 | s3 << 1 | 1) & _MASK128
+            state = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128
+            bitgen.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                            "state": {"state": state, "inc": inc}}
+            yield rng
 
 
 def _gen_weights(rng: np.random.Generator, n: int, positive_only: bool) -> np.ndarray:
@@ -670,8 +737,7 @@ def _run_check(system: MeanSystem, cfg: CheckConfig, check: _CheckDef) -> CheckR
     tol = cfg.rel_tol if check.kind == "equality" else cfg.slack
     index = _CHECK_INDEX[check.name]
     worst = 0.0
-    for trial in range(cfg.trials):
-        rng = _rng_for(cfg, index, trial)
+    for trial, rng in enumerate(_trial_rngs(cfg.seed, index, cfg.trials)):
         wit = check.make_trial(cfg, trial, rng)
         lhs, rhs, resid, error = _evaluate(check, system, wit)
         if resid > tol:

@@ -2,6 +2,7 @@
 and the staged verifier's three verdicts."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -197,6 +198,8 @@ def test_sandwich_parameter_guards():
         rational_sandwich(system, w, x, 1e-9, max_denominator=1000)
     with pytest.raises(ValueError):
         rational_sandwich(system, W(0.5, 0.5), V(1.0), 0.1)
+    with pytest.raises(ValueError, match="^weighting and value vector must have equal length$"):
+        rational_sandwich(system, W(1.0), V(1.0, 2.0), 0.1)
 
 
 def test_transfer_slope_for_the_arithmetic_mean():
@@ -206,6 +209,35 @@ def test_transfer_slope_for_the_arithmetic_mean():
     assert slope == pytest.approx(2.0, rel=1e-9)
     with pytest.raises(ValueError):
         transfer_slope_estimate(system, W(0.001, 0.999), V(1.0, 3.0), 0.01)
+
+
+@pytest.mark.parametrize("source", ["sum(w*x^2)^0.5", "(sum(w*x)+sum(w*x^2)^0.5)/2"])
+def test_sandwich_stage_evaluates_each_trial_point_once_per_delta(monkeypatch, source):
+    # The slope estimate reuses the sandwich's value at (w, x) instead of
+    # evaluating it again; the report must not change.
+    cfg = CharacterizationConfig(seed=5, trials=40)  # 10 sandwich trials
+    dsl = dsl_mean_system(source)
+
+    def stage():
+        calls = []
+
+        def counting(w, x):
+            calls.append((x.entries.tobytes(), w.entries.tobytes()))
+            return dsl(w, x)
+
+        report = characterize._stage_sandwich(MeanSystem(counting, "counting"), cfg)
+        per_trial = {}  # each trial draws its own x; the most repeated w is its own
+        for x, w in calls:
+            per_trial.setdefault(x, Counter())[w] += 1
+        return report, [c.most_common(1)[0][1] for c in per_trial.values()]
+
+    report, at_point = stage()
+    assert at_point == [len(cfg.deltas)] * report.trials
+    # Dropping the given base evaluates (w, x) a second time per delta.
+    reuse = characterize._transfer_slope
+    monkeypatch.setattr(characterize, "_transfer_slope",
+                        lambda system, w, x, step, base: reuse(system, w, x, step, None))
+    assert stage() == (report, [2 * len(cfg.deltas)] * report.trials)
 
 
 def test_sandwich_gap_shrinks_linearly():

@@ -161,8 +161,11 @@ def test_hand_built_trees_outside_the_grammar_raise_type_error():
 
 
 def test_mismatched_lengths_rejected():
-    with pytest.raises(ValueError):
-        eval_mean_expr(parse_mean_expr("sum(w*x)"), W(1.0), V(1.0, 2.0))
+    tree = parse_mean_expr("sum(w*x)")
+    with pytest.raises(ValueError, match=r"^length mismatch: 1 weights vs 2 values$"):
+        eval_mean_expr(tree, W(1.0), V(1.0, 2.0))
+    with pytest.raises(ValueError, match=r"^length mismatch: 3 weights vs 2 values$"):
+        eval_mean_expr(tree, W(0.5, 0.25, 0.25), V(1.0, 2.0))
 
 
 # ── Pretty-printing round-trips ───────────────────────────────────────────────

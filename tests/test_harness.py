@@ -26,6 +26,7 @@ from meanlab import (
     suite_passed,
     suite_to_dict,
 )
+from meanlab import harness
 from meanlab.systems import MeanSystem
 
 _FAST = CheckConfig(seed=0, trials=120)
@@ -174,6 +175,78 @@ def test_seed_changes_the_trial_stream():
     a = run_full_suite(system, CheckConfig(seed=1, trials=40))
     b = run_full_suite(system, CheckConfig(seed=2, trials=40))
     assert [r.worst_residual for r in a] != [r.worst_residual for r in b]
+
+
+# ── Trial seeding ─────────────────────────────────────────────────────────────
+
+
+def _draws(rng):
+    # Every generator method the checks and the characterize stages use.  The
+    # bounded integers draw 32 bits at a time, so a trial can end with half a
+    # 64-bit draw buffered; reseeding for the next trial must discard it.
+    return (rng.random(), rng.random(3).tolist(), rng.integers(0, 10, 5).tolist(),
+            int(rng.integers(1, 9)), rng.uniform(-6.0, 6.0, 4).tolist(),
+            rng.exponential(1.0, 3).tolist(), rng.permutation(6).tolist(),
+            rng.choice(8, size=5, replace=False).tolist(),
+            rng.dirichlet(np.ones(4)).tolist(),
+            rng.multinomial(20, [0.1, 0.2, 0.3, 0.4]).tolist())
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("seed", [0, 1, 7, 42, 2 ** 31, 2 ** 32 - 1, 2 ** 32, 2 ** 40])
+def test_trial_rngs_draw_as_default_rng(seed):
+    for stream in (*range(10), 100, 101, 102, 2 ** 32):
+        for trials in (1, 2, 1000):
+            for t, rng in enumerate(harness._trial_rngs(seed, stream, trials)):
+                # All of a short run, and a spread of the long one.
+                if trials < 1000 or t % 41 == 0 or t == trials - 1:
+                    want = _draws(np.random.default_rng((seed, stream, t)))
+                    assert _draws(rng) == want, (seed, stream, t)
+            assert t == trials - 1
+
+
+def test_trial_rngs_cross_the_hashing_block():
+    trials = 2 * harness._SEED_BLOCK + 3
+    for t, rng in enumerate(harness._trial_rngs(11, 4, trials)):
+        if t % 97 == 0 or abs(t - harness._SEED_BLOCK) <= 1 or t == trials - 1:
+            assert _draws(rng) == _draws(np.random.default_rng((11, 4, t))), t
+    assert t == trials - 1
+
+
+def test_default_rng_runs_only_for_words_above_32_bits(monkeypatch):
+    made = []
+    real = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda key: made.append(key) or real(key))
+    for seed, stream in ((0, 0), (2 ** 32 - 1, 102)):
+        list(harness._trial_rngs(seed, stream, 50))
+    assert made == []
+    list(harness._trial_rngs(2 ** 32, 0, 2))
+    list(harness._trial_rngs(0, 2 ** 32, 2))
+    assert made == [(2 ** 32, 0, 0), (2 ** 32, 0, 1), (0, 2 ** 32, 0), (0, 2 ** 32, 1)]
+
+
+# (seed, stream, trial): rng.integers(0, 2**32, 4), then rng.random().hex().
+# Reports name only (seed, check, trial); replaying an old one needs these streams.
+_FROZEN_STREAMS = {
+    (0, 0, 0): ([3653403231, 2735729615, 2195314465, 1158725112], "0x1.4fa7b529d9bd0p-5"),
+    (7, 3, 5): ([2351108837, 210889654, 2594203779, 2883242361], "0x1.dfa8741e490eep-1"),
+    (42, 9, 999): ([3874767317, 3463969458, 493921939, 3131524831], "0x1.8d005131d3c58p-3"),
+    (2 ** 31, 101, 17): ([687132786, 2772992611, 2960128124, 2807852724],
+                         "0x1.e2620d418fe6fp-1"),
+    (2 ** 32 - 1, 102, 1): ([1329570693, 3318411648, 3020149214, 2541425573],
+                            "0x1.1a9db947db6d0p-1"),
+    (2 ** 32, 0, 2): ([433316417, 188658095, 3602388519, 238733204], "0x1.2294e19b037cap-1"),
+    (2 ** 40, 100, 0): ([106798503, 890240078, 2109139227, 3877293986],
+                        "0x1.8bf6d29ade523p-1"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_FROZEN_STREAMS))
+def test_trial_streams_are_frozen(key):
+    seed, stream, trial = key
+    *_, ours = harness._trial_rngs(seed, stream, trial + 1)
+    for rng in (ours, np.random.default_rng(key)):
+        assert (rng.integers(0, 2 ** 32, 4).tolist(), rng.random().hex()) == _FROZEN_STREAMS[key]
 
 
 def test_positive_mode_skips_zero_weight_check():
