@@ -80,7 +80,6 @@ from .characterize import (
     rational_sandwich,
     recover_exponent,
     recovery_to_dict,
-    sandwich_denominator,
     sandwich_to_dict,
     transfer_slope_estimate,
     verify_characterization,
@@ -113,7 +112,7 @@ __all__ = [
     "report_to_dict", "suite_to_dict", "deterministic_json", "json_ready",
     # identification
     "indicator_probe", "recover_exponent", "RecoveryResult",
-    "rational_sandwich", "sandwich_denominator", "SandwichResult",
+    "rational_sandwich", "SandwichResult",
     "transfer_slope_estimate",
     "CharacterizationConfig", "CharacterizationReport", "StageReport",
     "verify_characterization",

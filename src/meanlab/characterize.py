@@ -46,7 +46,6 @@ __all__ = [
     "recover_exponent",
     "SandwichResult",
     "rational_sandwich",
-    "sandwich_denominator",
     "transfer_slope_estimate",
     "CharacterizationConfig",
     "StageReport",
@@ -195,32 +194,22 @@ def _sweep(w: Weighting, order: np.ndarray, denominator: int) -> Weighting:
     return _weighting_from_counts(numerators, d)
 
 
-def sandwich_denominator(delta: float, max_denominator: int = 10 ** 6) -> int:
-    """The grid denominator D of :func:`rational_sandwich`: least D with 2/D <= delta.
+def rational_sandwich(system: MeanSystem, w: Weighting, x: ValueVector,
+                      delta: float, max_denominator: int = 10 ** 6) -> SandwichResult:
+    """Bracket ``system(w, x)`` between denominator-D rational weightings.
 
-    Raises ``ValueError`` when delta lies outside (0, 1] or D would exceed
-    ``max_denominator``.
+    D is the least denominator with 2/D <= delta, so both brackets differ from
+    ``w`` by less than delta in every coordinate.  The upper bracket is built by
+    sweeping coordinates in ascending order of value (carry drifts toward
+    larger values); the lower one sweeps descending.  Raises ``ValueError``
+    when delta is out of range, D would exceed ``max_denominator`` or the
+    lengths differ, before the system is called.
     """
     if not (0.0 < delta <= 1.0):
         raise ValueError("delta must lie in (0, 1]")
     d = math.ceil(2.0 / delta)
     if d > max_denominator:
         raise ValueError(f"denominator {d} exceeds max_denominator={max_denominator}")
-    return d
-
-
-def rational_sandwich(system: MeanSystem, w: Weighting, x: ValueVector,
-                      delta: float, max_denominator: int = 10 ** 6) -> SandwichResult:
-    """Bracket ``system(w, x)`` between denominator-D rational weightings.
-
-    D is :func:`sandwich_denominator`, so both brackets differ from ``w`` by
-    less than delta in every coordinate.  The upper bracket is built by
-    sweeping coordinates in ascending order of value (carry drifts toward
-    larger values); the lower one sweeps descending.  Raises ``ValueError``
-    when delta is out of range, D would exceed ``max_denominator`` or the
-    lengths differ, before the system is called.
-    """
-    d = sandwich_denominator(delta, max_denominator)
     if w.entries.size != x.entries.size:
         raise ValueError("weighting and value vector must have equal length")
     ascending = np.argsort(x.entries, kind="stable")

@@ -39,7 +39,6 @@ from .characterize import (
     rational_sandwich,
     recover_exponent,
     recovery_to_dict,
-    sandwich_denominator,
     sandwich_to_dict,
     verify_characterization,
 )
@@ -55,10 +54,6 @@ from .harness import (
 from .systems import MeanSystem, SystemEvalError, builtin_power_mean_system, dsl_mean_system
 
 __all__ = ["main", "build_parser"]
-
-
-class _UsageError(Exception):
-    pass
 
 
 # ── Argument plumbing ─────────────────────────────────────────────────────────
@@ -146,19 +141,19 @@ def _build_system(args: argparse.Namespace, positive: bool = False) -> MeanSyste
         try:
             p = Exponent.parse(text)
         except ValueError as exc:
-            raise _UsageError(f"bad --builtin value: {exc}") from exc
+            raise ValueError(f"bad --builtin value: {exc}") from exc
         return builtin_power_mean_system(p, positivity_only=positive)
     try:
         return dsl_mean_system(args.dsl, positivity_only=positive)
     except ExprSyntaxError as exc:
-        raise _UsageError(f"bad --dsl expression: {exc}") from exc
+        raise ValueError(f"bad --dsl expression: {exc}") from exc
 
 
 def _parse_float_list(text: str, flag: str) -> np.ndarray:
     try:
         return np.array([float(part) for part in text.split(",") if part.strip() != ""])
     except ValueError as exc:
-        raise _UsageError(f"bad {flag} list {text!r}: {exc}") from exc
+        raise ValueError(f"bad {flag} list {text!r}: {exc}") from exc
 
 
 def _load_vectors(args: argparse.Namespace) -> tuple[Weighting, ValueVector]:
@@ -169,18 +164,15 @@ def _load_vectors(args: argparse.Namespace) -> tuple[Weighting, ValueVector]:
             w_raw = np.array(data["w"], dtype=np.float64)
             x_raw = np.array(data["x"], dtype=np.float64)
         except (OSError, ValueError, KeyError, TypeError) as exc:
-            raise _UsageError(f"cannot read --input {args.input!r}: {exc}") from exc
+            raise ValueError(f"cannot read --input {args.input!r}: {exc}") from exc
     else:
         if args.w is None or args.x is None:
-            raise _UsageError("provide --w and --x, or --input FILE")
+            raise ValueError("provide --w and --x, or --input FILE")
         w_raw = _parse_float_list(args.w, "--w")
         x_raw = _parse_float_list(args.x, "--x")
-    try:
-        w, x = Weighting(w_raw), ValueVector(x_raw)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    w, x = Weighting(w_raw), ValueVector(x_raw)
     if len(w) != len(x):
-        raise _UsageError(f"length mismatch: {len(w)} weights vs {len(x)} values")
+        raise ValueError(f"length mismatch: {len(w)} weights vs {len(x)} values")
     return w, x
 
 
@@ -193,7 +185,7 @@ def _seed_from(args: argparse.Namespace) -> int:
     try:
         return int(raw)
     except ValueError as exc:
-        raise _UsageError(f"MEANLAB_SEED must be an integer, got {raw!r}") from exc
+        raise ValueError(f"MEANLAB_SEED must be an integer, got {raw!r}") from exc
 
 
 # ── Output ────────────────────────────────────────────────────────────────────
@@ -230,6 +222,17 @@ def _csv_rows(payload: dict) -> list[tuple[str, str, str]]:
     return rows
 
 
+def _write(args: argparse.Namespace, text: str) -> None:
+    if not args.output:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(args.output, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write --output {args.output!r}: {exc}") from exc
+
+
 def _emit(args: argparse.Namespace, payload: dict) -> None:
     if args.format == "csv":
         buf = io.StringIO()
@@ -239,11 +242,7 @@ def _emit(args: argparse.Namespace, payload: dict) -> None:
         text = buf.getvalue()
     else:
         text = deterministic_json(payload) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args, text)
 
 
 def _fail(message: str) -> None:
@@ -258,12 +257,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     w, x = _load_vectors(args)
     value = system(w, x)
     if args.format is None:
-        text = repr(value) + "\n"
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write(args, repr(value) + "\n")
         return 0
     _emit(args, {"system": system.label, "value": value,
                  "w": w.entries.tolist(), "x": x.entries.tolist()})
@@ -272,12 +266,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_axioms(args: argparse.Namespace) -> int:
     system = _build_system(args, positive=args.positive_weights)
-    try:
-        cfg = CheckConfig(seed=_seed_from(args), trials=args.trials, max_n=args.max_n,
-                          rel_tol=args.rel_tol, slack=args.slack,
-                          positive_weights_only=args.positive_weights)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    cfg = CheckConfig(seed=_seed_from(args), trials=args.trials, max_n=args.max_n,
+                      rel_tol=args.rel_tol, slack=args.slack,
+                      positive_weights_only=args.positive_weights)
     reports = run_full_suite(system, cfg)
     _emit(args, suite_to_dict(system, cfg, reports))
     return 0 if suite_passed(reports) else 1
@@ -286,7 +277,7 @@ def _cmd_axioms(args: argparse.Namespace) -> int:
 def _cmd_recover(args: argparse.Namespace) -> int:
     system = _build_system(args)
     if args.samples < 2:
-        raise _UsageError("need at least two sample points")
+        raise ValueError("need at least two sample points")
     try:
         result = recover_exponent(system, args.samples)
     except ValueError as exc:  # probes no single exponent explains
@@ -300,14 +291,11 @@ def _cmd_recover(args: argparse.Namespace) -> int:
 def _cmd_characterize(args: argparse.Namespace) -> int:
     system = _build_system(args)
     deltas = tuple(float(v) for v in _parse_float_list(args.delta, "--delta"))
-    try:
-        cfg = CharacterizationConfig(seed=_seed_from(args), trials=args.trials,
-                                     max_n=args.max_n, rel_tol=args.rel_tol,
-                                     slack=args.slack, deltas=deltas,
-                                     weight_denominator_max=args.max_denominator,
-                                     sample_count=args.samples)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    cfg = CharacterizationConfig(seed=_seed_from(args), trials=args.trials,
+                                 max_n=args.max_n, rel_tol=args.rel_tol,
+                                 slack=args.slack, deltas=deltas,
+                                 weight_denominator_max=args.max_denominator,
+                                 sample_count=args.samples)
     report = verify_characterization(system, cfg)
     payload = {"system": system.label, **characterization_to_dict(report)}
     _emit(args, payload)
@@ -316,11 +304,7 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
 
 def _cmd_sandwich(args: argparse.Namespace) -> int:
     system = _build_system(args)
-    w, x = _load_vectors(args)  # rejects a length mismatch
-    try:
-        sandwich_denominator(args.delta, args.max_denominator)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    w, x = _load_vectors(args)
     result = rational_sandwich(system, w, x, args.delta,
                                max_denominator=args.max_denominator)
     payload = {"system": system.label, **sandwich_to_dict(result)}
@@ -345,17 +329,13 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _HANDLERS[args.command](args)
-    except _UsageError as exc:
-        _fail(str(exc))
-        return 2
     except SystemEvalError as exc:
         _fail(f"evaluation failed: {exc}")
         return 1
-
-
-def _entry() -> None:
-    sys.exit(main())
+    except ValueError as exc:  # inside meanlab, always an invalid input
+        _fail(str(exc))
+        return 2
 
 
 if __name__ == "__main__":
-    _entry()
+    sys.exit(main())

@@ -177,11 +177,17 @@ def _tokenize(source: str) -> list[_Token]:
 
 _BASE_EXPECTED = ("a number", "'w'", "'x'", "'sum'", "'prod'", "'max'", "'min'", "'('", "'-'")
 
+# Real means nest a few levels.  Parsing, formatting and evaluation each recurse
+# once per level, so deeper sources are refused as the tree is built, whatever
+# the caller's stack.  Each rule returns a (tree, height) pair.
+_MAX_DEPTH = 100
+
 
 class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # parens, reducers, '^' and unary minus open above here
 
     @property
     def here(self) -> _Token:
@@ -204,8 +210,25 @@ class _Parser:
     def _describe(tok: _Token) -> str:
         return "end of input" if tok.kind == "end" else repr(tok.text)
 
+    def check_depth(self, tok: _Token, height: int) -> None:
+        if self.depth + height > _MAX_DEPTH:
+            raise ExprSyntaxError(f"expression nests deeper than {_MAX_DEPTH} levels",
+                                  tok.line, tok.column)
+
+    def inner(self, tok: _Token, rule, in_reducer: bool) -> tuple[MeanExpr, int]:
+        self.depth += 1
+        self.check_depth(tok, 1)
+        node = rule(in_reducer)
+        self.depth -= 1
+        return node
+
+    def binop(self, tok: _Token, left, right) -> tuple[MeanExpr, int]:
+        height = 1 + max(left[1], right[1])
+        self.check_depth(tok, height)
+        return BinOp(tok.kind, left[0], right[0]), height
+
     def parse(self) -> MeanExpr:
-        node = self.expr(in_reducer=False)
+        node, _ = self.expr(in_reducer=False)
         if self.here.kind != "end":
             raise ExprSyntaxError(
                 f"unexpected {self._describe(self.here)}", self.here.line,
@@ -213,38 +236,37 @@ class _Parser:
             )
         return node
 
-    def expr(self, in_reducer: bool) -> MeanExpr:
+    def expr(self, in_reducer: bool) -> tuple[MeanExpr, int]:
         node = self.term(in_reducer)
         while self.here.kind in ("+", "-"):
-            op = self.advance().kind
-            node = BinOp(op, node, self.term(in_reducer))
+            node = self.binop(self.advance(), node, self.term(in_reducer))
         return node
 
-    def term(self, in_reducer: bool) -> MeanExpr:
+    def term(self, in_reducer: bool) -> tuple[MeanExpr, int]:
         node = self.factor(in_reducer)
         while self.here.kind in ("*", "/"):
-            op = self.advance().kind
-            node = BinOp(op, node, self.factor(in_reducer))
+            node = self.binop(self.advance(), node, self.factor(in_reducer))
         return node
 
-    def factor(self, in_reducer: bool) -> MeanExpr:
+    def factor(self, in_reducer: bool) -> tuple[MeanExpr, int]:
         node = self.base(in_reducer)
         if self.here.kind == "^":
-            self.advance()
-            node = BinOp("^", node, self.factor(in_reducer))
+            tok = self.advance()
+            node = self.binop(tok, node, self.inner(tok, self.factor, in_reducer))
         return node
 
-    def base(self, in_reducer: bool) -> MeanExpr:
+    def base(self, in_reducer: bool) -> tuple[MeanExpr, int]:
         tok = self.here
         if tok.kind == "number":
             self.advance()
-            return Literal(float(tok.text))
+            return Literal(float(tok.text)), 1
         if tok.kind == "-":
             self.advance()
-            return Neg(self.base(in_reducer))
+            operand, height = self.inner(tok, self.base, in_reducer)
+            return Neg(operand), 1 + height
         if tok.kind == "(":
             self.advance()
-            node = self.expr(in_reducer)
+            node = self.inner(tok, self.expr, in_reducer)
             self.expect(")", ("')'",))
             return node
         if tok.kind == "name":
@@ -255,7 +277,7 @@ class _Parser:
                         tok.line, tok.column,
                     )
                 self.advance()
-                return WeightRef() if tok.text == "w" else ValueRef()
+                return (WeightRef() if tok.text == "w" else ValueRef()), 1
             if tok.text in REDUCERS:
                 if in_reducer:
                     raise ExprSyntaxError(
@@ -263,9 +285,9 @@ class _Parser:
                     )
                 self.advance()
                 self.expect("(", ("'('",))
-                body = self.expr(in_reducer=True)
+                body, height = self.inner(tok, self.expr, True)
                 self.expect(")", ("')'",))
-                return Reduce(tok.text, body)
+                return Reduce(tok.text, body), 1 + height
             raise ExprSyntaxError(
                 f"unknown name {tok.text!r}", tok.line, tok.column, _BASE_EXPECTED
             )

@@ -120,24 +120,15 @@ class Counterexample:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Counterexample":
-        def _num(v):
-            if v == "inf":
-                return math.inf
-            if v == "-inf":
-                return -math.inf
-            if v == "nan":
-                return math.nan
-            return float(v)
-
         w = data.get("w")
         x = data.get("x")
         return cls(
             w=tuple(float(v) for v in w) if w is not None else None,
             x=tuple(float(v) for v in x) if x is not None else None,
             aux=dict(data.get("aux") or {}),
-            lhs=_num(data["lhs"]),
-            rhs=_num(data["rhs"]),
-            residual=_num(data["residual"]),
+            lhs=float(data["lhs"]),
+            rhs=float(data["rhs"]),
+            residual=float(data["residual"]),
         )
 
 
@@ -689,8 +680,8 @@ def _candidates_in_order(check: _CheckDef, wit: dict) -> Iterator[dict]:
 # ── Running checks ────────────────────────────────────────────────────────────
 
 
-def _to_counterexample(check: _CheckDef, wit: dict, lhs: float, rhs: float,
-                       residual: float, error: str | None) -> Counterexample:
+def _to_counterexample(wit: dict, lhs: float, rhs: float, residual: float,
+                       error: str | None) -> Counterexample:
     aux: dict = {}
     w = x = None
     for key, val in wit.items():
@@ -698,33 +689,13 @@ def _to_counterexample(check: _CheckDef, wit: dict, lhs: float, rhs: float,
             w = tuple(float(v) for v in np.asarray(val))
         elif key == "x":
             x = tuple(float(v) for v in np.asarray(val))
-        elif isinstance(val, np.ndarray):
-            aux[key] = [float(v) for v in val]
-        elif isinstance(val, tuple):
-            aux[key] = [int(v) for v in val]
+        elif isinstance(val, (np.ndarray, tuple)):  # float arrays, integer index tuples
+            aux[key] = np.asarray(val).tolist()
         else:
             aux[key] = val
     if error is not None:
         aux["error"] = error
     return Counterexample(w=w, x=x, aux=aux, lhs=lhs, rhs=rhs, residual=residual)
-
-
-def _witness_from_counterexample(check: _CheckDef, ce: Counterexample) -> dict:
-    wit: dict = {}
-    if ce.w is not None:
-        wit["w"] = np.array(ce.w, dtype=np.float64)
-    if ce.x is not None:
-        wit["x"] = np.array(ce.x, dtype=np.float64)
-    for key, val in ce.aux.items():
-        if key == "error":
-            continue
-        if key in ("images", "sigma"):
-            wit[key] = tuple(int(v) for v in val)
-        elif isinstance(val, list):
-            wit[key] = np.array(val, dtype=np.float64)
-        else:
-            wit[key] = val
-    return wit
 
 
 def _run_check(system: MeanSystem, cfg: CheckConfig, check: _CheckDef) -> CheckReport:
@@ -743,7 +714,7 @@ def _run_check(system: MeanSystem, cfg: CheckConfig, check: _CheckDef) -> CheckR
         if resid > tol:
             shrunk = _shrink(system, cfg, check, wit, tol)
             lhs, rhs, resid, error = _evaluate(check, system, shrunk)
-            ce = _to_counterexample(check, shrunk, lhs, rhs, resid, error)
+            ce = _to_counterexample(shrunk, lhs, rhs, resid, error)
             return CheckReport(check.name, False, trial + 1, ce, resid, note=note)
         worst = max(worst, resid)
     return CheckReport(check.name, True, cfg.trials, None, worst, note=note)
@@ -790,7 +761,8 @@ def replay_counterexample(system: MeanSystem, property_name: str,
     if property_name not in _CHECK_INDEX:
         raise ValueError(f"unknown property {property_name!r}")
     check = _CHECKS[_CHECK_INDEX[property_name]]
-    wit = _witness_from_counterexample(check, counterexample)
+    mains = {"w": counterexample.w, "x": counterexample.x}
+    wit = {**counterexample.aux, **{k: v for k, v in mains.items() if v is not None}}
     try:
         lhs, rhs, resid, _ = _evaluate(check, system, wit)
     except KeyError as exc:

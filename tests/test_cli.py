@@ -128,6 +128,26 @@ def test_eval_length_mismatch_exits_2(capsys):
     assert code == 2 and "length mismatch" in err
 
 
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    path = str(tmp_path / "missing" / "out.json")
+    for argv in (["eval", "--builtin", "2", "--w", "1", "--x", "1"],
+                 ["axioms", "--builtin", "2", "--trials", "5"]):
+        code, out, err = run_cli(capsys, *argv, "--output", path)
+        assert code == 2 and out == "", argv
+        assert err.startswith(f"meanlab: cannot write --output {path!r}: "), argv
+
+
+@pytest.mark.parametrize("source", ["sum(" + "(" * 3000 + "w*x" + ")" * 3000 + ")",
+                                    "sum(w*x" + "^1" * 3000 + ")",
+                                    "sum(w*x)" + "+1" * 3000],
+                         ids=["parens", "powers", "chain"])
+def test_deeply_nested_dsl_exits_2(capsys, source):
+    code, out, err = run_cli(capsys, "eval", "--dsl", source, "--w", "1", "--x", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("meanlab: bad --dsl expression: expression nests deeper "
+                          "than 100 levels at line 1, column ")
+
+
 def test_usage_errors_from_argparse_exit_2(capsys):
     assert main([]) == 2
     assert main(["no-such-command"]) == 2

@@ -116,6 +116,43 @@ def test_unknown_function_and_name():
         parse_mean_expr("sum(weight*x)")
 
 
+def _nested(levels):
+    """Sources ``levels`` deep in each way a tree can nest."""
+    return {
+        "parens": "sum(" + "(" * levels + "w*x" + ")" * levels + ")",
+        "powers": "sum(w*x" + "^1" * levels + ")",
+        "chain": "sum(w*x)" + "+1" * levels,
+        "minus": "sum(w*" + "-" * levels + "x)",
+    }
+
+
+def _chains_in_chains(levels, length):
+    # Each chain's first operand is the previous chain, so the tree is about
+    # levels * length tall while only levels + 1 parens and reducers are open.
+    source = "w*x"
+    for _ in range(levels):
+        source = f"({source})" + "+1" * length
+    return f"sum({source})"
+
+
+@pytest.mark.parametrize("source", [*_nested(3000).values(), _chains_in_chains(40, 40)],
+                         ids=[*_nested(3000), "chains-in-chains"])
+def test_deep_nesting_is_a_syntax_error(source):
+    with pytest.raises(ExprSyntaxError, match="nests deeper than 100 levels at line 1,"):
+        parse_mean_expr(source)
+
+
+def test_fifty_levels_parse_format_and_evaluate():
+    sources = {**_nested(50), "chains-in-chains": _chains_in_chains(4, 10)}
+    want = {"parens": 1.5, "powers": 1.5, "chain": 51.5, "minus": 1.5,
+            "chains-in-chains": 81.5}  # inside sum(), each +1 counts twice
+    for name, source in sources.items():
+        tree = parse_mean_expr(source)
+        assert parse_mean_expr(format_mean_expr(tree)) == tree, name
+        assert eval_mean_expr(tree, W(0.5, 0.5), V(1.0, 2.0)) == want[name], name
+        assert dsl_mean_system(source)(W(0.5, 0.5), V(1.0, 2.0)) == want[name], name
+
+
 # ── Evaluation ────────────────────────────────────────────────────────────────
 
 

@@ -1,6 +1,7 @@
 """Law-checking harness: passing systems, failing systems, shrinking,
 replay, and byte-level determinism of reports."""
 
+import json
 import math
 
 import numpy as np
@@ -144,6 +145,8 @@ def test_replay_rejects_counterexamples_that_do_not_fit():
         ("symmetry", ce((0.5, 0.5), (1.0, 2.0), sigma=[0, 0])),  # not a permutation
         ("symmetry", ce((0.5, 0.5), (1.0, 2.0), sigma=[0, 5])),  # index out of range
         ("symmetry", ce((0.5, 0.5), (1.0, 2.0))),                # no sigma
+        ("symmetry", ce(None, (1.0, 2.0), sigma=[1, 0])),        # no w
+        ("repetition", ce((0.25, 0.25, 0.5), None)),             # no x
         ("consistency", ce(None, None)),                         # no c
         ("monotonicity", ce((0.5, 0.6), (1.0, 2.0), y=[2.0, 3.0])),  # sum above 1
         ("monotonicity", ce((0.5, 0.5), (1.0, 2.0), y=[0.0, 3.0])),  # y below x
@@ -159,6 +162,43 @@ def test_replay_rejects_counterexamples_that_do_not_fit():
         with pytest.raises(ValueError):
             replay_counterexample(system, name, bad)
             pytest.fail(f"{name} {bad} replayed")
+
+
+_HOSTILE = "sum(w*(x-1)*1e300*1e300)"
+
+# Each system with a law it breaks; together they fail all ten checks.
+_BROKEN_SYSTEMS = {
+    "sum(w^2*x)": ("functoriality",),
+    "sum(w*x^2)": ("consistency",),
+    "sum(w/(1+x))": ("monotonicity", "transfer"),
+    "prod(x^w)": ("convexity",),
+    "(sum(w*x)+sum(w*x^2)^0.5)/2": ("multiplicativity",),
+    "x[0]": ("symmetry",),
+    "sum(w^2*x)/sum(w^2)": ("repetition",),
+    "max(x*w^0)": ("zero_weight",),
+    "sum(w*x)+1": ("homogeneity",),
+    _HOSTILE: PROPERTY_NAMES,  # its sides are NaN and its aux carries the error
+}
+
+
+def _same(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+@pytest.mark.parametrize("source", list(_BROKEN_SYSTEMS))
+def test_every_counterexample_replays_through_json(source):
+    if source == "x[0]":
+        system = MeanSystem(lambda w, x: float(x.entries[0]), label=source)
+    else:
+        system = dsl_mean_system(source)
+    failed = [r for r in run_full_suite(system, _FAST) if not r.passed]
+    assert set(_BROKEN_SYSTEMS[source]) <= {r.property_name for r in failed}
+    for report in failed:
+        ce = report.counterexample
+        restored = Counterexample.from_dict(json.loads(deterministic_json(ce.to_dict())))
+        got = replay_counterexample(system, report.property_name, restored)
+        assert ("error" in ce.aux) == (source == _HOSTILE)
+        assert all(map(_same, got, (ce.lhs, ce.rhs, ce.residual))), report.property_name
 
 
 def test_reports_serialize_to_identical_bytes():
