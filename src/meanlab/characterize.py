@@ -313,10 +313,15 @@ class CharacterizationReport:
         return self.verdict == "consistent"
 
 
-def _stage_values(rng: np.random.Generator, n: int, zero_prob: float = 0.1) -> np.ndarray:
+# The stages draw their own witnesses, valid by construction, and wrap them
+# without the public constructors' checks; weightings derived from them
+# (``_transfer_slope``'s shifts, ``expand_rational``) are still validated.
+
+
+def _stage_values(rng: np.random.Generator, n: int, zero_prob: float = 0.1) -> ValueVector:
     vals = np.power(10.0, rng.uniform(-4.0, 4.0, n))
     vals[rng.random(n) < zero_prob] = 0.0
-    return vals
+    return ValueVector._unchecked(vals)
 
 
 def _stage_uniform(system: MeanSystem, cfg: CharacterizationConfig,
@@ -324,7 +329,7 @@ def _stage_uniform(system: MeanSystem, cfg: CharacterizationConfig,
     worst = 0.0
     for trial, rng in enumerate(_trial_rngs(cfg.seed, 100, cfg.trials)):
         n = int(rng.integers(1, cfg.max_n + 1))
-        x = ValueVector(_stage_values(rng, n))
+        x = _stage_values(rng, n)
         w = uniform(n)
         try:
             got = system(w, x)
@@ -361,7 +366,7 @@ def _stage_rational(system: MeanSystem, cfg: CharacterizationConfig,
         n = int(rng.integers(1, cfg.max_n + 1))
         w = _rational_weighting(rng, n, cfg.weight_denominator_max,
                                 system.positivity_only)
-        x = ValueVector(_stage_values(rng, n))
+        x = _stage_values(rng, n)
         uw, ux = expand_rational(w, x)
         try:
             got = system(w, x)
@@ -389,8 +394,8 @@ def _stage_sandwich(system: MeanSystem, cfg: CharacterizationConfig) -> StageRep
     for trial, rng in enumerate(_trial_rngs(cfg.seed, 102, trials)):
         n = int(rng.integers(2, cfg.max_n + 1))
         g = rng.exponential(1.0, n)
-        w = Weighting(0.5 * g / g.sum() + 0.5 / n)  # every entry >= 1/(2n)
-        x = ValueVector(np.power(10.0, rng.uniform(-3.0, 3.0, n)))
+        w = Weighting._unchecked(0.5 * g / g.sum() + 0.5 / n)  # every entry >= 1/(2n)
+        x = ValueVector._unchecked(np.power(10.0, rng.uniform(-3.0, 3.0, n)))
         for delta in cfg.deltas:
             try:
                 sr = rational_sandwich(system, w, x, delta)

@@ -176,6 +176,14 @@ class _Entries:
     def __iter__(self) -> Iterator[float]:
         return iter(self.entries.tolist())
 
+    @classmethod
+    def _unchecked(cls, a: np.ndarray):
+        """Wrap a one-dimensional float64 array that meanlab built itself and
+        that is valid by construction: read-only, with no rule re-checked."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "entries", _read_only(a))
+        return obj
+
 
 @dataclass(frozen=True, eq=False)
 class Weighting(_Entries):
@@ -228,6 +236,12 @@ class Weighting(_Entries):
             if drift > EXACT_MATCH_TOL:
                 raise ValueError(f"exact entries drift from floats by up to {drift!r}")
             object.__setattr__(self, "exact", ex)
+
+    @classmethod
+    def _unchecked(cls, a: np.ndarray, exact: tuple[Fraction, ...] | None = None):
+        w = super()._unchecked(a)
+        object.__setattr__(w, "exact", exact)
+        return w
 
     @property
     def support(self) -> np.ndarray:
@@ -343,10 +357,7 @@ def _weighting_from_counts(counts: list[int], d: int) -> Weighting:
         twins = {k: Fraction(k, d) for k in distinct}
         entries = np.array([k / d for k in counts])
         exact = tuple(map(twins.__getitem__, counts))
-    w = object.__new__(Weighting)
-    object.__setattr__(w, "entries", _read_only(entries))
-    object.__setattr__(w, "exact", exact)
-    return w
+    return Weighting._unchecked(entries, exact)
 
 
 def uniform(n: int) -> Weighting:

@@ -155,11 +155,11 @@ def _residual(kind: str, lhs: float, rhs: float) -> float:
     return (lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
 
 
-def _evaluate(check: "_CheckDef", system: MeanSystem, wit: dict):
+def _evaluate(check: "_CheckDef", system: MeanSystem, wit: dict, wrap: "_Wrap"):
     """Returns (lhs, rhs, residual, error_message).  A witness that does not fit
     the check raises ValueError; a failing system is a failing trial."""
     try:
-        lhs, rhs = check.evaluate(system, wit)
+        lhs, rhs = check.evaluate(system, wit, wrap)
     except SystemEvalError as exc:
         return math.nan, math.nan, math.inf, str(exc)
     return lhs, rhs, _residual(check.kind, lhs, rhs), None
@@ -290,6 +290,16 @@ def _gen_index_map(rng: np.random.Generator, max_n: int, positive_only: bool) ->
 # does not fit its law (``MeanSystem.__call__`` rejects unequal lengths), so
 # shrink moves and replayed counterexamples meet the same rules.  ``valid``
 # only narrows a check to strictly positive weights.
+#
+# An ``_ev_*`` wraps every array it passes to the system, derived ones too, with
+# the (weighting, values) constructor pair it is given.  Where a witness came
+# from decides the pair: a fresh trial's arrays come from the generators above
+# and are valid by construction, so they are only made read-only; shrink
+# candidates and replayed counterexamples go through the public constructors.
+
+_Wrap = tuple[Callable[..., Weighting], Callable[..., ValueVector]]
+_CHECKED: _Wrap = (Weighting, ValueVector)
+_FRESH: _Wrap = (Weighting._unchecked, ValueVector._unchecked)
 
 
 def _always_valid(cfg: CheckConfig, wit: dict) -> bool:
@@ -302,7 +312,7 @@ class _CheckDef:
     kind: str  # 'equality' | 'inequality'
     derived: bool
     make_trial: Callable[[CheckConfig, int, np.random.Generator], dict]
-    evaluate: Callable[[MeanSystem, dict], tuple[float, float]]
+    evaluate: Callable[[MeanSystem, dict, _Wrap], tuple[float, float]]
     valid: Callable[[CheckConfig, dict], bool] = _always_valid
     merge_groups: tuple[tuple[str, ...], ...] = ()  # (weight_field, value_fields…)
     weight_fields: tuple[str, ...] = ("w",)
@@ -329,9 +339,10 @@ def _mk_functoriality(cfg: CheckConfig, trial: int, rng: np.random.Generator) ->
     return {"w": w, "x": x, "images": f.images, "codomain_size": f.codomain_size}
 
 
-def _ev_functoriality(system: MeanSystem, wit: dict) -> tuple[float, float]:
-    w = Weighting(wit["w"])
-    x = ValueVector(wit["x"])
+def _ev_functoriality(system: MeanSystem, wit: dict, wrap: _Wrap) -> tuple[float, float]:
+    weighting, values = wrap
+    w = weighting(wit["w"])
+    x = values(wit["x"])
     f = IndexMap(len(w), int(wit["codomain_size"]), tuple(wit["images"]))
     return system(pushforward(f, w), x), system(w, pullback(f, x))
 
@@ -347,9 +358,10 @@ def _mk_consistency(cfg: CheckConfig, trial: int, rng: np.random.Generator) -> d
     return {"c": float(10.0 ** rng.uniform(-6.0, 6.0))}
 
 
-def _ev_consistency(system: MeanSystem, wit: dict) -> tuple[float, float]:
+def _ev_consistency(system: MeanSystem, wit: dict, wrap: _Wrap) -> tuple[float, float]:
+    weighting, values = wrap
     c = float(wit["c"])
-    return system(Weighting(np.array([1.0])), ValueVector(np.array([c]))), c
+    return system(weighting(np.array([1.0])), values(np.array([c]))), c
 
 
 # monotonicity ------------------------------------------------------------------
@@ -363,9 +375,10 @@ def _mk_monotonicity(cfg: CheckConfig, trial: int, rng: np.random.Generator) -> 
     return {"w": w, "x": x, "y": x + bump}
 
 
-def _ev_monotonicity(system: MeanSystem, wit: dict) -> tuple[float, float]:
-    w = Weighting(wit["w"])
-    x, y = ValueVector(wit["x"]), ValueVector(wit["y"])
+def _ev_monotonicity(system: MeanSystem, wit: dict, wrap: _Wrap) -> tuple[float, float]:
+    weighting, values = wrap
+    w = weighting(wit["w"])
+    x, y = values(wit["x"]), values(wit["y"])
     if np.any(y.entries < x.entries):
         raise ValueError("monotonicity needs y >= x")
     return system(w, x), system(w, y)
@@ -388,12 +401,13 @@ def _mk_convexity(cfg: CheckConfig, trial: int, rng: np.random.Generator) -> dic
     return {"w": w, "x": _gen_values(rng, n), "y": _gen_values(rng, n)}
 
 
-def _ev_convexity(system: MeanSystem, wit: dict) -> tuple[float, float]:
-    w = Weighting(wit["w"])
+def _ev_convexity(system: MeanSystem, wit: dict, wrap: _Wrap) -> tuple[float, float]:
+    weighting, values = wrap
+    w = weighting(wit["w"])
     x = np.asarray(wit["x"])
     y = np.asarray(wit["y"])
-    mid = system(w, ValueVector((x + y) / 2.0))
-    return mid, max(system(w, ValueVector(x)), system(w, ValueVector(y)))
+    mid = system(w, values((x + y) / 2.0))
+    return mid, max(system(w, values(x)), system(w, values(y)))
 
 
 # multiplicativity ---------------------------------------------------------------
@@ -410,11 +424,12 @@ def _mk_multiplicativity(cfg: CheckConfig, trial: int, rng: np.random.Generator)
     }
 
 
-def _ev_multiplicativity(system: MeanSystem, wit: dict) -> tuple[float, float]:
-    w = Weighting(wit["w"])
-    v = Weighting(wit["v"])
-    x = ValueVector(wit["x"])
-    y = ValueVector(wit["y"])
+def _ev_multiplicativity(system: MeanSystem, wit: dict, wrap: _Wrap) -> tuple[float, float]:
+    weighting, values = wrap
+    w = weighting(wit["w"])
+    v = weighting(wit["v"])
+    x = values(wit["x"])
+    y = values(wit["y"])
     lhs = system(tensor_weights(w, v), tensor_values(x, y))
     return lhs, system(w, x) * system(v, y)
 
@@ -431,14 +446,15 @@ def _mk_symmetry(cfg: CheckConfig, trial: int, rng: np.random.Generator) -> dict
     }
 
 
-def _ev_symmetry(system: MeanSystem, wit: dict) -> tuple[float, float]:
+def _ev_symmetry(system: MeanSystem, wit: dict, wrap: _Wrap) -> tuple[float, float]:
+    weighting, values = wrap
     w = np.asarray(wit["w"])
     x = np.asarray(wit["x"])
     if sorted(wit["sigma"]) != list(range(len(w))):
         raise ValueError("sigma must be a permutation of the weight indices")
     sigma = np.array(wit["sigma"], dtype=np.intp)
-    lhs = system(Weighting(w), ValueVector(x))
-    return lhs, system(Weighting(w[sigma]), ValueVector(x[sigma]))
+    lhs = system(weighting(w), values(x))
+    return lhs, system(weighting(w[sigma]), values(x[sigma]))
 
 
 # repetition ---------------------------------------------------------------------
@@ -452,12 +468,13 @@ def _mk_repetition(cfg: CheckConfig, trial: int, rng: np.random.Generator) -> di
     }
 
 
-def _ev_repetition(system: MeanSystem, wit: dict) -> tuple[float, float]:
+def _ev_repetition(system: MeanSystem, wit: dict, wrap: _Wrap) -> tuple[float, float]:
+    weighting, values = wrap
     w = np.asarray(wit["w"])
     x = np.asarray(wit["x"])
-    lhs = system(Weighting(w), ValueVector(np.append(x, x[-1])))
+    lhs = system(weighting(w), values(np.append(x, x[-1])))
     merged = np.append(w[:-2], w[-2] + w[-1])
-    return lhs, system(Weighting(merged), ValueVector(x))
+    return lhs, system(weighting(merged), values(x))
 
 
 # zero weight --------------------------------------------------------------------
@@ -471,11 +488,12 @@ def _mk_zero_weight(cfg: CheckConfig, trial: int, rng: np.random.Generator) -> d
     }
 
 
-def _ev_zero_weight(system: MeanSystem, wit: dict) -> tuple[float, float]:
+def _ev_zero_weight(system: MeanSystem, wit: dict, wrap: _Wrap) -> tuple[float, float]:
+    weighting, values = wrap
     w = np.asarray(wit["w"])
     x = np.asarray(wit["x"])
-    lhs = system(Weighting(np.append(w, 0.0)), ValueVector(x))
-    return lhs, system(Weighting(w), ValueVector(x[:-1]))
+    lhs = system(weighting(np.append(w, 0.0)), values(x))
+    return lhs, system(weighting(w), values(x[:-1]))
 
 
 # transfer -----------------------------------------------------------------------
@@ -498,17 +516,18 @@ def _mk_transfer(cfg: CheckConfig, trial: int, rng: np.random.Generator) -> dict
     return {"w": w, "x": x, "epsilon": float(u * w[-1])}
 
 
-def _ev_transfer(system: MeanSystem, wit: dict) -> tuple[float, float]:
+def _ev_transfer(system: MeanSystem, wit: dict, wrap: _Wrap) -> tuple[float, float]:
+    weighting, values = wrap
     w = np.asarray(wit["w"]).copy()
-    x = ValueVector(wit["x"])
+    x = values(wit["x"])
     eps = float(wit["epsilon"])
     if not (2 <= len(w) == len(x) and 0.0 <= eps <= float(w[-1])
             and x.entries[-1] <= x.entries[-2]):
         raise ValueError("transfer needs n >= 2, 0 <= epsilon <= w[-1], x[-1] <= x[-2]")
-    lhs = system(Weighting(wit["w"]), x)
+    lhs = system(weighting(wit["w"]), x)
     w[-2] += eps
     w[-1] -= eps
-    return lhs, system(Weighting(w), x)
+    return lhs, system(weighting(w), x)
 
 
 def _valid_transfer(cfg: CheckConfig, wit: dict) -> bool:
@@ -532,11 +551,12 @@ def _mk_homogeneity(cfg: CheckConfig, trial: int, rng: np.random.Generator) -> d
     return {"w": w, "x": x, "c": c}
 
 
-def _ev_homogeneity(system: MeanSystem, wit: dict) -> tuple[float, float]:
-    w = Weighting(wit["w"])
+def _ev_homogeneity(system: MeanSystem, wit: dict, wrap: _Wrap) -> tuple[float, float]:
+    weighting, values = wrap
+    w = weighting(wit["w"])
     x = np.asarray(wit["x"])
     c = float(wit["c"])
-    return system(w, ValueVector(c * x)), c * system(w, ValueVector(x))
+    return system(w, values(c * x)), c * system(w, values(x))
 
 
 # registry -----------------------------------------------------------------------
@@ -662,7 +682,7 @@ def _shrink(system: MeanSystem, cfg: CheckConfig, check: _CheckDef,
             if not _weights_admissible(cfg, cand, check.weight_fields):
                 continue
             try:
-                _, _, resid, _ = _evaluate(check, system, cand)
+                _, _, resid, _ = _evaluate(check, system, cand, _CHECKED)
             except ValueError:  # the move left a witness that does not fit
                 continue
             if resid > tol:  # still failing: accept and restart the scan
@@ -710,10 +730,10 @@ def _run_check(system: MeanSystem, cfg: CheckConfig, check: _CheckDef) -> CheckR
     worst = 0.0
     for trial, rng in enumerate(_trial_rngs(cfg.seed, index, cfg.trials)):
         wit = check.make_trial(cfg, trial, rng)
-        lhs, rhs, resid, error = _evaluate(check, system, wit)
+        lhs, rhs, resid, error = _evaluate(check, system, wit, _FRESH)
         if resid > tol:
             shrunk = _shrink(system, cfg, check, wit, tol)
-            lhs, rhs, resid, error = _evaluate(check, system, shrunk)
+            lhs, rhs, resid, error = _evaluate(check, system, shrunk, _CHECKED)
             ce = _to_counterexample(shrunk, lhs, rhs, resid, error)
             return CheckReport(check.name, False, trial + 1, ce, resid, note=note)
         worst = max(worst, resid)
@@ -764,9 +784,11 @@ def replay_counterexample(system: MeanSystem, property_name: str,
     mains = {"w": counterexample.w, "x": counterexample.x}
     wit = {**counterexample.aux, **{k: v for k, v in mains.items() if v is not None}}
     try:
-        lhs, rhs, resid, _ = _evaluate(check, system, wit)
+        lhs, rhs, resid, _ = _evaluate(check, system, wit, _CHECKED)
     except KeyError as exc:
         raise ValueError(f"{property_name} counterexample lacks the field {exc}") from None
+    except TypeError as exc:  # a field of the wrong type, such as sigma=5
+        raise ValueError(f"{property_name} counterexample does not fit: {exc}") from None
     return lhs, rhs, resid
 
 

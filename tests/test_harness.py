@@ -1,15 +1,19 @@
 """Law-checking harness: passing systems, failing systems, shrinking,
 replay, and byte-level determinism of reports."""
 
+import itertools
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from meanlab import (
+    CharacterizationConfig,
     CheckConfig,
     Counterexample,
+    Exponent,
     PROPERTY_NAMES,
     ValueVector,
     Weighting,
@@ -22,12 +26,14 @@ from meanlab import (
     check_zero_weight,
     deterministic_json,
     dsl_mean_system,
+    power_mean,
     replay_counterexample,
     run_full_suite,
     suite_passed,
     suite_to_dict,
+    verify_characterization,
 )
-from meanlab import harness
+from meanlab import characterize, harness
 from meanlab.systems import MeanSystem
 
 _FAST = CheckConfig(seed=0, trials=120)
@@ -162,6 +168,16 @@ def test_replay_rejects_counterexamples_that_do_not_fit():
         with pytest.raises(ValueError):
             replay_counterexample(system, name, bad)
             pytest.fail(f"{name} {bad} replayed")
+    # Fields of the wrong type, as a report edited by hand can carry them.
+    wrong_types = [
+        ("symmetry", ce((0.5, 0.5), (1.0, 2.0), sigma=5)),
+        ("consistency", ce(None, None, c=None)),
+        ("transfer", ce((0.5, 0.5), (2.0, 1.0), epsilon=[0.1])),
+        ("functoriality", ce((0.5, 0.5), (1.0, 2.0), images=3, codomain_size=2)),
+    ]
+    for name, bad in wrong_types:
+        with pytest.raises(ValueError, match=f"^{name} counterexample does not fit"):
+            replay_counterexample(system, name, bad)
 
 
 _HOSTILE = "sum(w*(x-1)*1e300*1e300)"
@@ -346,3 +362,79 @@ def test_multiplicativity_counterexample_carries_both_factors():
     ce = report.counterexample
     assert ce is not None
     assert len(ce.aux["v"]) == len(ce.aux["y"])
+
+
+# ── Fresh witnesses ───────────────────────────────────────────────────────────
+
+
+def _bits(*values):
+    return [float(v).hex() for v in values]
+
+
+def _revalidating_system(positivity_only):
+    """The arithmetic mean, which also checks every container it is handed:
+    read-only, and rebuilt bit for bit by the public constructors."""
+    def evaluate(w, x):
+        for wrapped, rebuilt in ((w, Weighting(w.entries, exact=w.exact)),
+                                 (x, ValueVector(x.entries))):
+            assert not wrapped.entries.flags.writeable
+            assert rebuilt.entries.dtype == wrapped.entries.dtype == np.float64
+            assert rebuilt.entries.tobytes() == wrapped.entries.tobytes()
+        return float(np.dot(w.entries, x.entries))
+
+    return MeanSystem(evaluate, "revalidating", positivity_only)
+
+
+def test_fresh_witnesses_pass_the_public_constructors():
+    # Fresh trials wrap what the generators drew without the constructors'
+    # checks; this test stands in for those checks.  max_n = 33 draws vectors
+    # longer than power_mean's scalar path takes.  A stage whose system fails
+    # an assertion reports it in its detail.
+    system = MeanSystem(lambda w, x: float(np.dot(w.entries, x.entries)), "dot")
+    p = Exponent(1.0)
+    for seed, max_n in itertools.product((0, 7, 2 ** 31), (2, 8, 33)):
+        for positive in (False, True):
+            cfg = CheckConfig(seed=seed, trials=200, max_n=max_n,
+                              positive_weights_only=positive)
+            for stream, check in enumerate(harness._CHECKS):
+                for trial, rng in enumerate(harness._trial_rngs(seed, stream, cfg.trials)):
+                    wit = check.make_trial(cfg, trial, rng)
+                    fresh = check.evaluate(system, wit, harness._FRESH)
+                    checked = check.evaluate(system, wit, harness._CHECKED)
+                    assert _bits(*fresh) == _bits(*checked), (check.name, seed, max_n, trial)
+            stage_cfg = CharacterizationConfig(seed=seed, trials=200, max_n=max_n)
+            report = characterize._stage_rational(_revalidating_system(positive), stage_cfg, p)
+            assert report.passed and report.trials == 200, (seed, max_n, positive, report)
+        # Only the rational stage draws differently for positive-only systems.
+        # The sandwich stage runs a quarter of its trials; its witness does not
+        # depend on delta.
+        stage_system = _revalidating_system(False)
+        reports = (characterize._stage_uniform(stage_system, stage_cfg, p),
+                   characterize._stage_sandwich(stage_system, replace(
+                       stage_cfg, trials=800, deltas=(1e-2,))))
+        for report in reports:
+            assert report.passed and report.trials == 200, (seed, max_n, report)
+
+
+@pytest.mark.parametrize("field", ["w", "x"])
+def test_systems_cannot_write_into_witnesses(field):
+    # The containers a system is handed are read-only, fresh trials included:
+    # an assignment is a failing trial, and the witness keeps its values.
+    def vandal(w, x):
+        if len(x) >= 3:
+            (w if field == "w" else x).entries[0] = -1.0
+        return power_mean(2, w, x)
+
+    system = MeanSystem(vandal, f"writes into {field}")
+    failed = [r for r in run_full_suite(system, _FAST) if not r.passed]
+    assert len(failed) == len(PROPERTY_NAMES) - 1  # consistency has n = 1
+    for report in failed:
+        ce = report.counterexample
+        assert "assignment destination is read-only" in ce.aux["error"]
+        assert -1.0 not in ce.w + ce.x, report.property_name
+    report = verify_characterization(system, CharacterizationConfig(trials=40))
+    assert report.verdict == "counterexample"
+    assert [s.passed for s in report.stages] == [False, False, False]
+    for stage in report.stages:
+        assert "assignment destination is read-only" in stage.detail["error"]
+        assert -1.0 not in stage.detail["x"] + stage.detail.get("w", [])
