@@ -314,8 +314,10 @@ class CharacterizationReport:
 
 
 # The stages draw their own witnesses, valid by construction, and wrap them
-# without the public constructors' checks; weightings derived from them
-# (``_transfer_slope``'s shifts, ``expand_rational``) are still validated.
+# without the public constructors' checks.  What the shared functions derive
+# from them (``_transfer_slope``'s shifted weightings, ``expand_rational``'s
+# values) is still validated: those functions also take a user's containers,
+# and a weighting right at WEIGHT_SUM_TOL can drift past it when shifted.
 
 
 def _stage_values(rng: np.random.Generator, n: int, zero_prob: float = 0.1) -> ValueVector:
