@@ -267,8 +267,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def _cmd_axioms(args: argparse.Namespace) -> int:
     system = _build_system(args, positive=args.positive_weights)
     cfg = CheckConfig(seed=_seed_from(args), trials=args.trials, max_n=args.max_n,
-                      rel_tol=args.rel_tol, slack=args.slack,
-                      positive_weights_only=args.positive_weights)
+                      rel_tol=args.rel_tol, slack=args.slack)
     reports = run_full_suite(system, cfg)
     _emit(args, suite_to_dict(system, cfg, reports))
     return 0 if suite_passed(reports) else 1

@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Iterator
+from dataclasses import dataclass
+from itertools import chain
+from typing import Callable, Iterator, TypeAlias
 
 import numpy as np
 
@@ -70,19 +71,13 @@ _NOT_APPLICABLE = "not applicable"
 
 @dataclass(frozen=True)
 class CheckConfig:
-    """Knobs shared by all checks.
-
-    ``positive_weights_only`` narrows every law to strictly positive
-    weightings (for systems only claimed there): functoriality then quantifies
-    over surjections only, and the zero-weight check is skipped.
-    """
+    """Knobs shared by all checks."""
 
     seed: int = 0
     trials: int = 1000
     max_n: int = 8
     rel_tol: float = 1e-9
     slack: float = 1e-12
-    positive_weights_only: bool = False
 
     def __post_init__(self) -> None:
         if self.seed < 0:
@@ -120,16 +115,20 @@ class Counterexample:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Counterexample":
-        w = data.get("w")
-        x = data.get("x")
-        return cls(
-            w=tuple(float(v) for v in w) if w is not None else None,
-            x=tuple(float(v) for v in x) if x is not None else None,
-            aux=dict(data.get("aux") or {}),
-            lhs=float(data["lhs"]),
-            rhs=float(data["rhs"]),
-            residual=float(data["residual"]),
-        )
+        """The inverse of ``to_dict``; malformed data is a ValueError."""
+        try:
+            w = data.get("w")
+            x = data.get("x")
+            return cls(
+                w=tuple(float(v) for v in w) if w is not None else None,
+                x=tuple(float(v) for v in x) if x is not None else None,
+                aux=dict(data.get("aux") or {}),
+                lhs=float(data["lhs"]),
+                rhs=float(data["rhs"]),
+                residual=float(data["residual"]),
+            )
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed counterexample: {exc!r}") from None
 
 
 @dataclass(frozen=True)
@@ -159,7 +158,7 @@ def _evaluate(check: "_CheckDef", system: MeanSystem, wit: dict, wrap: "_Wrap"):
     """Returns (lhs, rhs, residual, error_message).  A witness that does not fit
     the check raises ValueError; a failing system is a failing trial."""
     try:
-        lhs, rhs = check.evaluate(system, wit, wrap)
+        lhs, rhs = check.evaluate(system, wit, *wrap)
     except SystemEvalError as exc:
         return math.nan, math.nan, math.inf, str(exc)
     return lhs, rhs, _residual(check.kind, lhs, rhs), None
@@ -288,22 +287,31 @@ def _gen_index_map(rng: np.random.Generator, max_n: int, positive_only: bool) ->
 #
 # Each ``_ev_*`` raises ValueError before it calls the system when a witness
 # does not fit its law (``MeanSystem.__call__`` rejects unequal lengths), so
-# shrink moves and replayed counterexamples meet the same rules.  ``valid``
-# only narrows a check to strictly positive weights.
+# shrink moves and replayed counterexamples meet the same rules.
 #
 # An ``_ev_*`` wraps every array it passes to the system, derived ones too, with
 # the (weighting, values) constructor pair it is given.  Where a witness came
 # from decides the pair: a fresh trial's arrays come from the generators above
 # and are valid by construction, so they are only made read-only; shrink
 # candidates and replayed counterexamples go through the public constructors.
+# It wraps them all before its first system call.  A shrink for a
+# positivity-only system also refuses a weighting with a zero entry.
 
 _Wrap = tuple[Callable[..., Weighting], Callable[..., ValueVector]]
+_Rng: TypeAlias = "np.random.Generator"  # numpy imports np.random on first use
+_Sides = tuple[float, float]  # (lhs, rhs)
+
+
+def _positive_weighting(entries) -> Weighting:
+    w = Weighting(entries)
+    if not w.support.all():
+        raise ValueError("weighting entries must be strictly positive")
+    return w
+
+
 _CHECKED: _Wrap = (Weighting, ValueVector)
+_POSITIVE: _Wrap = (_positive_weighting, ValueVector)
 _FRESH: _Wrap = (Weighting._unchecked, ValueVector._unchecked)
-
-
-def _always_valid(cfg: CheckConfig, wit: dict) -> bool:
-    return True
 
 
 @dataclass(frozen=True)
@@ -311,46 +319,35 @@ class _CheckDef:
     name: str
     kind: str  # 'equality' | 'inequality'
     derived: bool
-    make_trial: Callable[[CheckConfig, int, np.random.Generator], dict]
-    evaluate: Callable[[MeanSystem, dict, _Wrap], tuple[float, float]]
-    valid: Callable[[CheckConfig, dict], bool] = _always_valid
+    make_trial: Callable[[CheckConfig, bool, int, _Rng], dict]
+    evaluate: Callable[..., _Sides]  # (system, wit, weighting, values)
     merge_groups: tuple[tuple[str, ...], ...] = ()  # (weight_field, value_fields…)
     weight_fields: tuple[str, ...] = ("w",)
     scalar_fields: tuple[str, ...] = ()
 
 
-def _weights_admissible(cfg: CheckConfig, wit: dict, fields: tuple[str, ...]) -> bool:
-    for name in fields:
-        w = wit.get(name)
-        if w is None:
-            continue
-        if cfg.positive_weights_only and np.any(np.asarray(w) <= 0.0):
-            return False
-    return True
-
-
 # functoriality ---------------------------------------------------------------
 
 
-def _mk_functoriality(cfg: CheckConfig, trial: int, rng: np.random.Generator) -> dict:
-    f = _gen_index_map(rng, cfg.max_n, cfg.positive_weights_only)
-    w = _gen_weights(rng, f.domain_size, cfg.positive_weights_only)
+def _mk_functoriality(cfg: CheckConfig, positive: bool, trial: int, rng: _Rng) -> dict:
+    f = _gen_index_map(rng, cfg.max_n, positive)
+    w = _gen_weights(rng, f.domain_size, positive)
     x = _gen_values(rng, f.codomain_size)
     return {"w": w, "x": x, "images": f.images, "codomain_size": f.codomain_size}
 
 
-def _ev_functoriality(system: MeanSystem, wit: dict, wrap: _Wrap) -> tuple[float, float]:
-    weighting, values = wrap
+def _ev_functoriality(system: MeanSystem, wit: dict, weighting, values) -> _Sides:
     w = weighting(wit["w"])
     x = values(wit["x"])
     f = IndexMap(len(w), int(wit["codomain_size"]), tuple(wit["images"]))
-    return system(pushforward(f, w), x), system(w, pullback(f, x))
+    pushed, pulled = pushforward(f, w), pullback(f, x)
+    return system(pushed, x), system(w, pulled)
 
 
 # consistency ------------------------------------------------------------------
 
 
-def _mk_consistency(cfg: CheckConfig, trial: int, rng: np.random.Generator) -> dict:
+def _mk_consistency(cfg: CheckConfig, positive: bool, trial: int, rng: _Rng) -> dict:
     if trial == 0:
         return {"c": 0.0}
     if trial == 1:
@@ -358,8 +355,7 @@ def _mk_consistency(cfg: CheckConfig, trial: int, rng: np.random.Generator) -> d
     return {"c": float(10.0 ** rng.uniform(-6.0, 6.0))}
 
 
-def _ev_consistency(system: MeanSystem, wit: dict, wrap: _Wrap) -> tuple[float, float]:
-    weighting, values = wrap
+def _ev_consistency(system: MeanSystem, wit: dict, weighting, values) -> _Sides:
     c = float(wit["c"])
     return system(weighting(np.array([1.0])), values(np.array([c]))), c
 
@@ -367,16 +363,15 @@ def _ev_consistency(system: MeanSystem, wit: dict, wrap: _Wrap) -> tuple[float, 
 # monotonicity ------------------------------------------------------------------
 
 
-def _mk_monotonicity(cfg: CheckConfig, trial: int, rng: np.random.Generator) -> dict:
+def _mk_monotonicity(cfg: CheckConfig, positive: bool, trial: int, rng: _Rng) -> dict:
     n = int(rng.integers(1, cfg.max_n + 1))
-    w = _gen_weights(rng, n, cfg.positive_weights_only)
+    w = _gen_weights(rng, n, positive)
     x = _gen_values(rng, n)
     bump = _gen_values(rng, n, zero_prob=0.3)
     return {"w": w, "x": x, "y": x + bump}
 
 
-def _ev_monotonicity(system: MeanSystem, wit: dict, wrap: _Wrap) -> tuple[float, float]:
-    weighting, values = wrap
+def _ev_monotonicity(system: MeanSystem, wit: dict, weighting, values) -> _Sides:
     w = weighting(wit["w"])
     x, y = values(wit["x"]), values(wit["y"])
     if np.any(y.entries < x.entries):
@@ -393,39 +388,37 @@ _CONVEXITY_WITNESS = {
 }
 
 
-def _mk_convexity(cfg: CheckConfig, trial: int, rng: np.random.Generator) -> dict:
+def _mk_convexity(cfg: CheckConfig, positive: bool, trial: int, rng: _Rng) -> dict:
     if trial == 0:  # the canonical midpoint witness, checked on every run
         return {k: v.copy() for k, v in _CONVEXITY_WITNESS.items()}
     n = int(rng.integers(1, cfg.max_n + 1))
-    w = _gen_weights(rng, n, cfg.positive_weights_only)
+    w = _gen_weights(rng, n, positive)
     return {"w": w, "x": _gen_values(rng, n), "y": _gen_values(rng, n)}
 
 
-def _ev_convexity(system: MeanSystem, wit: dict, wrap: _Wrap) -> tuple[float, float]:
-    weighting, values = wrap
+def _ev_convexity(system: MeanSystem, wit: dict, weighting, values) -> _Sides:
     w = weighting(wit["w"])
     x = np.asarray(wit["x"])
     y = np.asarray(wit["y"])
-    mid = system(w, values((x + y) / 2.0))
-    return mid, max(system(w, values(x)), system(w, values(y)))
+    mid, xv, yv = values((x + y) / 2.0), values(x), values(y)
+    return system(w, mid), max(system(w, xv), system(w, yv))
 
 
 # multiplicativity ---------------------------------------------------------------
 
 
-def _mk_multiplicativity(cfg: CheckConfig, trial: int, rng: np.random.Generator) -> dict:
+def _mk_multiplicativity(cfg: CheckConfig, positive: bool, trial: int, rng: _Rng) -> dict:
     n = int(rng.integers(1, cfg.max_n + 1))
     m = int(rng.integers(1, cfg.max_n + 1))
     return {
-        "w": _gen_weights(rng, n, cfg.positive_weights_only),
+        "w": _gen_weights(rng, n, positive),
         "x": _gen_values(rng, n),
-        "v": _gen_weights(rng, m, cfg.positive_weights_only),
+        "v": _gen_weights(rng, m, positive),
         "y": _gen_values(rng, m),
     }
 
 
-def _ev_multiplicativity(system: MeanSystem, wit: dict, wrap: _Wrap) -> tuple[float, float]:
-    weighting, values = wrap
+def _ev_multiplicativity(system: MeanSystem, wit: dict, weighting, values) -> _Sides:
     w = weighting(wit["w"])
     v = weighting(wit["v"])
     x = values(wit["x"])
@@ -437,50 +430,50 @@ def _ev_multiplicativity(system: MeanSystem, wit: dict, wrap: _Wrap) -> tuple[fl
 # symmetry -----------------------------------------------------------------------
 
 
-def _mk_symmetry(cfg: CheckConfig, trial: int, rng: np.random.Generator) -> dict:
+def _mk_symmetry(cfg: CheckConfig, positive: bool, trial: int, rng: _Rng) -> dict:
     n = int(rng.integers(1, cfg.max_n + 1))
     return {
-        "w": _gen_weights(rng, n, cfg.positive_weights_only),
+        "w": _gen_weights(rng, n, positive),
         "x": _gen_values(rng, n),
         "sigma": tuple(int(v) for v in rng.permutation(n)),
     }
 
 
-def _ev_symmetry(system: MeanSystem, wit: dict, wrap: _Wrap) -> tuple[float, float]:
-    weighting, values = wrap
+def _ev_symmetry(system: MeanSystem, wit: dict, weighting, values) -> _Sides:
     w = np.asarray(wit["w"])
     x = np.asarray(wit["x"])
     if sorted(wit["sigma"]) != list(range(len(w))):
         raise ValueError("sigma must be a permutation of the weight indices")
     sigma = np.array(wit["sigma"], dtype=np.intp)
-    lhs = system(weighting(w), values(x))
-    return lhs, system(weighting(w[sigma]), values(x[sigma]))
+    wv, xv, moved_w, moved_x = weighting(w), values(x), weighting(w[sigma]), values(x[sigma])
+    return system(wv, xv), system(moved_w, moved_x)
 
 
 # repetition ---------------------------------------------------------------------
 
 
-def _mk_repetition(cfg: CheckConfig, trial: int, rng: np.random.Generator) -> dict:
+def _mk_repetition(cfg: CheckConfig, positive: bool, trial: int, rng: _Rng) -> dict:
     n = int(rng.integers(1, cfg.max_n + 1))
     return {
-        "w": _gen_weights(rng, n + 1, cfg.positive_weights_only),
+        "w": _gen_weights(rng, n + 1, positive),
         "x": _gen_values(rng, n),
     }
 
 
-def _ev_repetition(system: MeanSystem, wit: dict, wrap: _Wrap) -> tuple[float, float]:
-    weighting, values = wrap
+def _ev_repetition(system: MeanSystem, wit: dict, weighting, values) -> _Sides:
     w = np.asarray(wit["w"])
     x = np.asarray(wit["x"])
-    lhs = system(weighting(w), values(np.append(x, x[-1])))
-    merged = np.append(w[:-2], w[-2] + w[-1])
-    return lhs, system(weighting(merged), values(x))
+    if not 1 <= x.size == w.size - 1:
+        raise ValueError("repetition needs n >= 1 values and n + 1 weights")
+    wv, repeated = weighting(w), values(np.append(x, x[-1]))
+    merged, xv = weighting(np.append(w[:-2], w[-2] + w[-1])), values(x)
+    return system(wv, repeated), system(merged, xv)
 
 
 # zero weight --------------------------------------------------------------------
 
 
-def _mk_zero_weight(cfg: CheckConfig, trial: int, rng: np.random.Generator) -> dict:
+def _mk_zero_weight(cfg: CheckConfig, positive: bool, trial: int, rng: _Rng) -> dict:
     n = int(rng.integers(1, cfg.max_n + 1))
     return {
         "w": _gen_weights(rng, n, positive_only=False),
@@ -488,20 +481,20 @@ def _mk_zero_weight(cfg: CheckConfig, trial: int, rng: np.random.Generator) -> d
     }
 
 
-def _ev_zero_weight(system: MeanSystem, wit: dict, wrap: _Wrap) -> tuple[float, float]:
-    weighting, values = wrap
+def _ev_zero_weight(system: MeanSystem, wit: dict, weighting, values) -> _Sides:
     w = np.asarray(wit["w"])
     x = np.asarray(wit["x"])
-    lhs = system(weighting(np.append(w, 0.0)), values(x))
-    return lhs, system(weighting(w), values(x[:-1]))
+    padded, xv = weighting(np.append(w, 0.0)), values(x)
+    wv, dropped = weighting(w), values(x[:-1])
+    return system(padded, xv), system(wv, dropped)
 
 
 # transfer -----------------------------------------------------------------------
 
 
-def _mk_transfer(cfg: CheckConfig, trial: int, rng: np.random.Generator) -> dict:
+def _mk_transfer(cfg: CheckConfig, positive: bool, trial: int, rng: _Rng) -> dict:
     n = int(rng.integers(2, cfg.max_n + 1))
-    w = _gen_weights(rng, n, cfg.positive_weights_only)
+    w = _gen_weights(rng, n, positive)
     x = _gen_values(rng, n)
     if x[-1] > x[-2]:
         x[-1], x[-2] = x[-2], x[-1]
@@ -509,38 +502,30 @@ def _mk_transfer(cfg: CheckConfig, trial: int, rng: np.random.Generator) -> dict
     u = float(rng.random())
     if r < 0.05:
         u = 0.0
-    elif r < 0.10 and not cfg.positive_weights_only:
+    elif r < 0.10 and not positive:
         u = 1.0  # move the whole weight
-    elif cfg.positive_weights_only:
+    elif positive:
         u = min(u, 1.0 - 1e-9)
     return {"w": w, "x": x, "epsilon": float(u * w[-1])}
 
 
-def _ev_transfer(system: MeanSystem, wit: dict, wrap: _Wrap) -> tuple[float, float]:
-    weighting, values = wrap
-    w = np.asarray(wit["w"]).copy()
+def _ev_transfer(system: MeanSystem, wit: dict, weighting, values) -> _Sides:
+    w = np.asarray(wit["w"])
     x = values(wit["x"])
     eps = float(wit["epsilon"])
     if not (2 <= len(w) == len(x) and 0.0 <= eps <= float(w[-1])
             and x.entries[-1] <= x.entries[-2]):
         raise ValueError("transfer needs n >= 2, 0 <= epsilon <= w[-1], x[-1] <= x[-2]")
-    lhs = system(weighting(wit["w"]), x)
-    w[-2] += eps
-    w[-1] -= eps
-    return lhs, system(weighting(w), x)
-
-
-def _valid_transfer(cfg: CheckConfig, wit: dict) -> bool:
-    # Strictly positive weights stay so: the move may not empty w[-1].
-    return not (cfg.positive_weights_only and float(wit["epsilon"]) >= float(wit["w"][-1]))
+    before, after = weighting(w), weighting(np.append(w[:-2], (w[-2] + eps, w[-1] - eps)))
+    return system(before, x), system(after, x)
 
 
 # homogeneity --------------------------------------------------------------------
 
 
-def _mk_homogeneity(cfg: CheckConfig, trial: int, rng: np.random.Generator) -> dict:
+def _mk_homogeneity(cfg: CheckConfig, positive: bool, trial: int, rng: _Rng) -> dict:
     n = int(rng.integers(1, cfg.max_n + 1))
-    w = _gen_weights(rng, n, cfg.positive_weights_only)
+    w = _gen_weights(rng, n, positive)
     x = _gen_values(rng, n)
     if trial == 0:
         c = 0.0
@@ -551,12 +536,12 @@ def _mk_homogeneity(cfg: CheckConfig, trial: int, rng: np.random.Generator) -> d
     return {"w": w, "x": x, "c": c}
 
 
-def _ev_homogeneity(system: MeanSystem, wit: dict, wrap: _Wrap) -> tuple[float, float]:
-    weighting, values = wrap
+def _ev_homogeneity(system: MeanSystem, wit: dict, weighting, values) -> _Sides:
     w = weighting(wit["w"])
     x = np.asarray(wit["x"])
     c = float(wit["c"])
-    return system(w, values(c * x)), c * system(w, values(x))
+    scaled, xv = values(c * x), values(x)
+    return system(w, scaled), c * system(w, xv)
 
 
 # registry -----------------------------------------------------------------------
@@ -577,7 +562,7 @@ _CHECKS: tuple[_CheckDef, ...] = (
     _CheckDef("repetition", "equality", True, _mk_repetition, _ev_repetition),
     _CheckDef("zero_weight", "equality", True, _mk_zero_weight, _ev_zero_weight),
     _CheckDef("transfer", "inequality", True, _mk_transfer, _ev_transfer,
-              _valid_transfer, scalar_fields=("epsilon",)),
+              scalar_fields=("epsilon",)),
     _CheckDef("homogeneity", "equality", True, _mk_homogeneity, _ev_homogeneity,
               merge_groups=(("w", "x"),), scalar_fields=("c",)),
 )
@@ -596,20 +581,22 @@ def _off_grid(v: float) -> float:
     return min(abs(v - g) for g in _GRID)
 
 
-def _witness_size(check: _CheckDef, wit: dict) -> tuple[int, int, float]:
-    total = 0
-    count = 0
-    dist = 0.0
+def _snap_sites(check: _CheckDef, wit: dict) -> Iterator[tuple[str, int | None, float]]:
+    """(field, index or None, value) for each entry a snap may move, in order."""
     for key, val in wit.items():
         if isinstance(val, np.ndarray):
-            total += val.size
-            for entry in val.tolist():
-                d = _off_grid(entry)
-                if d > _ON_GRID_TOL:
-                    count += 1
-                    dist += min(d, 1.0)
+            for i, entry in enumerate(val.tolist()):
+                yield key, i, entry
     for key in check.scalar_fields:
-        d = _off_grid(float(wit[key]))
+        yield key, None, float(wit[key])
+
+
+def _witness_size(check: _CheckDef, wit: dict) -> tuple[int, int, float]:
+    total = sum(val.size for val in wit.values() if isinstance(val, np.ndarray))
+    count = 0
+    dist = 0.0
+    for _, _, entry in _snap_sites(check, wit):
+        d = _off_grid(entry)
         if d > _ON_GRID_TOL:
             count += 1
             dist += min(d, 1.0)
@@ -633,56 +620,39 @@ def _merge_candidates(check: _CheckDef, wit: dict) -> Iterator[dict]:
 
 
 def _snap_candidates(check: _CheckDef, wit: dict) -> Iterator[dict]:
-    weight_keys = set(check.weight_fields)
-    for key, val in wit.items():
-        if not isinstance(val, np.ndarray):
+    for key, i, entry in _snap_sites(check, wit):
+        if _off_grid(entry) <= _ON_GRID_TOL:
             continue
-        arr = np.asarray(val)
-        for i, entry in enumerate(arr.tolist()):
-            if _off_grid(entry) <= _ON_GRID_TOL:
-                continue
-            for g in _GRID:
-                new = arr.copy()
+        for g in _GRID:
+            new = g
+            if i is not None:
+                new = wit[key].copy()
                 new[i] = g
-                if key in weight_keys:
+                if key in check.weight_fields:
                     total = float(new.sum())
                     if total <= 0.0:
                         continue
                     new = new / total
-                cand = dict(wit)
-                cand[key] = new
-                yield cand
-    for key in check.scalar_fields:
-        v = float(wit[key])
-        if _off_grid(v) <= _ON_GRID_TOL:
-            continue
-        for g in _GRID:
-            cand = dict(wit)
-            cand[key] = g
-            yield cand
+            yield {**wit, key: new}
 
 
-def _shrink(system: MeanSystem, cfg: CheckConfig, check: _CheckDef,
-            wit: dict, tol: float) -> dict:
+def _shrink(system: MeanSystem, check: _CheckDef, wit: dict, tol: float,
+            wrap: _Wrap) -> dict:
     best = wit
     best_size = _witness_size(check, wit)
     budget = 500
     improved = True
     while improved and budget > 0:
         improved = False
-        for cand in _candidates_in_order(check, best):
+        for cand in chain(_merge_candidates(check, best), _snap_candidates(check, best)):
             budget -= 1
             if budget <= 0:
                 break
             size = _witness_size(check, cand)
             if not size < best_size:
                 continue
-            if not check.valid(cfg, cand):
-                continue
-            if not _weights_admissible(cfg, cand, check.weight_fields):
-                continue
             try:
-                _, _, resid, _ = _evaluate(check, system, cand, _CHECKED)
+                _, _, resid, _ = _evaluate(check, system, cand, wrap)
             except ValueError:  # the move left a witness that does not fit
                 continue
             if resid > tol:  # still failing: accept and restart the scan
@@ -690,11 +660,6 @@ def _shrink(system: MeanSystem, cfg: CheckConfig, check: _CheckDef,
                 improved = True
                 break
     return best
-
-
-def _candidates_in_order(check: _CheckDef, wit: dict) -> Iterator[dict]:
-    yield from _merge_candidates(check, wit)
-    yield from _snap_candidates(check, wit)
 
 
 # ── Running checks ────────────────────────────────────────────────────────────
@@ -720,19 +685,19 @@ def _to_counterexample(wit: dict, lhs: float, rhs: float, residual: float,
 
 def _run_check(system: MeanSystem, cfg: CheckConfig, check: _CheckDef) -> CheckReport:
     note = _DERIVED_NOTE if check.derived else None
-    if system.positivity_only and not cfg.positive_weights_only:
-        cfg = replace(cfg, positive_weights_only=True)
-    if check.name == "zero_weight" and cfg.positive_weights_only:
+    positive = system.positivity_only
+    if check.name == "zero_weight" and positive:
         return CheckReport(check.name, True, 0, None, 0.0,
                            note=f"{_NOT_APPLICABLE} with strictly positive weights")
     tol = cfg.rel_tol if check.kind == "equality" else cfg.slack
     index = _CHECK_INDEX[check.name]
     worst = 0.0
     for trial, rng in enumerate(_trial_rngs(cfg.seed, index, cfg.trials)):
-        wit = check.make_trial(cfg, trial, rng)
+        wit = check.make_trial(cfg, positive, trial, rng)
         lhs, rhs, resid, error = _evaluate(check, system, wit, _FRESH)
         if resid > tol:
-            shrunk = _shrink(system, cfg, check, wit, tol)
+            wrap = _POSITIVE if positive else _CHECKED
+            shrunk = _shrink(system, check, wit, tol, wrap)
             lhs, rhs, resid, error = _evaluate(check, system, shrunk, _CHECKED)
             ce = _to_counterexample(shrunk, lhs, rhs, resid, error)
             return CheckReport(check.name, False, trial + 1, ce, resid, note=note)
@@ -841,7 +806,7 @@ def suite_to_dict(system: MeanSystem, cfg: CheckConfig, reports) -> dict:
         "system": system.label,
         "seed": cfg.seed,
         "trials": cfg.trials,
-        "positive_weights_only": cfg.positive_weights_only or system.positivity_only,
+        "positive_weights_only": system.positivity_only,
         "passed": suite_passed(reports),
         "checks": [report_to_dict(r, cfg.seed) for r in reports],
     }

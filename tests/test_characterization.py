@@ -240,6 +240,16 @@ def test_sandwich_stage_evaluates_each_trial_point_once_per_delta(monkeypatch, s
     assert stage() == (report, [2 * len(cfg.deltas)] * report.trials)
 
 
+def test_sandwich_stage_fails_on_its_residual():
+    # sum(w^2*x)/sum(w^2) is finite everywhere; its bracket misses, and the
+    # stage reports the residual, not an error.
+    cfg = CharacterizationConfig(seed=0, trials=40)
+    report = characterize._stage_sandwich(dsl_mean_system("sum(w^2*x)/sum(w^2)"), cfg)
+    assert not report.passed and report.trials == 6
+    assert sorted(report.detail) == ["delta", "gap", "slope_estimate", "value_at",
+                                     "value_lower", "value_upper", "w", "x"]
+
+
 def test_sandwich_gap_shrinks_linearly():
     # the bracket gap stays below 4 * slope * delta with the slope measured
     # once per instance at the coarsest spacing

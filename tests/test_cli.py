@@ -87,6 +87,12 @@ def test_bad_weights_exit_2(capsys):
     assert code == 2 and "sum" in err
 
 
+def test_unparsable_weights_exit_2(capsys):
+    code, out, err = run_cli(capsys, "eval", "--builtin", "2", "--w", "abc", "--x", "1")
+    assert (code, out) == (2, "")
+    assert err == "meanlab: bad --w list 'abc': could not convert string to float: 'abc'\n"
+
+
 def test_bad_builtin_exit_2(capsys):
     code, _, err = run_cli(capsys, "eval", "--builtin", "two",
                            "--w", "1", "--x", "1")

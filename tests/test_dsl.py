@@ -97,6 +97,15 @@ def test_syntax_error_positions():
     assert err.value.line == 2
 
 
+def test_syntax_error_messages():
+    with pytest.raises(ExprSyntaxError,
+                       match=r"^unexpected character '\$' at line 1, column 9$"):
+        parse_mean_expr("sum(w*x)$")
+    with pytest.raises(ExprSyntaxError, match=r"^unexpected end of input at line 1, "
+                                              r"column 10 \(expected '\)'\)$"):
+        parse_mean_expr("(sum(w*x)")
+
+
 def test_reducers_cannot_nest():
     with pytest.raises(ExprSyntaxError) as err:
         parse_mean_expr("max(min(x))")

@@ -180,6 +180,21 @@ def test_replay_rejects_counterexamples_that_do_not_fit():
             replay_counterexample(system, name, bad)
 
 
+def test_malformed_reports_are_value_errors():
+    # A JSON report edited by hand: each of these must be a ValueError, from
+    # the parse step or from replay, never an IndexError or a TypeError.
+    system = builtin_power_mean_system(2)
+    good = {"w": [0.5, 0.5], "x": [1.0], "aux": {}, "lhs": 0.0, "rhs": 0.0,
+            "residual": 0.0}
+    lacking_lhs = {k: v for k, v in good.items() if k != "lhs"}
+    for data in ({**good, "w": 5}, lacking_lhs, {**good, "aux": [1]}, [good]):
+        with pytest.raises(ValueError):
+            Counterexample.from_dict(data)
+    empty_x = Counterexample.from_dict({**good, "x": []})
+    with pytest.raises(ValueError, match="^repetition needs n >= 1 values"):
+        replay_counterexample(system, "repetition", empty_x)
+
+
 _HOSTILE = "sum(w*(x-1)*1e300*1e300)"
 
 # Each system with a law it breaks; together they fail all ten checks.
@@ -306,8 +321,8 @@ def test_trial_streams_are_frozen(key):
 
 
 def test_positive_mode_skips_zero_weight_check():
-    cfg = CheckConfig(seed=0, trials=40, positive_weights_only=True)
-    report = check_zero_weight(builtin_power_mean_system(2), cfg)
+    cfg = CheckConfig(seed=0, trials=40)
+    report = check_zero_weight(builtin_power_mean_system(2, positivity_only=True), cfg)
     assert report.passed and report.trials_run == 0
     assert "not applicable" in report.note
 
@@ -318,6 +333,41 @@ def test_positivity_only_system_forces_positive_mode():
     reports = {r.property_name: r for r in run_full_suite(system, _FAST)}
     assert reports["zero_weight"].trials_run == 0
     assert suite_passed(reports.values())
+
+
+# Positive-only systems, each failing at least one law on some seed.
+_POSITIVE_ONLY_SYSTEMS = (
+    "sum(w^2*x)", "(sum(w*x)+sum(w*x^2)^0.5)/2", _HOSTILE, "sum(w^3*x)/sum(w^3)",
+    "prod(x^w)", "sum(w*x^2)", "max(x*w)",
+)
+
+
+def test_positive_only_counterexamples_keep_weights_positive():
+    # Shrinking may snap a weight to 0 or move all of w[-1]; for a system only
+    # claimed on strictly positive weightings, such a witness is out of scope.
+    failures = 0
+    for source, seed in itertools.product(_POSITIVE_ONLY_SYSTEMS, (0, 7)):
+        system = dsl_mean_system(source, positivity_only=True)
+        for report in run_full_suite(system, CheckConfig(seed=seed, trials=60)):
+            ce = report.counterexample
+            if ce is None:
+                continue
+            failures += 1
+            where = (source, seed, report.property_name)
+            assert all(v > 0.0 for v in (ce.w or ()) + tuple(ce.aux.get("v", ()))), where
+            if report.property_name == "transfer":
+                assert ce.aux["epsilon"] < ce.w[-1], where
+    assert failures >= len(_POSITIVE_ONLY_SYSTEMS) * 2
+
+
+def test_positive_pair_rejects_a_transfer_that_empties_the_last_weight():
+    def never(w, x):
+        raise AssertionError("the system was called")
+
+    wit = {"w": np.array([0.5, 0.5]), "x": np.array([2.0, 1.0]), "epsilon": 0.5}
+    transfer = harness._CHECKS[harness._CHECK_INDEX["transfer"]]
+    with pytest.raises(ValueError, match="strictly positive"):
+        transfer.evaluate(MeanSystem(never, "never"), wit, *harness._POSITIVE)
 
 
 def test_exceptions_count_as_failures_with_a_recorded_error():
@@ -394,13 +444,12 @@ def test_fresh_witnesses_pass_the_public_constructors():
     p = Exponent(1.0)
     for seed, max_n in itertools.product((0, 7, 2 ** 31), (2, 8, 33)):
         for positive in (False, True):
-            cfg = CheckConfig(seed=seed, trials=200, max_n=max_n,
-                              positive_weights_only=positive)
+            cfg = CheckConfig(seed=seed, trials=200, max_n=max_n)
             for stream, check in enumerate(harness._CHECKS):
                 for trial, rng in enumerate(harness._trial_rngs(seed, stream, cfg.trials)):
-                    wit = check.make_trial(cfg, trial, rng)
-                    fresh = check.evaluate(system, wit, harness._FRESH)
-                    checked = check.evaluate(system, wit, harness._CHECKED)
+                    wit = check.make_trial(cfg, positive, trial, rng)
+                    fresh = check.evaluate(system, wit, *harness._FRESH)
+                    checked = check.evaluate(system, wit, *harness._CHECKED)
                     assert _bits(*fresh) == _bits(*checked), (check.name, seed, max_n, trial)
             stage_cfg = CharacterizationConfig(seed=seed, trials=200, max_n=max_n)
             report = characterize._stage_rational(_revalidating_system(positive), stage_cfg, p)
