@@ -622,13 +622,30 @@ def power_mean_oracle(
 # ── Transport along index maps ────────────────────────────────────────────────
 
 
+def _pushed(f: IndexMap, w: np.ndarray) -> np.ndarray:
+    """The entries of pushforward(f, ·) for weight entries w, unvalidated."""
+    if w.size != f.domain_size:
+        raise ValueError("weighting length must equal the map's domain size")
+    return np.bincount(np.array(f.images, dtype=np.intp), weights=w, minlength=f.codomain_size)
+
+
+def _pulled(f: IndexMap, x: np.ndarray) -> np.ndarray:
+    """The entries of pullback(f, ·) for value entries x, unvalidated."""
+    if x.size != f.codomain_size:
+        raise ValueError("value length must equal the map's codomain size")
+    if f.domain_size == 0:
+        raise ValueError("pullback along an empty domain yields an empty vector")
+    return x[np.array(f.images, dtype=np.intp)]
+
+
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The entries of a tensor product, row-major (a's index major), unvalidated."""
+    return np.outer(a, b).ravel()
+
+
 def pushforward(f: IndexMap, w: Weighting) -> Weighting:
     """Push a weighting forward along f: (f·w)ⱼ = Σ_{i : f(i)=j} wᵢ."""
-    if len(w) != f.domain_size:
-        raise ValueError("weighting length must equal the map's domain size")
-    out = np.bincount(
-        np.array(f.images, dtype=np.intp), weights=w.entries, minlength=f.codomain_size
-    )
+    out = _pushed(f, w.entries)
     exact = None
     if w.exact is not None:
         sums = [Fraction(0)] * f.codomain_size
@@ -640,11 +657,7 @@ def pushforward(f: IndexMap, w: Weighting) -> Weighting:
 
 def pullback(f: IndexMap, x: ValueVector) -> ValueVector:
     """Pull values back along f: (x·f)ᵢ = x_{f(i)}."""
-    if len(x) != f.codomain_size:
-        raise ValueError("value length must equal the map's codomain size")
-    if f.domain_size == 0:
-        raise ValueError("pullback along an empty domain yields an empty vector")
-    return ValueVector(x.entries[np.array(f.images, dtype=np.intp)])
+    return ValueVector(_pulled(f, x.entries))
 
 
 def embed(f: IndexMap, x: SignedVector) -> SignedVector:
@@ -663,7 +676,7 @@ def embed(f: IndexMap, x: SignedVector) -> SignedVector:
 
 def tensor_weights(w: Weighting, v: Weighting) -> Weighting:
     """Product weighting (w⊗v)_{(i,j)} = wᵢ·vⱼ, flattened row-major (i major)."""
-    out = np.outer(w.entries, v.entries).ravel()
+    out = _outer(w.entries, v.entries)
     exact = None
     if w.exact is not None and v.exact is not None:
         exact = tuple(a * b for a in w.exact for b in v.exact)
@@ -676,8 +689,7 @@ def tensor_values(x, y):
         raise TypeError("tensor_values needs two vectors of the same kind")
     if not isinstance(x, (ValueVector, SignedVector)):
         raise TypeError("tensor_values works on value or signed vectors")
-    out = np.outer(x.entries, y.entries).ravel()
-    return type(x)(out)
+    return type(x)(_outer(x.entries, y.entries))
 
 
 # ── Norms ─────────────────────────────────────────────────────────────────────

@@ -20,8 +20,8 @@ one deliberate convention: **0^0 = 1**.  Division by zero, a negative base
 raised to a non-integer power, a ``sum`` that meets inf - inf or overflows,
 and non-finite results are reported as evaluation errors, not propagated.
 
-Each tree is compiled once, on its first evaluation, into nested Python
-closures; later evaluations of the same tree only run those closures.
+Each tree is compiled once, on its first evaluation, into one generated
+Python function; later evaluations of the same tree only call that function.
 """
 
 from __future__ import annotations
@@ -85,8 +85,8 @@ class MeanExpr:
 
     @cached_property
     def _compiled(self) -> Callable[[Any, Any], float]:
-        """This tree as a closure of (weight list, value list), built on first use."""
-        return _compile(self, in_reducer=False)
+        """This tree as a function of (weight list, value list), built on first use."""
+        return _compile(self)
 
 
 @dataclass(frozen=True)
@@ -177,9 +177,9 @@ def _tokenize(source: str) -> list[_Token]:
 
 _BASE_EXPECTED = ("a number", "'w'", "'x'", "'sum'", "'prod'", "'max'", "'min'", "'('", "'-'")
 
-# Real means nest a few levels.  Parsing, formatting and evaluation each recurse
-# once per level, so deeper sources are refused as the tree is built, whatever
-# the caller's stack.  Each rule returns a (tree, height) pair.
+# Real means nest a few levels.  Parsing, formatting and compiling recurse per
+# level, and the generated function nests as deep as the tree, so deeper sources
+# are refused as the tree is built.  Each rule returns a (tree, height) pair.
 _MAX_DEPTH = 100
 
 
@@ -318,41 +318,39 @@ def _pow(a: float, b: float) -> float:
         raise ExprEvalError("overflow in '^'") from None
 
 
-def _compile(node: MeanExpr, in_reducer: bool) -> Callable[[Any, Any], float]:
-    """The closure f(w, x) that evaluates ``node``.
+def _compile(tree: MeanExpr) -> Callable[[list, list], float]:
+    """One generated function f(ws, xs) of the entry lists that evaluates ``tree``.
+    Its source comes from the tree alone.  Literals are bound by name, not by
+    repr (1e999 reads back as inf), which also keeps CPython from folding them."""
+    env: dict[str, Any] = {"_div": _div, "_pow": _pow, "fsum": math.fsum, "prod": math.prod}
 
-    At the top level w and x are the entry lists; inside a reducer body they
-    are the weight and value at one index.  Operands run left before right.
-    """
-    if isinstance(node, Literal):
-        value = node.value
-        return lambda w, x: value
-    if isinstance(node, (WeightRef, ValueRef)):
-        if not in_reducer:
-            raise TypeError(f"{node!r} outside a reducer")
-        return (lambda w, x: w) if isinstance(node, WeightRef) else (lambda w, x: x)
-    if isinstance(node, Neg):
-        f = _compile(node.operand, in_reducer)
-        return lambda w, x: -f(w, x)
-    if isinstance(node, BinOp):
-        a = _compile(node.left, in_reducer)
-        b = _compile(node.right, in_reducer)
-        if node.op == "+":
-            return lambda w, x: a(w, x) + b(w, x)
-        if node.op == "-":
-            return lambda w, x: a(w, x) - b(w, x)
-        if node.op == "*":
-            return lambda w, x: a(w, x) * b(w, x)
-        if node.op == "/":
-            return lambda w, x: _div(a(w, x), b(w, x))
-        return lambda w, x: _pow(a(w, x), b(w, x))
-    if isinstance(node, Reduce):
-        if in_reducer:
-            raise TypeError(f"nested reducer {node!r}")
-        f = _compile(node.body, True)
-        reduce = _REDUCE[node.kind]
-        return lambda ws, xs: reduce(map(f, ws, xs))
-    raise TypeError(f"not an expression node: {node!r}")
+    def emit(node: MeanExpr, in_reducer: bool) -> str:
+        if isinstance(node, Literal):
+            name = f"c{len(env)}"
+            env[name] = node.value
+            return name
+        if isinstance(node, (WeightRef, ValueRef)):
+            if not in_reducer:
+                raise TypeError(f"{node!r} outside a reducer")
+            return "w" if isinstance(node, WeightRef) else "x"
+        if isinstance(node, Neg):
+            return f"(-{emit(node.operand, in_reducer)})"
+        if isinstance(node, BinOp):  # Python runs operands left before right
+            a, b = emit(node.left, in_reducer), emit(node.right, in_reducer)
+            return _FORMS[node.op].format(a, b)
+        if isinstance(node, Reduce):
+            if in_reducer:
+                raise TypeError(f"nested reducer {node!r}")
+            body = emit(node.body, True)
+            terms = f"{body} for w, x in zip(ws, xs)"
+            if node.kind == "sum" and ("_div" in body or "_pow" in body):
+                return f"fsum({terms})"  # fsum may overflow before a later term raises
+            return _FORMS[node.kind].format(f"[{terms}]")
+        raise TypeError(f"not an expression node: {node!r}")
+
+    source = f"def f(ws, xs):\n    return {emit(tree, False)}\n"
+    exec(compile(source, "<meanlab.dsl>", "exec"), env)
+    return env["f"]
 
 
 def _div(a: float, b: float) -> float:
@@ -362,8 +360,10 @@ def _div(a: float, b: float) -> float:
         raise ExprEvalError("division by zero") from None
 
 
-_REDUCE = {"sum": math.fsum, "prod": lambda items: math.prod(items, start=1.0),
-           "max": max, "min": min}
+# Python source for each operator and reducer; terms reach a reducer as a list.
+_FORMS = {"+": "({} + {})", "-": "({} - {})", "*": "({} * {})", "/": "_div({}, {})",
+          "^": "_pow({}, {})", "sum": "fsum({})", "prod": "prod({}, start=1.0)",
+          "max": "max({})", "min": "min({})"}
 
 
 def eval_mean_expr(expr: MeanExpr, w: Weighting, x: ValueVector) -> float:

@@ -27,15 +27,7 @@ from typing import Callable, Iterator, TypeAlias
 
 import numpy as np
 
-from .core import (
-    IndexMap,
-    ValueVector,
-    Weighting,
-    pullback,
-    pushforward,
-    tensor_values,
-    tensor_weights,
-)
+from .core import IndexMap, ValueVector, Weighting, _outer, _pulled, _pushed
 from .systems import MeanSystem, SystemEvalError
 
 __all__ = [
@@ -340,7 +332,7 @@ def _ev_functoriality(system: MeanSystem, wit: dict, weighting, values) -> _Side
     w = weighting(wit["w"])
     x = values(wit["x"])
     f = IndexMap(len(w), int(wit["codomain_size"]), tuple(wit["images"]))
-    pushed, pulled = pushforward(f, w), pullback(f, x)
+    pushed, pulled = weighting(_pushed(f, w.entries)), values(_pulled(f, x.entries))
     return system(pushed, x), system(w, pulled)
 
 
@@ -423,8 +415,8 @@ def _ev_multiplicativity(system: MeanSystem, wit: dict, weighting, values) -> _S
     v = weighting(wit["v"])
     x = values(wit["x"])
     y = values(wit["y"])
-    lhs = system(tensor_weights(w, v), tensor_values(x, y))
-    return lhs, system(w, x) * system(v, y)
+    wv, xy = weighting(_outer(w.entries, v.entries)), values(_outer(x.entries, y.entries))
+    return system(wv, xy), system(w, x) * system(v, y)
 
 
 # symmetry -----------------------------------------------------------------------
@@ -578,7 +570,7 @@ _ON_GRID_TOL = 1e-12
 
 
 def _off_grid(v: float) -> float:
-    return min(abs(v - g) for g in _GRID)
+    return min(abs(v), abs(v - 0.5), abs(v - 1.0))  # the distance to _GRID
 
 
 def _snap_sites(check: _CheckDef, wit: dict) -> Iterator[tuple[str, int | None, float]]:
@@ -592,14 +584,18 @@ def _snap_sites(check: _CheckDef, wit: dict) -> Iterator[tuple[str, int | None, 
 
 
 def _witness_size(check: _CheckDef, wit: dict) -> tuple[int, int, float]:
-    total = sum(val.size for val in wit.values() if isinstance(val, np.ndarray))
+    """(array entries, entries off the grid, their summed distance to it, each
+    capped at 1), over the entries in ``_snap_sites`` order."""
+    entries = [v for val in wit.values() if isinstance(val, np.ndarray) for v in val.tolist()]
+    total = len(entries)
+    entries += [float(wit[key]) for key in check.scalar_fields]
     count = 0
     dist = 0.0
-    for _, _, entry in _snap_sites(check, wit):
-        d = _off_grid(entry)
+    for v in entries:
+        d = _off_grid(v)
         if d > _ON_GRID_TOL:
             count += 1
-            dist += min(d, 1.0)
+            dist += min(d, 1.0)  # in order, not sum(): it compensates on 3.12+
     return total, count, dist
 
 

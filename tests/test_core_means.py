@@ -443,6 +443,18 @@ def test_tensor_weights_exact():
     assert got.exact == (Fraction(1, 6),) * 6
 
 
+def test_transports_validate_what_they_build():
+    # Valid inputs can still give an invalid result: a product that overflows,
+    # and weight sums whose drift doubles in the tensor product.
+    with np.errstate(over="ignore"), pytest.raises(ValueError,
+                                                   match=r"^value entries must be finite$"):
+        tensor_values(V(1e200), V(1e200))
+    w = W(0.5, 0.5 + 0.9e-12)
+    with pytest.raises(ValueError, match=r"^weighting sums to 1\.0000000000018, off by more "
+                                         r"than 1e-12 — normalize explicitly"):
+        tensor_weights(w, w)
+
+
 # ── Norms ─────────────────────────────────────────────────────────────────────
 
 

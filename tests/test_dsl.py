@@ -266,7 +266,7 @@ def test_format_round_trips_random_trees():
 
 
 def _interpret(expr, w, x):
-    """The tree-walking interpreter the compiled closures replaced, kept as the
+    """The tree-walking interpreter that compiled trees replaced, kept as the
     reference they must match bit for bit."""
     if len(w) != len(x):
         raise ValueError(f"length mismatch: {len(w)} weights vs {len(x)} values")
@@ -334,9 +334,11 @@ def _outcome(evaluate, tree, w, x):
 
 # Reducer edge cases random trees rarely reach: fsum's ValueError on inf - inf
 # and OverflowError on a finite overflow become ExprEvalError with fsum's
-# message, NaN and inf results are evaluation errors.
+# message, NaN and inf results are evaluation errors.  1e999 parses to inf.
 _EDGE_SOURCES = [
     "sum(w*(x-1)*1e300*1e300)",
+    "sum(w*x*1e999)",
+    "sum(w*x)+1e999-1e999",
     "sum(x*1e308)",
     "sum(x*1e300*1e300-x*1e300*1e300)",
     "prod(x*1e300)",
@@ -364,6 +366,39 @@ def test_compiled_trees_match_the_interpreter_bit_for_bit():
             assert _outcome(eval_mean_expr, tree, w, x) == want, format_mean_expr(tree)
             raised += isinstance(want, tuple)
     assert 0 < raised < 1200  # both outcomes are exercised
+
+
+def test_a_term_that_raises_after_fsum_overflows_is_never_reached():
+    # fsum meets the overflow at the second term; the third divides by zero.
+    for source in ("sum(x*1e308 + 1/(x-2))", "sum(x*1e308 + (x-2)^-1)"):
+        tree = parse_mean_expr(source)
+        w, x = uniform(3), V(1.5, 1.5, 2.0)
+        want = _outcome(_interpret, tree, w, x)
+        assert want == (ExprEvalError, "intermediate overflow in fsum")
+        assert _outcome(eval_mean_expr, tree, w, x) == want
+
+
+# The deepest source of each kind the parser accepts: one level more is
+# refused.  Each compiles to one Python function whose nesting CPython's parser
+# and compiler must take.
+_DEEPEST = {
+    "parens": (lambda k: "sum(" + "(" * k + "w*x" + ")" * k + ")", 97),
+    "minus": (lambda k: "sum(w*" + "-" * k + "x)", 97),
+    "powers": (lambda k: "sum(w*x" + "^x" * k + ")", 97),
+    "chain": (lambda k: "sum(w*x" + "+w*x" * k + ")", 97),  # 98 terms
+    "mixed": (lambda k: "prod(" + "(1+x/-" * k + "w" + ")" * k + ")+max(x)/min(x)^2", 32),
+}
+
+
+@pytest.mark.parametrize("kind", list(_DEEPEST))
+def test_deepest_sources_compile_and_match_the_interpreter(kind):
+    make, levels = _DEEPEST[kind]
+    with pytest.raises(ExprSyntaxError, match="nests deeper than 100 levels"):
+        parse_mean_expr(make(levels + 1))
+    tree = parse_mean_expr(make(levels))
+    for w, x in ((W(0.5, 0.5), V(0.9, 1.1)), (W(0.25, 0.75), V(0.5, 2.0)), (W(1.0), V(0.0))):
+        want = _outcome(_interpret, tree, w, x)
+        assert _outcome(eval_mean_expr, tree, w, x) == want, (kind, w, x)
 
 
 # ── Systems built from expressions ────────────────────────────────────────────

@@ -423,34 +423,42 @@ def _bits(*values):
 
 def _revalidating_system(positivity_only):
     """The arithmetic mean, which also checks every container it is handed:
-    read-only, and rebuilt bit for bit by the public constructors."""
+    read-only, rebuilt bit for bit by the public constructors, and for a
+    positivity-only system, a weighting with no zero."""
     def evaluate(w, x):
+        # Before rebuilding: a constructor makes the array it is given read-only.
+        assert not (w.entries.flags.writeable or x.entries.flags.writeable)
         for wrapped, rebuilt in ((w, Weighting(w.entries, exact=w.exact)),
                                  (x, ValueVector(x.entries))):
-            assert not wrapped.entries.flags.writeable
             assert rebuilt.entries.dtype == wrapped.entries.dtype == np.float64
             assert rebuilt.entries.tobytes() == wrapped.entries.tobytes()
+        assert not positivity_only or w.support.all()
         return float(np.dot(w.entries, x.entries))
 
     return MeanSystem(evaluate, "revalidating", positivity_only)
 
 
 def test_fresh_witnesses_pass_the_public_constructors():
-    # Fresh trials wrap what the generators drew without the constructors'
-    # checks; this test stands in for those checks.  max_n = 33 draws vectors
-    # longer than power_mean's scalar path takes.  A stage whose system fails
-    # an assertion reports it in its detail.
+    # Fresh trials wrap what the generators drew, and the pushed, pulled and
+    # tensor arrays derived from it, without the constructors' checks; this
+    # test stands in for those checks.  max_n = 33 draws vectors longer than
+    # power_mean's scalar path takes.  A system that fails an assertion raises
+    # SystemEvalError here, and a stage reports it in its detail.
     system = MeanSystem(lambda w, x: float(np.dot(w.entries, x.entries)), "dot")
     p = Exponent(1.0)
     for seed, max_n in itertools.product((0, 7, 2 ** 31), (2, 8, 33)):
         for positive in (False, True):
             cfg = CheckConfig(seed=seed, trials=200, max_n=max_n)
+            revalidating = _revalidating_system(positive)
             for stream, check in enumerate(harness._CHECKS):
+                if positive and check.name == "zero_weight":
+                    continue  # not run for positivity-only systems
                 for trial, rng in enumerate(harness._trial_rngs(seed, stream, cfg.trials)):
                     wit = check.make_trial(cfg, positive, trial, rng)
                     fresh = check.evaluate(system, wit, *harness._FRESH)
                     checked = check.evaluate(system, wit, *harness._CHECKED)
                     assert _bits(*fresh) == _bits(*checked), (check.name, seed, max_n, trial)
+                    check.evaluate(revalidating, wit, *harness._FRESH)
             stage_cfg = CharacterizationConfig(seed=seed, trials=200, max_n=max_n)
             report = characterize._stage_rational(_revalidating_system(positive), stage_cfg, p)
             assert report.passed and report.trials == 200, (seed, max_n, positive, report)
@@ -463,6 +471,57 @@ def test_fresh_witnesses_pass_the_public_constructors():
                        stage_cfg, trials=800, deltas=(1e-2,))))
         for report in reports:
             assert report.passed and report.trials == 200, (seed, max_n, report)
+
+
+def _witness_size_reference(check, wit):
+    """_witness_size as a walk of (field, index, value) sites with a min()
+    over the grid for every entry, kept as the reference it must match bit
+    for bit."""
+    def sites():
+        for key, val in wit.items():
+            if isinstance(val, np.ndarray):
+                for i, entry in enumerate(val.tolist()):
+                    yield key, i, entry
+        for key in check.scalar_fields:
+            yield key, None, float(wit[key])
+
+    total = sum(val.size for val in wit.values() if isinstance(val, np.ndarray))
+    count = 0
+    dist = 0.0
+    for _, _, entry in sites():
+        d = min(abs(entry - g) for g in (0.0, 0.5, 1.0))
+        if d > 1e-12:
+            count += 1
+            dist += min(d, 1.0)
+    return total, count, dist
+
+
+# Entries at, just inside and just outside the on-grid tolerance, and far off.
+_NEAR_GRID = (-0.0, 0.0, 5e-324, 1e-13, -1e-12, 1e-12, 1.0000000000000002e-12,
+              0.5 - 1e-12, 0.5 + 9e-13, 0.5 + 2e-12, 1.0 - 1e-12, 1.0 + 1e-13,
+              1.0 + 3e-12, 0.25, 1e300)
+
+
+def test_witness_size_matches_the_reference_bit_for_bit():
+    rng = np.random.default_rng(2024)
+    cfg = CheckConfig(seed=3)
+    counts = set()
+    for stream, check in enumerate(harness._CHECKS):
+        for trial, trial_rng in enumerate(harness._trial_rngs(cfg.seed, stream, 80)):
+            wit = check.make_trial(cfg, trial % 2 == 1, trial, trial_rng)
+            for key, val in wit.items():
+                if isinstance(val, np.ndarray):
+                    pick = rng.random(val.size) < 0.5
+                    wit[key] = val.copy()
+                    wit[key][pick] = rng.choice(_NEAR_GRID, int(pick.sum()))
+            for key in check.scalar_fields:  # c and epsilon
+                if rng.random() < 0.5:
+                    wit[key] = float(rng.choice(_NEAR_GRID))
+            got = harness._witness_size(check, wit)
+            want = _witness_size_reference(check, wit)
+            assert got[:2] == want[:2] and got[2].hex() == want[2].hex(), (check.name, trial)
+            counts.add(got[1] < got[0] + len(check.scalar_fields))
+    assert counts == {True, False}  # witnesses with and without on-grid entries
 
 
 @pytest.mark.parametrize("field", ["w", "x"])
