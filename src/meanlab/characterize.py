@@ -58,6 +58,15 @@ __all__ = [
 
 _TINY = 1e-300
 
+# The probe weights exp(-0.1*k) are normal floats up to k = 7083; past that the
+# fit loses bits, and past 7451 the weights underflow to zero.
+_MAX_SAMPLES = 7083
+
+
+def _check_sample_count(sample_count: int) -> None:
+    if not 2 <= sample_count <= _MAX_SAMPLES:
+        raise ValueError(f"need at least two sample points and at most {_MAX_SAMPLES}")
+
 
 def indicator_probe(system: MeanSystem, s: float) -> float:
     """Value of ``system`` on values (1, 0) with weight ``s`` on the 1."""
@@ -99,12 +108,12 @@ def recover_exponent(system: MeanSystem, sample_count: int = 30) -> RecoveryResu
     """Fit the probe family on a fixed grid and return the implied exponent.
 
     The grid is t = 0.1, 0.2, ..., 0.1*sample_count in -log(s), plus t = log 2
-    (i.e. s = 1/2 exactly) for the single-point cross-check.  Raises
-    ``ValueError`` if a probe value is negative, above 1, non-finite, or zero
-    at some sample points but not others; no single exponent produces that.
+    (i.e. s = 1/2 exactly) for the single-point cross-check; sample_count
+    must lie in [2, 7083].  Raises ``ValueError`` if a probe value is
+    negative, above 1, non-finite, or zero at some sample points but not
+    others; no single exponent produces that.
     """
-    if sample_count < 2:
-        raise ValueError("need at least two sample points")
+    _check_sample_count(sample_count)
     ts = [0.1 * k for k in range(1, sample_count + 1)]
     ss = [math.exp(-t) for t in ts]
     ts.append(math.log(2.0))
@@ -278,8 +287,7 @@ class CharacterizationConfig:
                     rel_tol=self.rel_tol, slack=self.slack)
         if not 2 <= self.weight_denominator_max <= 10 ** 6:  # expand_rational's cap
             raise ValueError("weight_denominator_max must lie in [2, 1000000]")
-        if self.sample_count < 2:
-            raise ValueError("need at least two sample points")
+        _check_sample_count(self.sample_count)
         # The sandwich stage grids each delta at denominator ceil(2/delta), at
         # most rational_sandwich's default 10**6, and moves delta of weight off
         # coordinates that can weigh as little as 1/(2*max_n).

@@ -35,6 +35,7 @@ import numpy as np
 
 from .characterize import (
     CharacterizationConfig,
+    _check_sample_count,
     characterization_to_dict,
     rational_sandwich,
     recover_exponent,
@@ -275,8 +276,7 @@ def _cmd_axioms(args: argparse.Namespace) -> int:
 
 def _cmd_recover(args: argparse.Namespace) -> int:
     system = _build_system(args)
-    if args.samples < 2:
-        raise ValueError("need at least two sample points")
+    _check_sample_count(args.samples)  # before the probes, whose ValueError is exit 1
     try:
         result = recover_exponent(system, args.samples)
     except ValueError as exc:  # probes no single exponent explains

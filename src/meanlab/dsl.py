@@ -177,128 +177,100 @@ def _tokenize(source: str) -> list[_Token]:
 
 _BASE_EXPECTED = ("a number", "'w'", "'x'", "'sum'", "'prod'", "'max'", "'min'", "'('", "'-'")
 
-# Real means nest a few levels.  Parsing, formatting and compiling recurse per
-# level, and the generated function nests as deep as the tree, so deeper sources
-# are refused as the tree is built.  Each rule returns a (tree, height) pair.
+# How tightly each binary operator binds, for the parser and the printer alike;
+# '^' is right-associative.  A base (number, name, reducer, parenthesis or
+# unary minus) binds tighter than any of them.
+_BINDING = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3}
+_BASE = 4
+
+# Real means nest a few levels.  Parsing keeps its own stacks, but compiling and
+# formatting recurse once per tree level, and the generated function nests as
+# deep as the tree, so deeper sources are refused as the tree is built.
 _MAX_DEPTH = 100
+_TOO_DEEP = f"expression nests deeper than {_MAX_DEPTH} levels"
 
 
-class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.pos = 0
-        self.depth = 0  # parens, reducers, '^' and unary minus open above here
-
-    @property
-    def here(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        tok = self.here
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str, expected: tuple[str, ...]) -> _Token:
-        if self.here.kind != kind:
-            raise ExprSyntaxError(
-                f"unexpected {self._describe(self.here)}", self.here.line,
-                self.here.column, expected,
-            )
-        return self.advance()
-
-    @staticmethod
-    def _describe(tok: _Token) -> str:
-        return "end of input" if tok.kind == "end" else repr(tok.text)
-
-    def check_depth(self, tok: _Token, height: int) -> None:
-        if self.depth + height > _MAX_DEPTH:
-            raise ExprSyntaxError(f"expression nests deeper than {_MAX_DEPTH} levels",
-                                  tok.line, tok.column)
-
-    def inner(self, tok: _Token, rule, in_reducer: bool) -> tuple[MeanExpr, int]:
-        self.depth += 1
-        self.check_depth(tok, 1)
-        node = rule(in_reducer)
-        self.depth -= 1
-        return node
-
-    def binop(self, tok: _Token, left, right) -> tuple[MeanExpr, int]:
-        height = 1 + max(left[1], right[1])
-        self.check_depth(tok, height)
-        return BinOp(tok.kind, left[0], right[0]), height
-
-    def parse(self) -> MeanExpr:
-        node, _ = self.expr(in_reducer=False)
-        if self.here.kind != "end":
-            raise ExprSyntaxError(
-                f"unexpected {self._describe(self.here)}", self.here.line,
-                self.here.column, ("an operator", "end of input"),
-            )
-        return node
-
-    def expr(self, in_reducer: bool) -> tuple[MeanExpr, int]:
-        node = self.term(in_reducer)
-        while self.here.kind in ("+", "-"):
-            node = self.binop(self.advance(), node, self.term(in_reducer))
-        return node
-
-    def term(self, in_reducer: bool) -> tuple[MeanExpr, int]:
-        node = self.factor(in_reducer)
-        while self.here.kind in ("*", "/"):
-            node = self.binop(self.advance(), node, self.factor(in_reducer))
-        return node
-
-    def factor(self, in_reducer: bool) -> tuple[MeanExpr, int]:
-        node = self.base(in_reducer)
-        if self.here.kind == "^":
-            tok = self.advance()
-            node = self.binop(tok, node, self.inner(tok, self.factor, in_reducer))
-        return node
-
-    def base(self, in_reducer: bool) -> tuple[MeanExpr, int]:
-        tok = self.here
-        if tok.kind == "number":
-            self.advance()
-            return Literal(float(tok.text)), 1
-        if tok.kind == "-":
-            self.advance()
-            operand, height = self.inner(tok, self.base, in_reducer)
-            return Neg(operand), 1 + height
-        if tok.kind == "(":
-            self.advance()
-            node = self.inner(tok, self.expr, in_reducer)
-            self.expect(")", ("')'",))
-            return node
-        if tok.kind == "name":
-            if tok.text in ("w", "x"):
-                if not in_reducer:
-                    raise ExprSyntaxError(
-                        f"{tok.text!r} is only meaningful inside a reducer",
-                        tok.line, tok.column,
-                    )
-                self.advance()
-                return (WeightRef() if tok.text == "w" else ValueRef()), 1
-            if tok.text in REDUCERS:
-                if in_reducer:
-                    raise ExprSyntaxError(
-                        "reducers do not nest", tok.line, tok.column
-                    )
-                self.advance()
-                self.expect("(", ("'('",))
-                body, height = self.inner(tok, self.expr, True)
-                self.expect(")", ("')'",))
-                return Reduce(tok.text, body), 1 + height
-            raise ExprSyntaxError(
-                f"unknown name {tok.text!r}", tok.line, tok.column, _BASE_EXPECTED
-            )
-        raise ExprSyntaxError(
-            f"unexpected {self._describe(tok)}", tok.line, tok.column, _BASE_EXPECTED
-        )
+def _unexpected(tok: _Token, expected: tuple[str, ...]) -> ExprSyntaxError:
+    what = "end of input" if tok.kind == "end" else repr(tok.text)
+    return ExprSyntaxError(f"unexpected {what}", tok.line, tok.column, expected)
 
 
 def parse_mean_expr(source: str) -> MeanExpr:
-    """Parse DSL source into a syntax tree; raises ExprSyntaxError with position."""
-    return _Parser(_tokenize(source)).parse()
+    """Parse DSL source into a syntax tree; raises ExprSyntaxError with position.
+
+    One loop by operator precedence, with no Python frame per nesting level:
+    ``operands`` holds finished subtrees with their heights, ``pending`` the
+    tokens still waiting for operands, each with its binding (0 for an open
+    '(' or reducer).  ``depth`` counts the open '(', reducers, unary minus
+    and '^' right operands; a tree taller than ``_MAX_DEPTH`` below them is
+    refused at the token that makes it so."""
+    tokens = iter(_tokenize(source))
+    operands: list[tuple[MeanExpr, int]] = []
+    pending: list[tuple[int, _Token]] = []
+    depth, in_reducer, want_operand = 0, False, True
+    while True:
+        tok = next(tokens)
+        if want_operand:
+            if tok.text in ("w", "x") and not in_reducer:
+                raise ExprSyntaxError(f"{tok.text!r} is only meaningful inside a reducer",
+                                      tok.line, tok.column)
+            if tok.kind == "number" or tok.text in ("w", "x"):
+                leaf = (Literal(float(tok.text)) if tok.kind == "number" else
+                        WeightRef() if tok.text == "w" else ValueRef())
+                operands.append((leaf, 1))
+                want_operand = False
+                continue
+            if tok.text in REDUCERS:
+                if in_reducer:
+                    raise ExprSyntaxError("reducers do not nest", tok.line, tok.column)
+                paren = next(tokens)
+                if paren.kind != "(":
+                    raise _unexpected(paren, ("'('",))
+                in_reducer = True
+            elif tok.kind == "name":
+                raise ExprSyntaxError(f"unknown name {tok.text!r}", tok.line, tok.column,
+                                      _BASE_EXPECTED)
+            elif tok.kind not in ("(", "-"):
+                raise _unexpected(tok, _BASE_EXPECTED)
+            binding = _BASE if tok.kind == "-" else 0
+        else:
+            # Finish the pending operators that bind at least as tightly as tok.
+            binding = _BINDING.get(tok.kind, 0)
+            floor = _BASE if tok.kind == "^" else binding or 1  # '^' binds rightward
+            while pending and pending[-1][0] >= floor:
+                strength, op = pending.pop()
+                right, height = operands.pop()
+                if strength == _BASE:
+                    depth -= 1
+                    operands.append((Neg(right), height + 1))
+                    continue
+                left, left_height = operands.pop()
+                if op.kind == "^":  # its right operand is finished
+                    depth -= 1
+                height = 1 + max(left_height, height)
+                if depth + height > _MAX_DEPTH:
+                    raise ExprSyntaxError(_TOO_DEEP, op.line, op.column)
+                operands.append((BinOp(op.kind, left, right), height))
+            if not binding:
+                if tok.kind == ")" and pending:
+                    opener = pending.pop()[1]
+                    depth -= 1
+                    if opener.kind == "name":
+                        body, height = operands.pop()
+                        operands.append((Reduce(opener.text, body), height + 1))
+                        in_reducer = False
+                    continue
+                if tok.kind == "end" and not pending:
+                    return operands[0][0]
+                raise _unexpected(tok, ("')'",) if pending else ("an operator", "end of input"))
+            want_operand = True
+            if tok.kind != "^":
+                pending.append((binding, tok))
+                continue
+        depth += 1
+        if depth + 1 > _MAX_DEPTH:  # what tok opens is at least one level tall
+            raise ExprSyntaxError(_TOO_DEEP, tok.line, tok.column)
+        pending.append((binding, tok))
 
 
 # ── Evaluation ────────────────────────────────────────────────────────────────
@@ -381,46 +353,36 @@ def eval_mean_expr(expr: MeanExpr, w: Weighting, x: ValueVector) -> float:
 
 # ── Pretty-printing ───────────────────────────────────────────────────────────
 
-# Binding strength of each context; a child weaker than its context gets parens.
-_LEVEL_EXPR, _LEVEL_TERM, _LEVEL_POW, _LEVEL_BASE = 1, 2, 3, 4
-
-
 def format_mean_expr(expr: MeanExpr) -> str:
     """Render a tree back to source.  parse(format(t)) == t for every tree t
     expressible in the grammar."""
-    return _fmt(expr, _LEVEL_EXPR)
+    return _fmt(expr, 0)
 
 
 def _fmt(node: MeanExpr, level: int) -> str:
+    """``node`` as source, in parentheses if it binds less tightly than ``level``."""
     if isinstance(node, Literal):
         v = node.value
-        if v == int(v) and abs(v) < 1e16 and math.isfinite(v):
+        if abs(v) < 1e16 and v == int(v):  # false for inf and nan
             text = str(int(v))
         else:
-            text = repr(v)
-        return _wrap(text, _LEVEL_BASE, level) if text.startswith("-") else text
+            text = repr(v).replace("inf", "1e999")  # 1e999 reads back as inf
+        return _wrap(text, _BASE, level) if text.startswith("-") else text
     if isinstance(node, WeightRef):
         return "w"
     if isinstance(node, ValueRef):
         return "x"
     if isinstance(node, Reduce):
-        return f"{node.kind}({_fmt(node.body, _LEVEL_EXPR)})"
+        return f"{node.kind}({_fmt(node.body, 0)})"
     if isinstance(node, Neg):
-        return _wrap("-" + _fmt(node.operand, _LEVEL_BASE), _LEVEL_BASE, level)
+        return _wrap("-" + _fmt(node.operand, _BASE), _BASE, level)
     if isinstance(node, BinOp):
-        if node.op in ("+", "-"):
-            mine = _LEVEL_EXPR
-            left = _fmt(node.left, mine)
-            right = _fmt(node.right, mine + 1)  # '-' is left-associative
-        elif node.op in ("*", "/"):
-            mine = _LEVEL_TERM
-            left = _fmt(node.left, mine)
-            right = _fmt(node.right, mine + 1)
-        else:  # '^': left side must be a bare base, right side binds rightward
-            mine = _LEVEL_POW
-            left = _fmt(node.left, _LEVEL_BASE + 1)
-            right = _fmt(node.right, mine)
-        return _wrap(f"{left} {node.op} {right}" if node.op in "+-" else
+        mine = _BINDING[node.op]
+        if node.op == "^":  # the left side must be a base, the right binds rightward
+            left, right = _fmt(node.left, _BASE + 1), _fmt(node.right, mine)
+        else:  # left-associative
+            left, right = _fmt(node.left, mine), _fmt(node.right, mine + 1)
+        return _wrap(f"{left} {node.op} {right}" if mine == 1 else
                      f"{left}{node.op}{right}", mine, level)
     raise TypeError(f"not an expression node: {node!r}")
 

@@ -107,8 +107,14 @@ def test_recovery_rejects_mixed_zero_probe():
 
 
 def test_recovery_sample_count_guard():
-    with pytest.raises(ValueError):
-        recover_exponent(builtin_power_mean_system(2), sample_count=1)
+    # Past k = 7083 the probe weight exp(-0.1*k) is subnormal: at 7451 the fit
+    # read p = 2.0000022, and from 7452 on the weights are zero.
+    for count in (1, 7084, 7451, 7452):
+        with pytest.raises(ValueError, match=r"^need at least two sample points "
+                                             r"and at most 7083$"):
+            recover_exponent(builtin_power_mean_system(2), sample_count=count)
+    r = recover_exponent(builtin_power_mean_system(2), sample_count=7083)
+    assert r.exponent.as_float() == 2.0 and len(r.samples) == 7084
 
 
 # ── Sandwich ──────────────────────────────────────────────────────────────────
@@ -366,6 +372,7 @@ def test_config_validation():
         dict(weight_denominator_max=1),
         dict(weight_denominator_max=10 ** 6 + 1),
         dict(sample_count=1),
+        dict(sample_count=7084),
     ]
     for kwargs in bad:
         with pytest.raises(ValueError):

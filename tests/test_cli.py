@@ -263,6 +263,14 @@ def test_recover_too_few_samples_exits_2(capsys):
     assert code == 2 and out == "" and "two sample points" in err
 
 
+def test_recover_samples_past_normal_probe_weights_exit_2(capsys):
+    code, out, err = run_cli(capsys, "recover", "--builtin", "2", "--samples", "7084")
+    assert (code, out) == (2, "")
+    assert err == "meanlab: need at least two sample points and at most 7083\n"
+    code, out, _ = run_cli(capsys, "recover", "--builtin", "2", "--samples", "7083")
+    assert code == 0 and json.loads(out)["exponent"] == "2.0"
+
+
 def test_characterize_consistent_builtin(capsys):
     code, out, _ = run_cli(capsys, "characterize", "--builtin", "2",
                            "--trials", "40", "--seed", "0")
@@ -290,7 +298,8 @@ def test_characterize_out_of_range_settings_exit_2(capsys):
     # A stage cannot use any of these; each must be a usage error.
     for flags in (["--rel-tol", "nan"], ["--slack", "nan"],
                   ["--max-denominator", "1"], ["--max-denominator", "3000000"],
-                  ["--delta", "0.5"], ["--delta", "1e-7"], ["--samples", "1"]):
+                  ["--delta", "0.5"], ["--delta", "1e-7"], ["--samples", "1"],
+                  ["--samples", "7084"]):
         code, out, err = run_cli(capsys, "characterize", "--dsl", "sum(w*x^2)", *flags)
         assert code == 2 and out == "" and err.startswith("meanlab: "), flags
 
@@ -353,6 +362,22 @@ def test_hostile_dsl_fails_with_the_error_recorded(capsys, argv):
         assert not check["passed"]
         assert check["counterexample"]["aux"]["error"] in (
             "non-finite result -inf", "-inf + inf in fsum")
+
+
+@pytest.mark.parametrize("argv", [["eval", "--w", "0.5,0.5", "--x", "0,2"],
+                                  ["axioms", "--trials", "20"], ["recover"],
+                                  ["characterize", "--trials", "20"],
+                                  ["sandwich", "--w", "0.5,0.5", "--x", "0,2", "--delta", "0.1"]],
+                         ids=lambda argv: argv[0])
+def test_infinite_literals_fail_without_a_traceback(capsys, argv):
+    # 1e999 parses to inf, and the system's label prints it back as 1e999.
+    for source in ("sum(w*x)+1e999-1e999", "sum(w*x*1e999)"):
+        code, out, err = run_cli(capsys, *argv, "--dsl", source)
+        assert code == 1, source
+        if out:
+            assert json.loads(out)["system"] in ("sum(w*x) + 1e999 - 1e999", "sum(w*x*1e999)")
+        else:
+            assert err.startswith("meanlab: evaluation failed: "), source
 
 
 def test_console_script_is_installed():

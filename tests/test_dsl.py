@@ -1,6 +1,7 @@
 """Expression language: parsing, precedence, evaluation, and round-trips."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from meanlab import (
     power_mean,
     uniform,
 )
+from meanlab import dsl
 
 
 def W(*entries):
@@ -231,6 +233,9 @@ _ROUND_TRIP_SOURCES = [
     "sum(x/2/2)",
     "2^-2",
     "sum(-x--x)",
+    "sum(w*x)+1e999-1e999",
+    "sum(w*x*1e999)",
+    "-1e999^2",
 ]
 
 
@@ -238,6 +243,17 @@ def test_format_round_trips_sources():
     for source in _ROUND_TRIP_SOURCES:
         tree = parse_mean_expr(source)
         assert parse_mean_expr(format_mean_expr(tree)) == tree
+
+
+def test_format_prints_literals_outside_the_grammar():
+    # inf prints as 1e999, which parses back to inf; a NaN literal cannot be
+    # written in the grammar, but printing one must not raise
+    assert format_mean_expr(parse_mean_expr("sum(w*x)+1e999-1e999")) == \
+        "sum(w*x) + 1e999 - 1e999"
+    assert format_mean_expr(Literal(math.inf)) == "1e999"
+    assert format_mean_expr(BinOp("^", Literal(-math.inf), Literal(2.0))) == "(-1e999)^2"
+    assert format_mean_expr(Reduce("sum", BinOp("*", ValueRef(), Literal(math.nan)))) == \
+        "sum(x*nan)"
 
 
 def _random_tree(rng, depth, in_reducer):
@@ -399,6 +415,195 @@ def test_deepest_sources_compile_and_match_the_interpreter(kind):
     for w, x in ((W(0.5, 0.5), V(0.9, 1.1)), (W(0.25, 0.75), V(0.5, 2.0)), (W(1.0), V(0.0))):
         want = _outcome(_interpret, tree, w, x)
         assert _outcome(eval_mean_expr, tree, w, x) == want, (kind, w, x)
+
+
+class _Parser:
+    """The recursive-descent parser that the one-loop parser replaced, kept as
+    the reference it must match: tree, message, position and ``expected``.  It
+    spends about five Python frames per nesting level."""
+
+    def __init__(self, tokens):
+        self.tokens = tokens
+        self.pos = 0
+        self.depth = 0  # parens, reducers, '^' and unary minus open above here
+
+    @property
+    def here(self):
+        return self.tokens[self.pos]
+
+    def advance(self):
+        tok = self.here
+        self.pos += 1
+        return tok
+
+    def expect(self, kind, expected):
+        if self.here.kind != kind:
+            raise ExprSyntaxError(f"unexpected {self._describe(self.here)}", self.here.line,
+                                  self.here.column, expected)
+        return self.advance()
+
+    @staticmethod
+    def _describe(tok):
+        return "end of input" if tok.kind == "end" else repr(tok.text)
+
+    def check_depth(self, tok, height):
+        if self.depth + height > dsl._MAX_DEPTH:
+            raise ExprSyntaxError(f"expression nests deeper than {dsl._MAX_DEPTH} levels",
+                                  tok.line, tok.column)
+
+    def inner(self, tok, rule, in_reducer):
+        self.depth += 1
+        self.check_depth(tok, 1)
+        node = rule(in_reducer)
+        self.depth -= 1
+        return node
+
+    def binop(self, tok, left, right):
+        height = 1 + max(left[1], right[1])
+        self.check_depth(tok, height)
+        return BinOp(tok.kind, left[0], right[0]), height
+
+    def parse(self):
+        node, _ = self.expr(in_reducer=False)
+        if self.here.kind != "end":
+            raise ExprSyntaxError(f"unexpected {self._describe(self.here)}", self.here.line,
+                                  self.here.column, ("an operator", "end of input"))
+        return node
+
+    def expr(self, in_reducer):
+        node = self.term(in_reducer)
+        while self.here.kind in ("+", "-"):
+            node = self.binop(self.advance(), node, self.term(in_reducer))
+        return node
+
+    def term(self, in_reducer):
+        node = self.factor(in_reducer)
+        while self.here.kind in ("*", "/"):
+            node = self.binop(self.advance(), node, self.factor(in_reducer))
+        return node
+
+    def factor(self, in_reducer):
+        node = self.base(in_reducer)
+        if self.here.kind == "^":
+            tok = self.advance()
+            node = self.binop(tok, node, self.inner(tok, self.factor, in_reducer))
+        return node
+
+    def base(self, in_reducer):
+        tok = self.here
+        if tok.kind == "number":
+            self.advance()
+            return Literal(float(tok.text)), 1
+        if tok.kind == "-":
+            self.advance()
+            operand, height = self.inner(tok, self.base, in_reducer)
+            return Neg(operand), 1 + height
+        if tok.kind == "(":
+            self.advance()
+            node = self.inner(tok, self.expr, in_reducer)
+            self.expect(")", ("')'",))
+            return node
+        if tok.kind == "name":
+            if tok.text in ("w", "x"):
+                if not in_reducer:
+                    raise ExprSyntaxError(f"{tok.text!r} is only meaningful inside a reducer",
+                                          tok.line, tok.column)
+                self.advance()
+                return (WeightRef() if tok.text == "w" else ValueRef()), 1
+            if tok.text in ("sum", "prod", "max", "min"):
+                if in_reducer:
+                    raise ExprSyntaxError("reducers do not nest", tok.line, tok.column)
+                self.advance()
+                self.expect("(", ("'('",))
+                body, height = self.inner(tok, self.expr, True)
+                self.expect(")", ("')'",))
+                return Reduce(tok.text, body), 1 + height
+            raise ExprSyntaxError(f"unknown name {tok.text!r}", tok.line, tok.column,
+                                  dsl._BASE_EXPECTED)
+        raise ExprSyntaxError(f"unexpected {self._describe(tok)}", tok.line, tok.column,
+                              dsl._BASE_EXPECTED)
+
+
+def _parsed(parse, source):
+    try:
+        return parse(source)
+    except ExprSyntaxError as exc:  # everything the error carries must match
+        return type(exc), str(exc), exc.line, exc.column, exc.expected
+
+
+_TOKENS = ["1", "2.5", ".5", "1e999", "1e-3", "w", "x", "sum", "prod", "max", "min", "avg",
+           "+", "-", "*", "/", "^", "(", ")", "(", ")", " ", "\n", "$"]
+
+
+def _differential_sources(rng):
+    """Random token strings, printed random trees and their one-token
+    mutations, 1e999, and every nesting kind around the depth limit."""
+    def pick():
+        return _TOKENS[int(rng.integers(len(_TOKENS)))]
+
+    for _ in range(12000):
+        yield "".join(pick() for _ in range(int(rng.integers(0, 15))))
+    for _ in range(2500):
+        source = format_mean_expr(_random_tree(rng, int(rng.integers(1, 6)), False))
+        yield source
+        texts = [tok.text for tok in dsl._tokenize(source)]
+        for _ in range(3):
+            mutated = list(texts)
+            k, roll = int(rng.integers(len(mutated))), rng.random()
+            if roll < 1 / 3:
+                del mutated[k]
+            elif roll < 2 / 3:
+                mutated.insert(k, pick())
+            else:
+                mutated[k] = pick()
+            yield " ".join(mutated)
+    yield from ("1e999", "sum(w*x)+1e999-1e999", "sum(w*x*1e999)", "-1e999^2")
+    for levels in range(90, 104):
+        yield from _nested(levels).values()
+        yield from (make(levels) for make, _ in _DEEPEST.values())
+
+
+def test_parser_matches_the_recursive_reference():
+    rng = np.random.default_rng(12)
+    outcomes = set()
+    for source in _differential_sources(rng):
+        want = _parsed(lambda s: _Parser(dsl._tokenize(s)).parse(), source)
+        assert _parsed(parse_mean_expr, source) == want, source
+        outcomes.add(want[1].split(" at ")[0] if isinstance(want, tuple) else "tree")
+    # trees and every kind of syntax error are exercised
+    assert {"tree", "expression nests deeper than 100 levels", "reducers do not nest",
+            "unexpected end of input", "unknown name 'avg'", "unexpected ')'",
+            "'w' is only meaningful inside a reducer"} <= outcomes
+
+
+def _from_depth(frames, call):
+    """``call()`` run with ``frames`` Python frames on the stack below it."""
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+
+    def descend(k):
+        return call() if k <= 0 else descend(k - 1)
+
+    return descend(frames - depth - 1)
+
+
+def test_the_depth_verdict_does_not_depend_on_the_callers_stack():
+    deep = sys.getrecursionlimit() - 60
+    for kind, (make, levels) in _DEEPEST.items():
+        source = make(levels)
+        assert _from_depth(deep, lambda: parse_mean_expr(source)) == \
+            parse_mean_expr(source), kind
+        with pytest.raises(ExprSyntaxError, match="nests deeper than 100 levels"):
+            _from_depth(deep, lambda: parse_mean_expr(make(levels + 1)))
+    # Evaluating compiles the tree, which recurses once per tree level: the
+    # 97-paren tree is three levels tall, the others up to 99.
+    w, x = W(0.25, 0.75), V(0.5, 2.0)
+    for kind, (make, levels) in _DEEPEST.items():
+        frames = deep if kind == "parens" else sys.getrecursionlimit() - 150
+        got = _from_depth(frames, lambda: _outcome(eval_mean_expr, parse_mean_expr(make(levels)),
+                                                   w, x))
+        assert got == _outcome(_interpret, parse_mean_expr(make(levels)), w, x), kind
 
 
 # ── Systems built from expressions ────────────────────────────────────────────
