@@ -32,12 +32,13 @@ from .core import (
     POS_INF,
     ValueVector,
     Weighting,
+    _EXPANSION_CAP,
     _weighting_from_counts,
     expand_rational,
     power_mean,
     uniform,
 )
-from .harness import CheckConfig, _trial_rngs
+from .harness import CheckConfig, _residual, _trial_rngs
 from .systems import MeanSystem, SystemEvalError
 
 __all__ = [
@@ -61,6 +62,10 @@ _TINY = 1e-300
 # The probe weights exp(-0.1*k) are normal floats up to k = 7083; past that the
 # fit loses bits, and past 7451 the weights underflow to zero.
 _MAX_SAMPLES = 7083
+# Probe points of recover_exponent, and of the recovery stage, by default.
+_SAMPLE_COUNT = 30
+# Largest grid denominator of rational_sandwich by default.
+_GRID_CAP = 10 ** 6
 
 
 def _check_sample_count(sample_count: int) -> None:
@@ -104,7 +109,7 @@ class RecoveryResult:
     single_point_gap: float | None
 
 
-def recover_exponent(system: MeanSystem, sample_count: int = 30) -> RecoveryResult:
+def recover_exponent(system: MeanSystem, sample_count: int = _SAMPLE_COUNT) -> RecoveryResult:
     """Fit the probe family on a fixed grid and return the implied exponent.
 
     The grid is t = 0.1, 0.2, ..., 0.1*sample_count in -log(s), plus t = log 2
@@ -204,7 +209,7 @@ def _sweep(w: Weighting, order: np.ndarray, denominator: int) -> Weighting:
 
 
 def rational_sandwich(system: MeanSystem, w: Weighting, x: ValueVector,
-                      delta: float, max_denominator: int = 10 ** 6) -> SandwichResult:
+                      delta: float, max_denominator: int = _GRID_CAP) -> SandwichResult:
     """Bracket ``system(w, x)`` between denominator-D rational weightings.
 
     D is the least denominator with 2/D <= delta, so both brackets differ from
@@ -279,23 +284,23 @@ class CharacterizationConfig:
     slack: float = 1e-12
     deltas: tuple[float, ...] = (1e-2, 1e-3)
     weight_denominator_max: int = 100
-    sample_count: int = 30
+    sample_count: int = _SAMPLE_COUNT
 
     def __post_init__(self) -> None:
         # The settings both configs have follow CheckConfig's rules.
         CheckConfig(seed=self.seed, trials=self.trials, max_n=self.max_n,
                     rel_tol=self.rel_tol, slack=self.slack)
-        if not 2 <= self.weight_denominator_max <= 10 ** 6:  # expand_rational's cap
-            raise ValueError("weight_denominator_max must lie in [2, 1000000]")
+        if not 2 <= self.weight_denominator_max <= _EXPANSION_CAP:
+            raise ValueError(f"weight_denominator_max must lie in [2, {_EXPANSION_CAP}]")
         _check_sample_count(self.sample_count)
         # The sandwich stage grids each delta at denominator ceil(2/delta), at
-        # most rational_sandwich's default 10**6, and moves delta of weight off
+        # most rational_sandwich's default _GRID_CAP, and moves delta of weight off
         # coordinates that can weigh as little as 1/(2*max_n).
         smallest_weight = 0.5 / self.max_n
-        if not self.deltas or any(not 0.0 < d <= smallest_weight or 2.0 / d > 10 ** 6
+        if not self.deltas or any(not 0.0 < d <= smallest_weight or 2.0 / d > _GRID_CAP
                                   for d in self.deltas):
             raise ValueError("deltas must be a nonempty tuple of values in "
-                             f"[2e-06, {smallest_weight!r}] (1/(2*max_n))")
+                             f"[{2.0 / _GRID_CAP!r}, {smallest_weight!r}] (1/(2*max_n))")
 
 
 @dataclass(frozen=True)
@@ -347,7 +352,7 @@ def _stage_uniform(system: MeanSystem, cfg: CharacterizationConfig,
             return StageReport("uniform", False, trial + 1, math.inf,
                                {"n": n, "x": x.entries.tolist(), "error": str(exc)})
         want = power_mean(p, w, x)
-        resid = abs(got - want) / max(abs(got), abs(want), 1e-300)
+        resid = _residual("equality", got, want)
         if resid > cfg.rel_tol:
             return StageReport("uniform", False, trial + 1, resid,
                                {"n": n, "x": x.entries.tolist(),
@@ -386,9 +391,7 @@ def _stage_rational(system: MeanSystem, cfg: CharacterizationConfig,
                                {"w": w.entries.tolist(), "x": x.entries.tolist(),
                                 "error": str(exc)})
         want = power_mean(p, w, x)
-        resid_p = abs(got - want) / max(abs(got), abs(want), 1e-300)
-        resid_u = abs(got - via_uniform) / max(abs(got), abs(via_uniform), 1e-300)
-        resid = max(resid_p, resid_u)
+        resid = max(_residual("equality", got, want), _residual("equality", got, via_uniform))
         if resid > cfg.rel_tol:
             return StageReport("rational", False, trial + 1, resid,
                                {"w": w.entries.tolist(), "x": x.entries.tolist(),

@@ -35,6 +35,8 @@ import numpy as np
 
 from .characterize import (
     CharacterizationConfig,
+    _GRID_CAP,
+    _SAMPLE_COUNT,
     _check_sample_count,
     characterization_to_dict,
     rational_sandwich,
@@ -60,12 +62,16 @@ __all__ = ["main", "build_parser"]
 # ── Argument plumbing ─────────────────────────────────────────────────────────
 
 
-def _add_system_args(sub: argparse.ArgumentParser) -> None:
+def _add_command(subs, name: str, help_text: str, handler) -> argparse.ArgumentParser:
+    """A subcommand that runs ``handler(args)`` on one system."""
+    sub = subs.add_parser(name, help=help_text)
+    sub.set_defaults(handler=handler)
     group = sub.add_mutually_exclusive_group(required=True)
     group.add_argument("--builtin", metavar="P",
                        help="power mean exponent (float, 'inf', '-inf', or '0')")
     group.add_argument("--dsl", metavar="EXPR",
                        help="mean expression, e.g. 'sum(w*x^2)^0.5'")
+    return sub
 
 
 def _add_vector_args(sub: argparse.ArgumentParser) -> None:
@@ -82,53 +88,53 @@ def _add_output_args(sub: argparse.ArgumentParser, default_format: str) -> None:
     sub.add_argument("--output", metavar="FILE", help="write the report here instead of stdout")
 
 
+def _add_check_args(sub: argparse.ArgumentParser, defaults) -> None:
+    """The flags axioms and characterize share, with ``defaults``' values."""
+    sub.add_argument("--seed", type=int, default=None)
+    sub.add_argument("--trials", type=int, default=defaults.trials)
+    sub.add_argument("--max-n", type=int, default=defaults.max_n)
+    sub.add_argument("--rel-tol", type=float, default=defaults.rel_tol)
+    sub.add_argument("--slack", type=float, default=defaults.slack)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="meanlab", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p_eval = subs.add_parser("eval", help="evaluate a system on one input")
-    _add_system_args(p_eval)
+    p_eval = _add_command(subs, "eval", "evaluate a system on one input", _cmd_eval)
     _add_vector_args(p_eval)
     p_eval.add_argument("--format", choices=("json", "csv"), default=None,
                         help="default: print the bare value")
     p_eval.add_argument("--output", metavar="FILE")
 
-    p_ax = subs.add_parser("axioms", help="run the randomized law checks")
-    _add_system_args(p_ax)
-    p_ax.add_argument("--seed", type=int, default=None)
-    p_ax.add_argument("--trials", type=int, default=1000)
-    p_ax.add_argument("--max-n", type=int, default=8)
-    p_ax.add_argument("--rel-tol", type=float, default=1e-9)
-    p_ax.add_argument("--slack", type=float, default=1e-12)
+    p_ax = _add_command(subs, "axioms", "run the randomized law checks", _cmd_axioms)
+    _add_check_args(p_ax, CheckConfig)
     p_ax.add_argument("--positive-weights", action="store_true",
                       help="only quantify over strictly positive weightings")
     _add_output_args(p_ax, "json")
 
-    p_rec = subs.add_parser("recover", help="identify a black-box exponent")
-    _add_system_args(p_rec)
-    p_rec.add_argument("--samples", type=int, default=30)
+    p_rec = _add_command(subs, "recover", "identify a black-box exponent", _cmd_recover)
+    p_rec.add_argument("--samples", type=int, default=_SAMPLE_COUNT)
     _add_output_args(p_rec, "json")
 
-    p_ch = subs.add_parser("characterize", help="recover and stress-test an exponent")
-    _add_system_args(p_ch)
-    p_ch.add_argument("--seed", type=int, default=None)
-    p_ch.add_argument("--trials", type=int, default=120)
-    p_ch.add_argument("--max-n", type=int, default=8)
-    p_ch.add_argument("--rel-tol", type=float, default=1e-9)
-    p_ch.add_argument("--slack", type=float, default=1e-12)
-    p_ch.add_argument("--samples", type=int, default=30)
-    p_ch.add_argument("--delta", metavar="LIST", default="1e-2,1e-3",
+    p_ch = _add_command(subs, "characterize", "recover and stress-test an exponent",
+                        _cmd_characterize)
+    _add_check_args(p_ch, CharacterizationConfig)
+    p_ch.add_argument("--samples", type=int, default=CharacterizationConfig.sample_count)
+    p_ch.add_argument("--delta", metavar="LIST",
+                      default=",".join(map(repr, CharacterizationConfig.deltas)),
                       help="comma-separated sandwich spacings")
-    p_ch.add_argument("--max-denominator", type=int, default=100,
+    p_ch.add_argument("--max-denominator", type=int,
+                      default=CharacterizationConfig.weight_denominator_max,
                       help="largest denominator for random rational weightings")
     _add_output_args(p_ch, "json")
 
-    p_sw = subs.add_parser("sandwich", help="bracket a value between rational weightings")
-    _add_system_args(p_sw)
+    p_sw = _add_command(subs, "sandwich", "bracket a value between rational weightings",
+                        _cmd_sandwich)
     _add_vector_args(p_sw)
     p_sw.add_argument("--delta", type=float, required=True)
-    p_sw.add_argument("--max-denominator", type=int, default=10 ** 6)
+    p_sw.add_argument("--max-denominator", type=int, default=_GRID_CAP)
     _add_output_args(p_sw, "json")
 
     return parser
@@ -177,16 +183,18 @@ def _load_vectors(args: argparse.Namespace) -> tuple[Weighting, ValueVector]:
     return w, x
 
 
-def _seed_from(args: argparse.Namespace) -> int:
-    if args.seed is not None:
-        return args.seed
-    raw = os.environ.get("MEANLAB_SEED")
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValueError(f"MEANLAB_SEED must be an integer, got {raw!r}") from exc
+def _check_settings(args: argparse.Namespace, defaults) -> dict:
+    """The values of the flags ``_add_check_args`` adds, by config field; the
+    seed falls back to ``MEANLAB_SEED``, then to ``defaults.seed``."""
+    seed = args.seed
+    if seed is None:
+        raw = os.environ.get("MEANLAB_SEED")
+        try:
+            seed = defaults.seed if raw is None else int(raw)
+        except ValueError as exc:
+            raise ValueError(f"MEANLAB_SEED must be an integer, got {raw!r}") from exc
+    return {"seed": seed, "trials": args.trials, "max_n": args.max_n,
+            "rel_tol": args.rel_tol, "slack": args.slack}
 
 
 # ── Output ────────────────────────────────────────────────────────────────────
@@ -267,8 +275,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_axioms(args: argparse.Namespace) -> int:
     system = _build_system(args, positive=args.positive_weights)
-    cfg = CheckConfig(seed=_seed_from(args), trials=args.trials, max_n=args.max_n,
-                      rel_tol=args.rel_tol, slack=args.slack)
+    cfg = CheckConfig(**_check_settings(args, CheckConfig))
     reports = run_full_suite(system, cfg)
     _emit(args, suite_to_dict(system, cfg, reports))
     return 0 if suite_passed(reports) else 1
@@ -290,10 +297,8 @@ def _cmd_recover(args: argparse.Namespace) -> int:
 def _cmd_characterize(args: argparse.Namespace) -> int:
     system = _build_system(args)
     deltas = tuple(float(v) for v in _parse_float_list(args.delta, "--delta"))
-    cfg = CharacterizationConfig(seed=_seed_from(args), trials=args.trials,
-                                 max_n=args.max_n, rel_tol=args.rel_tol,
-                                 slack=args.slack, deltas=deltas,
-                                 weight_denominator_max=args.max_denominator,
+    cfg = CharacterizationConfig(**_check_settings(args, CharacterizationConfig),
+                                 deltas=deltas, weight_denominator_max=args.max_denominator,
                                  sample_count=args.samples)
     report = verify_characterization(system, cfg)
     payload = {"system": system.label, **characterization_to_dict(report)}
@@ -311,23 +316,21 @@ def _cmd_sandwich(args: argparse.Namespace) -> int:
     return 0 if result.ordered else 1
 
 
-_HANDLERS = {
-    "eval": _cmd_eval,
-    "axioms": _cmd_axioms,
-    "recover": _cmd_recover,
-    "characterize": _cmd_characterize,
-    "sandwich": _cmd_sandwich,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
+    # argparse reads a value that starts with '-' as an option unless it looks
+    # like a plain negative number, so ``--builtin -inf`` is passed as
+    # ``--builtin=-inf``.
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 2, -1, -1):
+        flag, value = argv[i:i + 2]
+        if flag in ("--builtin", "--dsl") and value[:1] == "-" and value[:2] != "--":
+            argv[i:i + 2] = [f"{flag}={value}"]
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse has already printed its message
         return int(exc.code or 0)
     try:
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except SystemEvalError as exc:
         _fail(f"evaluation failed: {exc}")
         return 1

@@ -41,6 +41,9 @@ __all__ = [
     "SignedVector",
     "IndexMap",
     "as_exponent",
+    "POS_INF",
+    "NEG_INF",
+    "ZERO",
     "normalize_weights",
     "uniform",
     "power_mean",
@@ -64,6 +67,9 @@ WEIGHT_SUM_TOL = 1e-12
 EXACT_MATCH_TOL = 1e-15
 
 _LN2 = math.log(2.0)
+
+# Largest common denominator ``expand_rational`` expands to by default.
+_EXPANSION_CAP = 10**6
 
 
 # ── Exponents: the extended real line ─────────────────────────────────────────
@@ -741,7 +747,7 @@ def norm_from_mean(mean: Callable[[Weighting, ValueVector], float],
 
 
 def expand_rational(
-    w: Weighting, x: ValueVector, max_size: int = 10**6
+    w: Weighting, x: ValueVector, max_size: int = _EXPANSION_CAP
 ) -> tuple[Weighting, ValueVector]:
     """Rewrite M(w, x) over a uniform weighting by repeating coordinates.
 

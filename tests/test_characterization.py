@@ -353,6 +353,22 @@ def test_system_raising_value_error_after_the_probes_fails_a_stage():
         assert failed[0].detail["error"] == "flaky system gave up"
 
 
+def test_stages_compare_values_with_the_harness_equality_residual():
+    # A subnormal where the mean is 0 is off by the whole value, residual 1,
+    # as check_consistency finds too.
+    def subnormal_at_zero(w, x):
+        value = power_mean(2, w, x)
+        return 5e-324 if value == 0.0 else value
+
+    report = verify_characterization(MeanSystem(subnormal_at_zero, "subnormal"), _FAST)
+    assert report.verdict == "counterexample"
+    uniform_stage = report.stages[0]
+    assert uniform_stage.name == "uniform" and not uniform_stage.passed
+    assert uniform_stage.worst_residual == 1.0
+    assert (uniform_stage.detail["system_value"], uniform_stage.detail["power_mean_value"]) \
+        == (5e-324, 0.0)
+
+
 def test_config_validation():
     CharacterizationConfig(weight_denominator_max=10 ** 6, deltas=(2e-6, 0.0625))
     bad = [

@@ -2,6 +2,7 @@
 seeding, and file input/output."""
 
 import csv
+import inspect
 import io
 import json
 import subprocess
@@ -9,7 +10,8 @@ import sys
 
 import pytest
 
-from meanlab.cli import main
+from meanlab import CharacterizationConfig, CheckConfig, rational_sandwich, recover_exponent
+from meanlab.cli import _check_settings, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -159,6 +161,39 @@ def test_usage_errors_from_argparse_exit_2(capsys):
     assert main(["no-such-command"]) == 2
     assert main(["axioms"]) == 2  # a system is required
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command, flag, value, code", [
+    ("eval", "--builtin", "-inf", 0),
+    ("eval", "--dsl", "-sum(w*x)+2*sum(w*x)", 0),
+    ("characterize", "--builtin", "-1e3", 1),  # degenerate: p <= 0 annihilates zero
+])
+def test_system_values_starting_with_a_dash(capsys, command, flag, value, code):
+    rest = ["--w", "0.5,0.5", "--x", "1,3"] if command == "eval" else []
+    joined = run_cli(capsys, command, f"{flag}={value}", *rest)
+    assert joined[0] == code
+    assert run_cli(capsys, command, flag, value, *rest) == joined
+
+
+def test_parser_defaults_are_the_librarys(monkeypatch):
+    monkeypatch.delenv("MEANLAB_SEED", raising=False)
+
+    def parse(*argv):
+        return build_parser().parse_args([*argv, "--builtin", "2"])
+
+    def signature_default(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    assert CheckConfig(**_check_settings(parse("axioms"), CheckConfig)) == CheckConfig()
+    characterize, config = parse("characterize"), CharacterizationConfig()
+    assert CharacterizationConfig(
+        **_check_settings(characterize, CharacterizationConfig),
+        deltas=tuple(map(float, characterize.delta.split(","))),
+        weight_denominator_max=characterize.max_denominator,
+        sample_count=characterize.samples) == config
+    assert parse("recover").samples == signature_default(recover_exponent, "sample_count")
+    assert parse("sandwich", "--delta", "0.1").max_denominator \
+        == signature_default(rational_sandwich, "max_denominator")
 
 
 # ── axioms ────────────────────────────────────────────────────────────────────
