@@ -23,7 +23,7 @@ form, which uses no recovered exponent at all), and on sandwich brackets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .core import (
     power_mean,
     uniform,
 )
-from .harness import CheckConfig, _residual, _trial_rngs
+from .harness import CheckConfig, _gen_values, _residual, _trial_rngs
 from .systems import MeanSystem, SystemEvalError
 
 __all__ = [
@@ -276,20 +276,16 @@ def _transfer_slope(system: MeanSystem, w: Weighting, x: ValueVector, step: floa
 
 
 @dataclass(frozen=True)
-class CharacterizationConfig:
-    seed: int = 0
+class CharacterizationConfig(CheckConfig):
+    """CheckConfig's settings, with fewer trials, plus the stages' own."""
+
     trials: int = 120
-    max_n: int = 8
-    rel_tol: float = 1e-9
-    slack: float = 1e-12
     deltas: tuple[float, ...] = (1e-2, 1e-3)
     weight_denominator_max: int = 100
     sample_count: int = _SAMPLE_COUNT
 
     def __post_init__(self) -> None:
-        # The settings both configs have follow CheckConfig's rules.
-        CheckConfig(seed=self.seed, trials=self.trials, max_n=self.max_n,
-                    rel_tol=self.rel_tol, slack=self.slack)
+        super().__post_init__()
         if not 2 <= self.weight_denominator_max <= _EXPANSION_CAP:
             raise ValueError(f"weight_denominator_max must lie in [2, {_EXPANSION_CAP}]")
         _check_sample_count(self.sample_count)
@@ -333,10 +329,8 @@ class CharacterizationReport:
 # and a weighting right at WEIGHT_SUM_TOL can drift past it when shifted.
 
 
-def _stage_values(rng: np.random.Generator, n: int, zero_prob: float = 0.1) -> ValueVector:
-    vals = np.power(10.0, rng.uniform(-4.0, 4.0, n))
-    vals[rng.random(n) < zero_prob] = 0.0
-    return ValueVector._unchecked(vals)
+def _stage_values(rng: np.random.Generator, n: int) -> ValueVector:
+    return ValueVector._unchecked(_gen_values(rng, n, decades=4.0))
 
 
 def _stage_uniform(system: MeanSystem, cfg: CharacterizationConfig,
@@ -473,30 +467,14 @@ def verify_characterization(system: MeanSystem,
 
 def recovery_to_dict(result: RecoveryResult) -> dict:
     exponent = None if result.exponent is None else str(result.exponent)
-    return {
-        "exponent": exponent,
-        "reciprocal_slope": result.reciprocal_slope,
-        "reciprocal_slope_raw": result.reciprocal_slope_raw,
-        "fit_residual": result.fit_residual,
-        "degenerate_zero": result.degenerate_zero,
-        "samples": [[t, q] for t, q in result.samples],
-        "single_point_exponent": result.single_point_exponent,
-        "single_point_gap": result.single_point_gap,
-    }
+    return {**asdict(result), "exponent": exponent,
+            "samples": [[t, q] for t, q in result.samples]}
 
 
 def sandwich_to_dict(result: SandwichResult) -> dict:
-    return {
-        "w_lower": result.w_lower.entries.tolist(),
-        "w_upper": result.w_upper.entries.tolist(),
-        "denominator": result.denominator,
-        "delta": result.delta,
-        "value_lower": result.value_lower,
-        "value_at": result.value_at,
-        "value_upper": result.value_upper,
-        "gap": result.gap,
-        "ordered": result.ordered,
-    }
+    return {**asdict(result), "w_lower": result.w_lower.entries.tolist(),
+            "w_upper": result.w_upper.entries.tolist(), "gap": result.gap,
+            "ordered": result.ordered}
 
 
 def characterization_to_dict(report: CharacterizationReport) -> dict:
@@ -504,16 +482,7 @@ def characterization_to_dict(report: CharacterizationReport) -> dict:
         "verdict": report.verdict,
         "passed": report.passed,
         "recovery": recovery_to_dict(report.recovery) if report.recovery else None,
-        "stages": [
-            {
-                "name": s.name,
-                "passed": s.passed,
-                "trials": s.trials,
-                "worst_residual": s.worst_residual,
-                "detail": s.detail,
-            }
-            for s in report.stages
-        ],
+        "stages": [asdict(s) for s in report.stages],
     }
     if report.note is not None:
         d["note"] = report.note

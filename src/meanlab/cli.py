@@ -319,11 +319,12 @@ def _cmd_sandwich(args: argparse.Namespace) -> int:
 def main(argv=None) -> int:
     # argparse reads a value that starts with '-' as an option unless it looks
     # like a plain negative number, so ``--builtin -inf`` is passed as
-    # ``--builtin=-inf``.
+    # ``--builtin=-inf``; so are the abbreviations argparse accepts, ``--built``.
     argv = list(sys.argv[1:] if argv is None else argv)
     for i in range(len(argv) - 2, -1, -1):
         flag, value = argv[i:i + 2]
-        if flag in ("--builtin", "--dsl") and value[:1] == "-" and value[:2] != "--":
+        if (len(flag) >= 3 and ("--builtin".startswith(flag) or "--dsl".startswith(flag))
+                and value[:1] == "-" and value[:2] != "--"):
             argv[i:i + 2] = [f"{flag}={value}"]
     try:
         args = build_parser().parse_args(argv)

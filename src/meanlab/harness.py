@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import asdict, dataclass
 from itertools import chain
 from typing import Callable, Iterator, TypeAlias
 
 import numpy as np
 
-from .core import IndexMap, ValueVector, Weighting, _outer, _pulled, _pushed
+from .core import _EXPANSION_CAP, IndexMap, ValueVector, Weighting, _outer, _pulled, _pushed
 from .systems import MeanSystem, SystemEvalError
 
 __all__ = [
@@ -56,6 +57,8 @@ __all__ = [
 
 _DERIVED_NOTE = "implied by the axioms"
 _NOT_APPLICABLE = "not applicable"
+# Largest max_n: the multiplicativity check's tensor has up to max_n**2 entries.
+_MAX_N_CAP = math.isqrt(_EXPANSION_CAP)
 
 
 # ── Configuration and report types ────────────────────────────────────────────
@@ -72,12 +75,16 @@ class CheckConfig:
     slack: float = 1e-12
 
     def __post_init__(self) -> None:
+        for name in ("seed", "trials", "max_n"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
         if self.trials < 1:
             raise ValueError("need at least one trial")
-        if self.max_n < 2:
-            raise ValueError("max_n must be at least 2")
+        if not 2 <= self.max_n <= _MAX_N_CAP:
+            raise ValueError(f"max_n must lie in [2, {_MAX_N_CAP}]")
         if not (self.rel_tol > 0.0 and math.isfinite(self.rel_tol)):
             raise ValueError("rel_tol must be positive and finite")
         if not (self.slack >= 0.0 and math.isfinite(self.slack)):
@@ -96,14 +103,8 @@ class Counterexample:
     residual: float
 
     def to_dict(self) -> dict:
-        return {
-            "w": list(self.w) if self.w is not None else None,
-            "x": list(self.x) if self.x is not None else None,
-            "aux": dict(self.aux),
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "residual": self.residual,
-        }
+        return {**asdict(self), "w": list(self.w) if self.w is not None else None,
+                "x": list(self.x) if self.x is not None else None}
 
     @classmethod
     def from_dict(cls, data: dict) -> "Counterexample":
@@ -248,10 +249,19 @@ def _gen_weights(rng: np.random.Generator, n: int, positive_only: bool) -> np.nd
     return g / g.sum()
 
 
-def _gen_values(rng: np.random.Generator, n: int, zero_prob: float = 0.1) -> np.ndarray:
-    vals = np.power(10.0, rng.uniform(-6.0, 6.0, n))
+def _gen_values(rng: np.random.Generator, n: int, zero_prob: float = 0.1,
+                decades: float = 6.0) -> np.ndarray:
+    vals = np.power(10.0, rng.uniform(-decades, decades, n))
     vals[rng.random(n) < zero_prob] = 0.0
     return vals
+
+
+def _gen_wx(cfg: CheckConfig, positive: bool, rng: np.random.Generator, low: int = 1,
+            extra_w: int = 0, extra_x: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Draw a length n in [low, max_n], then n + extra_w weights, then n + extra_x
+    values."""
+    n = int(rng.integers(low, cfg.max_n + 1))
+    return _gen_weights(rng, n + extra_w, positive), _gen_values(rng, n + extra_x)
 
 
 def _gen_index_map(rng: np.random.Generator, max_n: int, positive_only: bool) -> IndexMap:
@@ -356,10 +366,8 @@ def _ev_consistency(system: MeanSystem, wit: dict, weighting, values) -> _Sides:
 
 
 def _mk_monotonicity(cfg: CheckConfig, positive: bool, trial: int, rng: _Rng) -> dict:
-    n = int(rng.integers(1, cfg.max_n + 1))
-    w = _gen_weights(rng, n, positive)
-    x = _gen_values(rng, n)
-    bump = _gen_values(rng, n, zero_prob=0.3)
+    w, x = _gen_wx(cfg, positive, rng)
+    bump = _gen_values(rng, x.size, zero_prob=0.3)
     return {"w": w, "x": x, "y": x + bump}
 
 
@@ -383,9 +391,8 @@ _CONVEXITY_WITNESS = {
 def _mk_convexity(cfg: CheckConfig, positive: bool, trial: int, rng: _Rng) -> dict:
     if trial == 0:  # the canonical midpoint witness, checked on every run
         return {k: v.copy() for k, v in _CONVEXITY_WITNESS.items()}
-    n = int(rng.integers(1, cfg.max_n + 1))
-    w = _gen_weights(rng, n, positive)
-    return {"w": w, "x": _gen_values(rng, n), "y": _gen_values(rng, n)}
+    w, x = _gen_wx(cfg, positive, rng)
+    return {"w": w, "x": x, "y": _gen_values(rng, x.size)}
 
 
 def _ev_convexity(system: MeanSystem, wit: dict, weighting, values) -> _Sides:
@@ -423,12 +430,8 @@ def _ev_multiplicativity(system: MeanSystem, wit: dict, weighting, values) -> _S
 
 
 def _mk_symmetry(cfg: CheckConfig, positive: bool, trial: int, rng: _Rng) -> dict:
-    n = int(rng.integers(1, cfg.max_n + 1))
-    return {
-        "w": _gen_weights(rng, n, positive),
-        "x": _gen_values(rng, n),
-        "sigma": tuple(int(v) for v in rng.permutation(n)),
-    }
+    w, x = _gen_wx(cfg, positive, rng)
+    return {"w": w, "x": x, "sigma": tuple(int(v) for v in rng.permutation(x.size))}
 
 
 def _ev_symmetry(system: MeanSystem, wit: dict, weighting, values) -> _Sides:
@@ -445,11 +448,8 @@ def _ev_symmetry(system: MeanSystem, wit: dict, weighting, values) -> _Sides:
 
 
 def _mk_repetition(cfg: CheckConfig, positive: bool, trial: int, rng: _Rng) -> dict:
-    n = int(rng.integers(1, cfg.max_n + 1))
-    return {
-        "w": _gen_weights(rng, n + 1, positive),
-        "x": _gen_values(rng, n),
-    }
+    w, x = _gen_wx(cfg, positive, rng, extra_w=1)
+    return {"w": w, "x": x}
 
 
 def _ev_repetition(system: MeanSystem, wit: dict, weighting, values) -> _Sides:
@@ -466,11 +466,8 @@ def _ev_repetition(system: MeanSystem, wit: dict, weighting, values) -> _Sides:
 
 
 def _mk_zero_weight(cfg: CheckConfig, positive: bool, trial: int, rng: _Rng) -> dict:
-    n = int(rng.integers(1, cfg.max_n + 1))
-    return {
-        "w": _gen_weights(rng, n, positive_only=False),
-        "x": _gen_values(rng, n + 1),
-    }
+    w, x = _gen_wx(cfg, False, rng, extra_x=1)  # zero weights, whatever the system
+    return {"w": w, "x": x}
 
 
 def _ev_zero_weight(system: MeanSystem, wit: dict, weighting, values) -> _Sides:
@@ -485,9 +482,7 @@ def _ev_zero_weight(system: MeanSystem, wit: dict, weighting, values) -> _Sides:
 
 
 def _mk_transfer(cfg: CheckConfig, positive: bool, trial: int, rng: _Rng) -> dict:
-    n = int(rng.integers(2, cfg.max_n + 1))
-    w = _gen_weights(rng, n, positive)
-    x = _gen_values(rng, n)
+    w, x = _gen_wx(cfg, positive, rng, low=2)
     if x[-1] > x[-2]:
         x[-1], x[-2] = x[-2], x[-1]
     r = float(rng.random())
@@ -516,9 +511,7 @@ def _ev_transfer(system: MeanSystem, wit: dict, weighting, values) -> _Sides:
 
 
 def _mk_homogeneity(cfg: CheckConfig, positive: bool, trial: int, rng: _Rng) -> dict:
-    n = int(rng.integers(1, cfg.max_n + 1))
-    w = _gen_weights(rng, n, positive)
-    x = _gen_values(rng, n)
+    w, x = _gen_wx(cfg, positive, rng)
     if trial == 0:
         c = 0.0
     elif trial == 1:

@@ -3,6 +3,7 @@ and the staged verifier's three verdicts."""
 
 import math
 from collections import Counter
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 from meanlab import (
     CharacterizationConfig,
+    CheckConfig,
     POS_INF,
     ValueVector,
     Weighting,
@@ -393,3 +395,19 @@ def test_config_validation():
     for kwargs in bad:
         with pytest.raises(ValueError):
             CharacterizationConfig(**kwargs)
+
+
+def test_characterization_config_extends_check_config():
+    cfg = CharacterizationConfig()
+    assert isinstance(cfg, CheckConfig)
+    assert [f.name for f in fields(cfg)] == [
+        "seed", "trials", "max_n", "rel_tol", "slack", "deltas",
+        "weight_denominator_max", "sample_count"]
+    assert repr(cfg) == ("CharacterizationConfig(seed=0, trials=120, max_n=8, rel_tol=1e-09, "
+                         "slack=1e-12, deltas=(0.01, 0.001), weight_denominator_max=100, "
+                         "sample_count=30)")
+    assert CharacterizationConfig(1, 40, 4) == CharacterizationConfig(seed=1, trials=40, max_n=4)
+    # CheckConfig's rules hold for the settings both have.
+    for bad in ({"seed": 2.7}, {"trials": 0}, {"max_n": 1001}, {"slack": math.nan}):
+        with pytest.raises(ValueError):
+            CharacterizationConfig(**bad)

@@ -167,12 +167,20 @@ def test_usage_errors_from_argparse_exit_2(capsys):
     ("eval", "--builtin", "-inf", 0),
     ("eval", "--dsl", "-sum(w*x)+2*sum(w*x)", 0),
     ("characterize", "--builtin", "-1e3", 1),  # degenerate: p <= 0 annihilates zero
+    ("eval", "--built", "-inf", 0),  # abbreviations argparse accepts
+    ("eval", "--ds", "-sum(w*x)+2*sum(w*x)", 0),
 ])
 def test_system_values_starting_with_a_dash(capsys, command, flag, value, code):
     rest = ["--w", "0.5,0.5", "--x", "1,3"] if command == "eval" else []
     joined = run_cli(capsys, command, f"{flag}={value}", *rest)
     assert joined[0] == code
     assert run_cli(capsys, command, flag, value, *rest) == joined
+
+
+def test_ambiguous_abbreviation_with_a_dash_value_exits_2(capsys):
+    # --d could be characterize's --dsl or --delta; argparse must still say so.
+    code, out, err = run_cli(capsys, "characterize", "--d", "-sum(w*x)")
+    assert code == 2 and out == "" and "ambiguous option: --d" in err
 
 
 def test_parser_defaults_are_the_librarys(monkeypatch):
@@ -337,6 +345,14 @@ def test_characterize_out_of_range_settings_exit_2(capsys):
                   ["--samples", "7084"]):
         code, out, err = run_cli(capsys, "characterize", "--dsl", "sum(w*x^2)", *flags)
         assert code == 2 and out == "" and err.startswith("meanlab: "), flags
+
+
+def test_huge_max_n_is_a_usage_error(capsys):
+    # max_n**2 entries were allocated for the multiplicativity tensor.
+    for command in ("axioms", "characterize"):
+        code, out, err = run_cli(capsys, command, "--builtin", "2", "--trials", "1",
+                                 "--max-n", "1000000000")
+        assert (code, out, err) == (2, "", "meanlab: max_n must lie in [2, 1000]\n")
 
 
 def test_sandwich_ordered_exits_0(capsys):

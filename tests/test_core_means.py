@@ -545,6 +545,51 @@ def test_internality_sweep():
         for p in _P_GRID:
             m = power_mean(p, w, x)
             assert lo * (1 - 1e-12) <= m <= hi * (1 + 1e-12)
+    # Exponents next to 0, on values spread across the doubles, zeros included.
+    for _ in range(300):
+        n = int(rng.integers(1, 9))
+        w = _random_weights(rng, n)
+        xe = np.ldexp(rng.random(n) + 0.5, rng.integers(-1075, 1023, n))
+        xe[rng.random(n) < 0.2] = 0.0
+        x = ValueVector(xe)
+        sup = x.entries[w.support]
+        lo, hi = float(sup.min()), float(sup.max())
+        for p in _TINY_P:
+            m = power_mean(p, w, x)
+            assert lo * (1 - 1e-12) <= m <= hi * (1 + 1e-12), (p, w.entries, x.entries)
+
+
+_TINY_P = (1e-30, -1e-30, 1e-300, -1e-300, 5e-324, -5e-324)
+
+
+# (p, w, x): each left [min, max] or raised while the finite formula took
+# exponents it cannot resolve.
+_TINY_P_REGRESSIONS = [
+    (1e-30, (0.5, 0.5), (1.0, 1e300)),
+    (-2.1390599522848592e-17, (0.11184739983927354, 0.8881526001607265),
+     (0.0013691850918207654, 4568.83272758987)),
+    (5e-324, (0.25, 0.75), (0.0, 0.107)),
+]
+
+
+@pytest.mark.parametrize("p, w, x", _TINY_P_REGRESSIONS)
+def test_tiny_exponents_are_the_geometric_limit(p, w, x):
+    w, x = W(*w), V(*x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = power_mean(p, w, x)
+        assert min(x) <= m <= max(x)
+        assert m == power_mean(ZERO, w, x)
+        assert power_mean(-p, w, x) == m
+        below = math.nextafter(core._ZERO_P, 0.0)
+        assert power_mean(below, w, x) == power_mean(-below, w, x) == m
+
+
+def test_oracle_resolves_tiny_exponents():
+    # At 256 bits Σ w·xᵖ rounded to 1 and the oracle returned 1.0.
+    w, x = uniform(2), V(1.0, 4.0)
+    assert power_mean_oracle(1e-100, w, x) == pytest.approx(2.0, rel=1e-12)
+    assert power_mean_oracle(-5e-324, w, x) == pytest.approx(2.0, rel=1e-12)
 
 
 def test_homogeneity_sweep():

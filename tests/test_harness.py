@@ -33,7 +33,7 @@ from meanlab import (
     suite_to_dict,
     verify_characterization,
 )
-from meanlab import characterize, harness
+from meanlab import characterize, core, harness
 from meanlab.systems import MeanSystem
 
 _FAST = CheckConfig(seed=0, trials=120)
@@ -60,6 +60,29 @@ def test_config_validation():
         CheckConfig(max_n=1)
     with pytest.raises(ValueError):
         CheckConfig(rel_tol=0.0)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("seed", 2.7), ("seed", 2.0), ("trials", 2.5), ("max_n", 8.0), ("max_n", "8"),
+])
+def test_config_integer_settings_reject_other_types(name, value):
+    # seed=2.7 ran as seed 2 and trials=2.5 died in range(); both are usage errors.
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+        CheckConfig(**{name: value})
+
+
+def test_config_accepts_numpy_integers():
+    cfg = CheckConfig(seed=np.int64(3), trials=np.int32(5), max_n=np.uint8(4))
+    assert run_full_suite(builtin_power_mean_system(2.0), cfg) \
+        == run_full_suite(builtin_power_mean_system(2.0), CheckConfig(3, 5, 4))
+
+
+def test_max_n_is_capped_so_the_tensor_fits_the_expansion_cap():
+    # The multiplicativity check builds max_n**2-entry tensors.
+    assert harness._MAX_N_CAP ** 2 <= core._EXPANSION_CAP
+    CheckConfig(max_n=harness._MAX_N_CAP)
+    with pytest.raises(ValueError, match=r"^max_n must lie in \[2, 1000\]$"):
+        CheckConfig(max_n=harness._MAX_N_CAP + 1)
 
 
 def test_honest_exponents_pass_everything():
