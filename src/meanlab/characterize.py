@@ -219,6 +219,13 @@ def rational_sandwich(system: MeanSystem, w: Weighting, x: ValueVector,
     when delta is out of range, D would exceed ``max_denominator`` or the
     lengths differ, before the system is called.
     """
+    return _sandwich(system, w, x, delta, max_denominator, None)
+
+
+def _sandwich(system: MeanSystem, w: Weighting, x: ValueVector, delta: float,
+              max_denominator: int, value_at: float | None) -> SandwichResult:
+    # ``value_at`` is system(w, x) when the caller has it already (the sandwich
+    # stage reuses its first delta's); None evaluates it here.
     if not (0.0 < delta <= 1.0):
         raise ValueError("delta must lie in (0, 1]")
     d = math.ceil(2.0 / delta)
@@ -235,7 +242,7 @@ def rational_sandwich(system: MeanSystem, w: Weighting, x: ValueVector,
         denominator=d,
         delta=delta,
         value_lower=system(w_lower, x),
-        value_at=system(w, x),
+        value_at=system(w, x) if value_at is None else value_at,
         value_upper=system(w_upper, x),
     )
 
@@ -257,7 +264,7 @@ def transfer_slope_estimate(system: MeanSystem, w: Weighting, x: ValueVector,
 def _transfer_slope(system: MeanSystem, w: Weighting, x: ValueVector, step: float,
                     base: float | None) -> float:
     # ``base`` is system(w, x) when the caller has it already (the sandwich
-    # stage takes it from rational_sandwich); None evaluates it here.
+    # stage evaluates it once per trial); None evaluates it here.
     order = np.argsort(x.entries, kind="stable")
     if np.any(w.entries[order[:-1]] < step):
         raise ValueError("every weight (except the largest-value one) must exceed step")
@@ -403,10 +410,12 @@ def _stage_sandwich(system: MeanSystem, cfg: CharacterizationConfig) -> StageRep
         g = rng.exponential(1.0, n)
         w = Weighting._unchecked(0.5 * g / g.sum() + 0.5 / n)  # every entry >= 1/(2n)
         x = ValueVector._unchecked(np.power(10.0, rng.uniform(-3.0, 3.0, n)))
+        value_at = None  # system(w, x), once the trial's first delta has it
         for delta in cfg.deltas:
             try:
-                sr = rational_sandwich(system, w, x, delta)
-                slope = _transfer_slope(system, w, x, delta, sr.value_at)
+                sr = _sandwich(system, w, x, delta, _GRID_CAP, value_at)
+                value_at = sr.value_at
+                slope = _transfer_slope(system, w, x, delta, value_at)
             except SystemEvalError as exc:
                 return StageReport("sandwich", False, trial + 1, math.inf,
                                    {"w": w.entries.tolist(), "x": x.entries.tolist(),

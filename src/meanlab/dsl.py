@@ -183,8 +183,8 @@ _BASE_EXPECTED = ("a number", "'w'", "'x'", "'sum'", "'prod'", "'max'", "'min'",
 _BINDING = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3}
 _BASE = 4
 
-# Real means nest a few levels.  Parsing keeps its own stacks, but compiling and
-# formatting recurse once per tree level, and the generated function nests as
+# Real means nest a few levels.  Parsing and printing keep their own stacks, but
+# compiling recurses once per tree level, and the generated function nests as
 # deep as the tree, so deeper sources are refused as the tree is built.
 _MAX_DEPTH = 100
 _TOO_DEEP = f"expression nests deeper than {_MAX_DEPTH} levels"
@@ -356,34 +356,51 @@ def eval_mean_expr(expr: MeanExpr, w: Weighting, x: ValueVector) -> float:
 def format_mean_expr(expr: MeanExpr) -> str:
     """Render a tree back to source.  parse(format(t)) == t for every tree t
     expressible in the grammar."""
-    return _fmt(expr, 0)
+    return _fmt(expr)
 
 
-def _fmt(node: MeanExpr, level: int) -> str:
-    """``node`` as source, in parentheses if it binds less tightly than ``level``."""
-    if isinstance(node, Literal):
-        v = node.value
-        if abs(v) < 1e16 and v == int(v):  # false for inf and nan
-            text = str(int(v))
+def _fmt(tree: MeanExpr) -> str:
+    """``tree`` as source, each node in parentheses where it binds less tightly
+    than its context.  An explicit stack prints the operands before the node
+    that joins them, so no Python frame is spent per tree level."""
+    done: list[str] = []  # printed operands, left before right
+    todo: list[tuple[MeanExpr, int, bool]] = [(tree, 0, False)]  # (node, context, joining)
+    while todo:
+        node, level, joining = todo.pop()
+        if isinstance(node, Literal):
+            v = node.value
+            if abs(v) < 1e16 and v == int(v):  # false for inf and nan
+                text = str(int(v))
+            else:
+                text = repr(v).replace("inf", "1e999")  # 1e999 reads back as inf
+            done.append(_wrap(text, _BASE, level) if text.startswith("-") else text)
+        elif isinstance(node, (WeightRef, ValueRef)):
+            done.append("w" if isinstance(node, WeightRef) else "x")
+        elif not joining:
+            todo.append((node, level, True))
+            todo.extend((child, context, False) for child, context in reversed(_operands(node)))
+        elif isinstance(node, Reduce):
+            done.append(f"{node.kind}({done.pop()})")
+        elif isinstance(node, Neg):
+            done.append(_wrap("-" + done.pop(), _BASE, level))
         else:
-            text = repr(v).replace("inf", "1e999")  # 1e999 reads back as inf
-        return _wrap(text, _BASE, level) if text.startswith("-") else text
-    if isinstance(node, WeightRef):
-        return "w"
-    if isinstance(node, ValueRef):
-        return "x"
+            right, left, mine = done.pop(), done.pop(), _BINDING[node.op]
+            done.append(_wrap(f"{left} {node.op} {right}" if mine == 1 else
+                              f"{left}{node.op}{right}", mine, level))
+    return done[0]
+
+
+def _operands(node: MeanExpr) -> tuple[tuple[MeanExpr, int], ...]:
+    """Each operand of ``node`` with the binding its context asks of it."""
     if isinstance(node, Reduce):
-        return f"{node.kind}({_fmt(node.body, 0)})"
+        return ((node.body, 0),)
     if isinstance(node, Neg):
-        return _wrap("-" + _fmt(node.operand, _BASE), _BASE, level)
+        return ((node.operand, _BASE),)
     if isinstance(node, BinOp):
         mine = _BINDING[node.op]
         if node.op == "^":  # the left side must be a base, the right binds rightward
-            left, right = _fmt(node.left, _BASE + 1), _fmt(node.right, mine)
-        else:  # left-associative
-            left, right = _fmt(node.left, mine), _fmt(node.right, mine + 1)
-        return _wrap(f"{left} {node.op} {right}" if mine == 1 else
-                     f"{left}{node.op}{right}", mine, level)
+            return ((node.left, _BASE + 1), (node.right, mine))
+        return ((node.left, mine), (node.right, mine + 1))  # left-associative
     raise TypeError(f"not an expression node: {node!r}")
 
 

@@ -9,9 +9,12 @@ Every trial is a pure function of ``(config.seed, check, trial_index)`` — runs
 are reproducible trial-by-trial, identical whether executed serially or in
 parallel, and two runs with the same system and config produce reports that
 serialize to identical bytes.  Failing inputs are shrunk before reporting:
-coordinates are merged pairwise and entries snapped toward {0, 1/2, 1} for as
-long as the input keeps failing, so reported witnesses are locally minimal
-under those moves.
+adjacent coordinates are merged and off-grid entries snapped onto {0, 1/2, 1}
+for as long as the input keeps failing.  A snapped weight is exactly its grid
+point, the weights on the grid keep their bits, and the other off-grid weights
+carry the rest of the mass, so every move drops a coordinate or puts one more
+entry on the grid.  Reported witnesses end on the grid wherever the failure
+allows, and are locally minimal under those moves.
 
 Equality-shaped laws use a relative tolerance; inequality-shaped laws allow an
 additive slack scaled by max(1, |lhs|, |rhs|).
@@ -576,22 +579,6 @@ def _snap_sites(check: _CheckDef, wit: dict) -> Iterator[tuple[str, int | None, 
         yield key, None, float(wit[key])
 
 
-def _witness_size(check: _CheckDef, wit: dict) -> tuple[int, int, float]:
-    """(array entries, entries off the grid, their summed distance to it, each
-    capped at 1), over the entries in ``_snap_sites`` order."""
-    entries = [v for val in wit.values() if isinstance(val, np.ndarray) for v in val.tolist()]
-    total = len(entries)
-    entries += [float(wit[key]) for key in check.scalar_fields]
-    count = 0
-    dist = 0.0
-    for v in entries:
-        d = _off_grid(v)
-        if d > _ON_GRID_TOL:
-            count += 1
-            dist += min(d, 1.0)  # in order, not sum(): it compensates on 3.12+
-    return total, count, dist
-
-
 def _merge_candidates(check: _CheckDef, wit: dict) -> Iterator[dict]:
     for group in check.merge_groups:
         weight_key = group[0]
@@ -609,26 +596,33 @@ def _merge_candidates(check: _CheckDef, wit: dict) -> Iterator[dict]:
 
 
 def _snap_candidates(check: _CheckDef, wit: dict) -> Iterator[dict]:
+    """Each off-grid entry set to each grid point.  A snapped weight becomes
+    exactly g, the weights already on the grid keep their bits, and the other
+    off-grid weights are rescaled to carry the rest of the mass; with none left,
+    the weighting goes out as it is, for the constructor to judge."""
     for key, i, entry in _snap_sites(check, wit):
         if _off_grid(entry) <= _ON_GRID_TOL:
             continue
+        rescaled = None
+        if key in check.weight_fields:
+            rescaled = np.array([_off_grid(v) > _ON_GRID_TOL for v in wit[key].tolist()])
+            rescaled[i] = False
         for g in _GRID:
             new = g
             if i is not None:
                 new = wit[key].copy()
                 new[i] = g
-                if key in check.weight_fields:
-                    total = float(new.sum())
-                    if total <= 0.0:
-                        continue
-                    new = new / total
+                if rescaled is not None and rescaled.any():
+                    rest = 1.0 - float(new[~rescaled].sum())
+                    new[rescaled] = new[rescaled] / float(new[rescaled].sum()) * rest
             yield {**wit, key: new}
 
 
 def _shrink(system: MeanSystem, check: _CheckDef, wit: dict, tol: float,
             wrap: _Wrap) -> dict:
+    """Every merge drops an entry and every snap puts one more on the grid, so
+    each accepted candidate is smaller than the last and the scan ends."""
     best = wit
-    best_size = _witness_size(check, wit)
     budget = 500
     improved = True
     while improved and budget > 0:
@@ -637,15 +631,12 @@ def _shrink(system: MeanSystem, check: _CheckDef, wit: dict, tol: float,
             budget -= 1
             if budget <= 0:
                 break
-            size = _witness_size(check, cand)
-            if not size < best_size:
-                continue
             try:
                 _, _, resid, _ = _evaluate(check, system, cand, wrap)
             except ValueError:  # the move left a witness that does not fit
                 continue
             if resid > tol:  # still failing: accept and restart the scan
-                best, best_size = cand, size
+                best = cand
                 improved = True
                 break
     return best

@@ -220,9 +220,9 @@ def test_transfer_slope_for_the_arithmetic_mean():
 
 
 @pytest.mark.parametrize("source", ["sum(w*x^2)^0.5", "(sum(w*x)+sum(w*x^2)^0.5)/2"])
-def test_sandwich_stage_evaluates_each_trial_point_once_per_delta(monkeypatch, source):
-    # The slope estimate reuses the sandwich's value at (w, x) instead of
-    # evaluating it again; the report must not change.
+def test_sandwich_stage_evaluates_each_trial_point_once(monkeypatch, source):
+    # The later deltas and every slope estimate reuse the first delta's value
+    # at (w, x) instead of evaluating it again; the report must not change.
     cfg = CharacterizationConfig(seed=5, trials=40)  # 10 sandwich trials
     dsl = dsl_mean_system(source)
 
@@ -240,11 +240,14 @@ def test_sandwich_stage_evaluates_each_trial_point_once_per_delta(monkeypatch, s
         return report, [c.most_common(1)[0][1] for c in per_trial.values()]
 
     report, at_point = stage()
-    assert at_point == [len(cfg.deltas)] * report.trials
-    # Dropping the given base evaluates (w, x) a second time per delta.
-    reuse = characterize._transfer_slope
+    assert len(cfg.deltas) == 2 and at_point == [1] * report.trials
+    # Dropping the given values evaluates (w, x) twice per delta.
+    sandwich, slope = characterize._sandwich, characterize._transfer_slope
+    monkeypatch.setattr(characterize, "_sandwich",
+                        lambda system, w, x, delta, cap, value_at:
+                        sandwich(system, w, x, delta, cap, None))
     monkeypatch.setattr(characterize, "_transfer_slope",
-                        lambda system, w, x, step, base: reuse(system, w, x, step, None))
+                        lambda system, w, x, step, base: slope(system, w, x, step, None))
     assert stage() == (report, [2 * len(cfg.deltas)] * report.trials)
 
 

@@ -281,6 +281,79 @@ def test_format_round_trips_random_trees():
         assert parse_mean_expr(format_mean_expr(tree)) == tree
 
 
+def _fmt_reference(node, level=0):
+    """The recursive printer that the explicit-stack one replaced, kept as the
+    reference it must match character for character."""
+    if isinstance(node, Literal):
+        v = node.value
+        if abs(v) < 1e16 and v == int(v):
+            text = str(int(v))
+        else:
+            text = repr(v).replace("inf", "1e999")
+        return dsl._wrap(text, dsl._BASE, level) if text.startswith("-") else text
+    if isinstance(node, WeightRef):
+        return "w"
+    if isinstance(node, ValueRef):
+        return "x"
+    if isinstance(node, Reduce):
+        return f"{node.kind}({_fmt_reference(node.body, 0)})"
+    if isinstance(node, Neg):
+        return dsl._wrap("-" + _fmt_reference(node.operand, dsl._BASE), dsl._BASE, level)
+    if isinstance(node, BinOp):
+        mine = dsl._BINDING[node.op]
+        if node.op == "^":
+            left, right = (_fmt_reference(node.left, dsl._BASE + 1),
+                           _fmt_reference(node.right, mine))
+        else:
+            left, right = _fmt_reference(node.left, mine), _fmt_reference(node.right, mine + 1)
+        return dsl._wrap(f"{left} {node.op} {right}" if mine == 1 else
+                         f"{left}{node.op}{right}", mine, level)
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+_ODD_LITERALS = (-2.5, -0.0, -3.0, math.inf, -math.inf, math.nan, 1e16, -1e16, 2.0 ** 60,
+                 1e-300, 0.1)
+
+
+def _printed(fmt, tree):
+    try:
+        return fmt(tree)
+    except (TypeError, KeyError) as exc:
+        return type(exc), str(exc)
+
+
+def _odd_tree(rng, depth):
+    """Trees the grammar cannot write: negative, infinite and NaN literals,
+    w and x outside reducers, nested reducers, and nodes that are not nodes."""
+    roll = rng.random()
+    if depth <= 0 or roll < 0.2:
+        leaves = [Literal(v) for v in _ODD_LITERALS] + [WeightRef(), ValueRef(), "x", None]
+        return leaves[int(rng.integers(len(leaves)))]
+    if roll < 0.35:
+        return Reduce("sum", _odd_tree(rng, depth - 1))
+    if roll < 0.5:
+        return Neg(_odd_tree(rng, depth - 1))
+    op = ["+", "-", "*", "/", "^", "%"][int(rng.integers(6))]
+    return BinOp(op, _odd_tree(rng, depth - 1), _odd_tree(rng, depth - 1))
+
+
+def test_printer_matches_the_recursive_reference():
+    rng = np.random.default_rng(31)
+    trees = [parse_mean_expr(source) for source in _ROUND_TRIP_SOURCES]
+    trees += [_random_tree(rng, int(rng.integers(1, 7)), False) for _ in range(2000)]
+    trees += [_odd_tree(rng, int(rng.integers(0, 6))) for _ in range(2000)]
+    trees += [parse_mean_expr(source) for levels in (1, 50, 97)
+              for source in [*_nested(levels).values(), *(make(levels) for make, _ in
+                                                          _DEEPEST.values())]
+              if levels <= 32 or not source.startswith("prod(")]
+    outcomes = set()
+    for tree in trees:
+        want = _printed(_fmt_reference, tree)
+        assert _printed(format_mean_expr, tree) == want, tree
+        outcomes.add(want[0] if isinstance(want, tuple) else str)
+    assert outcomes == {str, TypeError, KeyError}
+
+
 def _interpret(expr, w, x):
     """The tree-walking interpreter that compiled trees replaced, kept as the
     reference they must match bit for bit."""
@@ -604,6 +677,17 @@ def test_the_depth_verdict_does_not_depend_on_the_callers_stack():
         got = _from_depth(frames, lambda: _outcome(eval_mean_expr, parse_mean_expr(make(levels)),
                                                    w, x))
         assert got == _outcome(_interpret, parse_mean_expr(make(levels)), w, x), kind
+
+
+def test_deepest_systems_build_from_deep_in_the_stack():
+    # Parsing and printing the label keep their own stacks, so a system's
+    # source is accepted or refused whatever the caller's depth.
+    deep = sys.getrecursionlimit() - 60
+    for kind, (make, levels) in _DEEPEST.items():
+        system = _from_depth(deep, lambda: dsl_mean_system(make(levels)))
+        assert system.label == _fmt_reference(parse_mean_expr(make(levels))), kind
+        with pytest.raises(ExprSyntaxError, match="nests deeper than 100 levels"):
+            _from_depth(deep, lambda: dsl_mean_system(make(levels + 1)))
 
 
 # ── Systems built from expressions ────────────────────────────────────────────

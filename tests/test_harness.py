@@ -4,6 +4,7 @@ replay, and byte-level determinism of reports."""
 import itertools
 import json
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -497,9 +498,8 @@ def test_fresh_witnesses_pass_the_public_constructors():
 
 
 def _witness_size_reference(check, wit):
-    """_witness_size as a walk of (field, index, value) sites with a min()
-    over the grid for every entry, kept as the reference it must match bit
-    for bit."""
+    """(array entries, entries off the {0, 1/2, 1} grid, their summed distance
+    to it, each capped at 1): the size a shrink move must lower."""
     def sites():
         for key, val in wit.items():
             if isinstance(val, np.ndarray):
@@ -525,26 +525,127 @@ _NEAR_GRID = (-0.0, 0.0, 5e-324, 1e-13, -1e-12, 1e-12, 1.0000000000000002e-12,
               1.0 + 3e-12, 0.25, 1e300)
 
 
-def test_witness_size_matches_the_reference_bit_for_bit():
+def _near_grid_witnesses(trials):
+    """Seeded witnesses of every check with about half of their entries drawn
+    from _NEAR_GRID.  A weight field keeps its sum at 1 where the entries left
+    can carry the rest; otherwise it is not a weighting."""
     rng = np.random.default_rng(2024)
     cfg = CheckConfig(seed=3)
-    counts = set()
     for stream, check in enumerate(harness._CHECKS):
-        for trial, trial_rng in enumerate(harness._trial_rngs(cfg.seed, stream, 80)):
+        for trial, trial_rng in enumerate(harness._trial_rngs(cfg.seed, stream, trials)):
             wit = check.make_trial(cfg, trial % 2 == 1, trial, trial_rng)
             for key, val in wit.items():
                 if isinstance(val, np.ndarray):
                     pick = rng.random(val.size) < 0.5
                     wit[key] = val.copy()
                     wit[key][pick] = rng.choice(_NEAR_GRID, int(pick.sum()))
+                    if key in check.weight_fields:
+                        rest, kept = 1.0 - wit[key][pick].sum(), wit[key][~pick].sum()
+                        if rest >= 0.0 and kept > 0.0:
+                            wit[key][~pick] *= rest / kept
             for key in check.scalar_fields:  # c and epsilon
                 if rng.random() < 0.5:
                     wit[key] = float(rng.choice(_NEAR_GRID))
-            got = harness._witness_size(check, wit)
-            want = _witness_size_reference(check, wit)
-            assert got[:2] == want[:2] and got[2].hex() == want[2].hex(), (check.name, trial)
-            counts.add(got[1] < got[0] + len(check.scalar_fields))
-    assert counts == {True, False}  # witnesses with and without on-grid entries
+            yield check, wit
+
+
+def _is_weighting(entries):
+    try:
+        Weighting(entries)
+    except ValueError:
+        return False
+    return True
+
+
+def test_every_shrink_candidate_is_smaller_than_its_source():
+    # A merge drops entries; a snap puts one more entry on the grid.  A
+    # snapped weight is exactly g, the weights on the grid keep their bits,
+    # and the other off-grid weights carry the rest of the mass.
+    seen = Counter()
+    for check, wit in _near_grid_witnesses(80):
+        size = _witness_size_reference(check, wit)
+        for cand in harness._merge_candidates(check, wit):
+            assert _witness_size_reference(check, cand)[0] < size[0], check.name
+            seen["merge"] += 1
+        sites = [(key, i, g) for key, i, entry in harness._snap_sites(check, wit)
+                 if harness._off_grid(entry) > harness._ON_GRID_TOL for g in (0.0, 0.5, 1.0)]
+        cands = list(harness._snap_candidates(check, wit))
+        assert len(cands) == len(sites), check.name
+        for (key, i, g), cand in zip(sites, cands):
+            where = (check.name, key, i, g)
+            cand_size = _witness_size_reference(check, cand)
+            assert cand_size[0] == size[0] and cand_size[1] < size[1], where
+            assert [k for k in wit if k != key and cand[k] is not wit[k]] == [], where
+            if i is None:
+                assert cand[key] == g, where
+                continue
+            new, old = cand[key], wit[key]
+            assert _bits(new[i]) == _bits(g), where
+            if key not in check.weight_fields:
+                assert _bits(*np.delete(new, i)) == _bits(*np.delete(old, i)), where
+                continue
+            on_grid = [j for j, v in enumerate(old.tolist())
+                       if min(abs(v - p) for p in (0.0, 0.5, 1.0)) <= 1e-12]
+            assert _bits(*new[on_grid]) == _bits(*old[on_grid]), where
+            ok = bool(new.min() >= 0.0 and abs(float(new.sum()) - 1.0) <= core.WEIGHT_SUM_TOL)
+            assert _is_weighting(new) == ok, where
+            rescaled = len(on_grid) + 1 < new.size
+            if _is_weighting(old) and rescaled and g + old[on_grid].sum() <= 1.0:
+                assert ok, where  # a valid source with room left gives a weighting
+            seen["weight", rescaled, ok] += 1
+    assert seen["merge"] > 0
+    assert {("weight", rescaled, ok) for rescaled in (False, True)
+            for ok in (False, True)} <= set(seen)
+
+
+# The broken and hostile systems of the DSL benchmark.
+_SHRINK_SYSTEMS = ("sum(w*x^2)", "sum(w^2*x)", "(sum(w*x)+sum(w*x^2)^0.5)/2", "prod(x^w)",
+                   "max(x*w^0)", _HOSTILE)
+
+
+def test_shrinking_ends_on_the_grid_within_budget(monkeypatch):
+    # A weight snap that renormalizes every weight lands near g, not on it,
+    # and the scan crawls toward the grid a step at a time: 1909 evaluations
+    # in all here, 431 in one shrink, and 3 budgets spent.
+    evaluate, shrink = harness._evaluate, harness._shrink
+    counts = []
+
+    def counting_evaluate(*args):
+        counts[-1] += 1
+        return evaluate(*args)
+
+    def counting_shrink(system, check, wit, tol, wrap):
+        counts.append(0)
+        monkeypatch.setattr(harness, "_evaluate", counting_evaluate)
+        try:
+            best = shrink(system, check, wit, tol, wrap)
+        finally:
+            monkeypatch.setattr(harness, "_evaluate", evaluate)
+        # The scan ran out of moves, not of budget: no move of the witness still fails.
+        for cand in itertools.chain(harness._merge_candidates(check, best),
+                                    harness._snap_candidates(check, best)):
+            try:
+                assert not evaluate(check, system, cand, wrap)[2] > tol, check.name
+            except ValueError:
+                pass
+        return best
+
+    monkeypatch.setattr(harness, "_shrink", counting_shrink)
+    failed = {}
+    for source, seed in itertools.product(_SHRINK_SYSTEMS, (7, 11)):
+        system = dsl_mean_system(source)
+        for report in run_full_suite(system, CheckConfig(seed=seed, trials=100)):
+            if report.passed:
+                continue
+            ce = report.counterexample
+            failed[source, seed, report.property_name] = ce
+            got = replay_counterexample(system, report.property_name, ce)
+            assert all(map(_same, got, (ce.lhs, ce.rhs, ce.residual))), report.property_name
+    assert len(failed) == len(counts) == 38
+    assert sum(counts) <= 400 and max(counts) <= 100, counts  # the budget is 500
+    blend = failed["(sum(w*x)+sum(w*x^2)^0.5)/2", 7, "multiplicativity"]
+    for v in blend.w + tuple(blend.aux["v"]):
+        assert min(abs(v - g) for g in (0.0, 0.5, 1.0)) <= harness._ON_GRID_TOL, blend
 
 
 @pytest.mark.parametrize("field", ["w", "x"])
