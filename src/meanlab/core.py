@@ -66,8 +66,6 @@ WEIGHT_SUM_TOL = 1e-12
 #: Largest tolerated gap between a float weight entry and its exact rational twin.
 EXACT_MATCH_TOL = 1e-15
 
-_LN2 = math.log(2.0)
-
 # Largest common denominator ``expand_rational`` expands to by default.
 _EXPANSION_CAP = 10**6
 
@@ -191,63 +189,98 @@ class _Entries:
         return obj
 
 
-@dataclass(frozen=True, eq=False)
+def _checked_weights(entries: object) -> np.ndarray:
+    """``entries`` as a float array, if they make a weighting; else why not."""
+    a = _as_1d_float(entries, "weighting")
+    total = float(a.sum())
+    # A finite sum near 1 with a nonnegative minimum accepts in two
+    # reductions; anything else finds its reason below, in a fixed order.
+    if not (abs(total - 1.0) <= WEIGHT_SUM_TOL and a.min() >= 0.0):
+        if a.size < 1:
+            raise ValueError("weighting needs at least one entry")
+        if not np.all(np.isfinite(a)):
+            raise ValueError("weighting entries must be finite")
+        if np.any(a < 0.0):
+            raise ValueError("weighting entries must be nonnegative")
+        raise ValueError(
+            f"weighting sums to {total!r}, off by more than {WEIGHT_SUM_TOL}"
+            " — normalize explicitly if that is intended"
+        )
+    return a
+
+
+def _check_twins(a: np.ndarray, counts: list[int], d: int) -> None:
+    """Check the exact twins counts / d of the weighting entries ``a``."""
+    if min(counts) < 0:
+        raise ValueError("exact entries must be nonnegative")
+    if sum(counts) != d:
+        raise ValueError("exact entries must sum to exactly 1")
+    drift = float(np.abs(a - np.array([k / d for k in counts])).max())
+    if drift > EXACT_MATCH_TOL:
+        raise ValueError(f"exact entries drift from floats by up to {drift!r}")
+
+
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class Weighting(_Entries):
     """A finite probability vector: nonnegative entries summing to 1.
 
     The float entries must sum to 1 within ``WEIGHT_SUM_TOL`` — out-of-tolerance
     input is rejected rather than silently renormalized (see
-    :func:`normalize_weights` for the explicit fixup).  Optionally a tuple of
-    exact rational entries rides along (``Fraction`` or ``int``, stored as
-    ``Fraction``); it must sum to exactly 1 and match the floats entrywise
-    within ``EXACT_MATCH_TOL``.
+    :func:`normalize_weights` for the explicit fixup).  Optionally exact
+    rational twins ride along (``exact``: ``Fraction`` or ``int``); they must sum
+    to exactly 1 and match the floats entrywise within ``EXACT_MATCH_TOL``.
+    They are held as integer counts over one denominator, and ``.exact``, a
+    tuple of ``Fraction`` or None, is built from the counts when first read.
     """
 
     entries: np.ndarray
-    exact: tuple[Fraction, ...] | None = None
+    # The exact twins are _counts[i] / _denominator, or none when _counts is
+    # None.  These class attributes are the defaults a weighting without twins
+    # keeps, so wrapping one sets nothing more.
+    _counts = None
+    _denominator = 1
 
-    def __post_init__(self) -> None:
-        a = _as_1d_float(self.entries, "weighting")
-        total = float(a.sum())
-        # A finite sum near 1 with a nonnegative minimum accepts in two
-        # reductions; anything else finds its reason below, in a fixed order.
-        if not (abs(total - 1.0) <= WEIGHT_SUM_TOL and a.min() >= 0.0):
-            if a.size < 1:
-                raise ValueError("weighting needs at least one entry")
-            if not np.all(np.isfinite(a)):
-                raise ValueError("weighting entries must be finite")
-            if np.any(a < 0.0):
-                raise ValueError("weighting entries must be nonnegative")
-            raise ValueError(
-                f"weighting sums to {total!r}, off by more than {WEIGHT_SUM_TOL}"
-                " — normalize explicitly if that is intended"
-            )
-        object.__setattr__(self, "entries", _read_only(a))
-        if self.exact is not None:
-            ex = tuple(self.exact)
+    def __init__(self, entries, exact=None) -> None:
+        a = _checked_weights(entries)
+        counts, d = None, 1
+        if exact is not None:
+            ex = tuple(exact)
             if len(ex) != a.size:
                 raise ValueError("exact entries must match float entries in length")
             if not all(type(f) is Fraction for f in ex):
                 if not all(isinstance(f, numbers.Rational) for f in ex):
                     raise ValueError("exact entries must be rationals (Fraction or int)")
                 ex = tuple(map(Fraction, ex))
-            nums = [f.numerator for f in ex]
-            dens = [f.denominator for f in ex]
-            if min(nums) < 0:
-                raise ValueError("exact entries must be nonnegative")
-            common = math.lcm(*dens)
-            if sum(n * (common // d) for n, d in zip(nums, dens)) != common:
-                raise ValueError("exact entries must sum to exactly 1")
-            drift = float(np.abs(a - np.array([n / d for n, d in zip(nums, dens)])).max())
-            if drift > EXACT_MATCH_TOL:
-                raise ValueError(f"exact entries drift from floats by up to {drift!r}")
-            object.__setattr__(self, "exact", ex)
+            d = math.lcm(*(f.denominator for f in ex))
+            counts = [f.numerator * (d // f.denominator) for f in ex]
+            _check_twins(a, counts, d)
+        self._hold(a, counts, d)
+
+    def _hold(self, a: np.ndarray, counts: list[int] | None, d: int) -> None:
+        object.__setattr__(self, "entries", _read_only(a))
+        if counts is not None:
+            object.__setattr__(self, "_counts", tuple(counts))
+            object.__setattr__(self, "_denominator", d)
 
     @classmethod
-    def _unchecked(cls, a: np.ndarray, exact: tuple[Fraction, ...] | None = None):
-        w = super()._unchecked(a)
-        object.__setattr__(w, "exact", exact)
+    def _unchecked(cls, a: np.ndarray, counts: list[int] | None = None, d: int = 1):
+        """Wrap ``a`` as :meth:`_Entries._unchecked` does, with the exact twins
+        counts / d if ``counts`` is given."""
+        w = object.__new__(cls)
+        w._hold(a, counts, d)
         return w
+
+    @cached_property
+    def exact(self) -> tuple[Fraction, ...] | None:
+        """The exact twins as Fractions (each distinct count makes one), or None."""
+        if self._counts is None:
+            return None
+        d = self._denominator
+        twins = {k: Fraction(k, d) for k in set(self._counts)}
+        return tuple(map(twins.__getitem__, self._counts))
+
+    def __repr__(self) -> str:
+        return f"Weighting(entries={self.entries!r}, exact={self.exact!r})"
 
     @property
     def support(self) -> np.ndarray:
@@ -345,32 +378,31 @@ def normalize_weights(entries: Sequence[float] | np.ndarray) -> Weighting:
 
 
 def _weighting_from_counts(counts: list[int], d: int) -> Weighting:
-    """The weighting (k / d for k in counts) with exact twins Fraction(k, d).
+    """The weighting (k / d for k in counts) with exact twins k / d.
 
     Only the integers are checked: nonnegative counts summing to d.  That
     implies every rule the public constructor enforces, so it is not re-run:
     each float is the correctly rounded k / d, within 2⁻⁵³ of its twin, and
-    the floats sum to 1 within 2⁻⁵³.  Each distinct count makes one Fraction.
+    the floats sum to 1 within 2⁻⁵³.
     """
     if d < 1 or sum(counts) != d or min(counts) < 0:
         raise ValueError("counts must be nonnegative integers summing to the denominator")
-    distinct = set(counts)
-    if len(distinct) == 1:  # uniform: k = d / n for every entry
-        k = counts[0]
-        entries = np.full(len(counts), k / d)
-        exact = (Fraction(k, d),) * len(counts)
-    else:
-        twins = {k: Fraction(k, d) for k in distinct}
-        entries = np.array([k / d for k in counts])
-        exact = tuple(map(twins.__getitem__, counts))
-    return Weighting._unchecked(entries, exact)
+    return Weighting._unchecked(np.array([k / d for k in counts]), counts, d)
+
+
+def _checked_from_counts(entries: np.ndarray, counts: list[int], d: int) -> Weighting:
+    """``Weighting(entries, exact=[k / d for k in counts])``, with the same checks
+    and messages, and no ``Fraction`` made."""
+    a = _checked_weights(entries)
+    _check_twins(a, counts, d)
+    return Weighting._unchecked(a, counts, d)
 
 
 def uniform(n: int) -> Weighting:
     """The uniform weighting u_n = (1/n, …, 1/n), with exact rationals attached."""
     if n < 1:
         raise ValueError("uniform weighting needs n ≥ 1")
-    return _weighting_from_counts([1] * n, n)
+    return Weighting._unchecked(np.full(n, 1 / n), (1,) * n, n)
 
 
 # ── Double-double helpers (Dekker splitting; no fma required) ─────────────────
@@ -397,14 +429,6 @@ def _two_prod(a, b):
     return p, e
 
 
-def _div_dd(a_hi: float, a_lo: float, b: float) -> tuple[float, float]:
-    """(a_hi + a_lo)/b as a hi/lo pair (one Newton correction)."""
-    q1 = (a_hi + a_lo) / b
-    p1, p2 = _two_prod(q1, b)
-    r = ((a_hi - p1) - p2) + a_lo
-    return q1, r / b
-
-
 # ── Power mean evaluation ─────────────────────────────────────────────────────
 
 #: Vectors of at most this many entries are evaluated on Python floats; above
@@ -428,9 +452,13 @@ def power_mean(p: ExponentLike, w: Weighting, x: ValueVector) -> float:
     for p > 0.  Coordinates with wᵢ = 0 exactly are ignored entirely; tiny
     positive weights are honored as they stand.
 
-    The result always lies in [min, max] of x over the support, up to the
-    tolerance with which the weights sum to 1.  A nonzero |p| below 2⁻³⁵ is
-    evaluated as p = 0: the finite formula cannot resolve it.
+    The result lies in [min, max] of x over the support up to a relative error
+    of about |Σw − 1| / |p| at finite p: the root (Σw)^(1/p) magnifies the
+    weights' drift from 1, which the constructor lets reach ``WEIGHT_SUM_TOL``.
+    So ``power_mean(2**-34, Weighting((0.5, 0.5 + 0.9e-12)), ValueVector((1.0,
+    1.0)))`` gives 1.0155804546001013, not 1.0 (ROADMAP.md item 4 plans the
+    fix: divide the power sum by the weights' total).  A nonzero |p| below
+    2⁻³⁵ is evaluated as p = 0: the finite formula cannot resolve it.
     """
     pp = as_exponent(p).value
     if abs(pp) < _ZERO_P:
@@ -444,24 +472,62 @@ def power_mean(p: ExponentLike, w: Weighting, x: ValueVector) -> float:
 
 
 def _scalar_power_mean(pp: float, wl: list[float], xl: list[float]) -> float:
-    """:func:`power_mean` on Python floats, for short vectors."""
+    """:func:`power_mean` on Python floats, for short vectors, with the method
+    of :func:`_finite_power_mean` and :func:`_geometric_mean` and exactly
+    rounded (``math.fsum``) sums.
+
+    One pass keeps each supported positive value as its weight, binary
+    exponent and mantissa log₂, and finds the reference entry; a second makes
+    the terms.
+    """
     if math.isinf(pp):
         xs = [xi for wi, xi in zip(wl, xl) if wi > 0.0]
         return max(xs) if pp > 0.0 else min(xs)
-    ws: list[float] = []
-    xs = []
+    top = pp > 0.0  # the reference entry has the largest log₂ x for p > 0, else the least
+    lx_ref = -math.inf if top else math.inf
+    kept: list[tuple[float, float, float]] = []
     for wi, xi in zip(wl, xl):
         if wi > 0.0:
             if xi > 0.0:
-                ws.append(wi)
-                xs.append(xi)
+                m, e = math.frexp(xi)
+                e = float(e)  # exact; it keeps the arithmetic below on floats
+                lm = math.log2(m)
+                lx = e + lm
+                if (lx > lx_ref) if top else (lx < lx_ref):  # the first on a tie
+                    lx_ref, x_ref, e_ref, lm_ref = lx, xi, e, lm
+                kept.append((wi, e, lm))
             elif pp <= 0.0:
                 return 0.0  # limit of the mean as any x_i ↓ 0 with p ≤ 0
-    if not xs:
+    if not kept:
         return 0.0  # p > 0 and every supported value is zero
     if pp == 0.0:
-        return _scalar_geometric_mean(ws, xs)
-    return _scalar_finite_power_mean(pp, ws, xs)
+        parts: list[float] = []
+        for wi, e, lm in kept:
+            parts.extend(_two_prod(wi, e))
+            parts.append(wi * lm)
+        return _exp2_of_exact_sum(parts)
+    c = _SPLIT * pp  # Dekker split of p, shared by every product below
+    ph = c - (c - pp)
+    pl = pp - ph
+    s_terms: list[float] = []
+    t_terms: list[float] = []
+    for wi, e, lm in kept:
+        ue = e - e_ref  # a small integer, so its Dekker split is (ue, 0)
+        um = lm - lm_ref
+        a1 = pp * ue
+        r1 = (ph * ue - a1) + pl * ue
+        a2 = pp * um
+        c = _SPLIT * um
+        uh = c - (c - um)
+        ul = um - uh
+        r2 = ((ph * uh - a2) + ph * ul + pl * uh) + pl * ul
+        a = a1 + a2  # _two_sum(a1, a2), inline
+        v = a - a1
+        r3 = (a1 - (a - v)) + (a2 - v)
+        wt = wi * 2.0 ** a
+        s_terms.append(wt)
+        t_terms.append(wt * ((r1 + r2) + r3))
+    return _root_of_power_sum(pp, math.fsum(s_terms), math.fsum(t_terms), x_ref)
 
 
 def _numpy_power_mean(pp: float, we: np.ndarray, xe: np.ndarray) -> float:
@@ -486,41 +552,6 @@ def _numpy_power_mean(pp: float, we: np.ndarray, xe: np.ndarray) -> float:
         ws = ws[keep]
         xs = xs[keep]
     return _finite_power_mean(pp, ws, xs)
-
-
-def _scalar_finite_power_mean(pp: float, ws: list[float], xs: list[float]) -> float:
-    """:func:`_finite_power_mean` on Python floats, with ``math.fsum`` sums."""
-    es: list[int] = []
-    lms: list[float] = []
-    for xi in xs:
-        m, e = math.frexp(xi)
-        es.append(e)
-        lms.append(math.log2(m))
-    lx = [e + lm for e, lm in zip(es, lms)]
-    ref = lx.index(max(lx) if pp > 0.0 else min(lx))
-    e_ref, lm_ref = es[ref], lms[ref]
-    c = _SPLIT * pp  # Dekker split of p, shared by every product below
-    ph = c - (c - pp)
-    pl = pp - ph
-    s_terms: list[float] = []
-    t_terms: list[float] = []
-    for wi, e, lm in zip(ws, es, lms):
-        ue = e - e_ref  # a small integer, so its Dekker split is (ue, 0)
-        um = lm - lm_ref
-        a1 = pp * ue
-        r1 = (ph * ue - a1) + pl * ue
-        a2 = pp * um
-        c = _SPLIT * um
-        uh = c - (c - um)
-        ul = um - uh
-        r2 = ((ph * uh - a2) + ph * ul + pl * uh) + pl * ul
-        a = a1 + a2  # _two_sum(a1, a2), inline
-        v = a - a1
-        r3 = (a1 - (a - v)) + (a2 - v)
-        wt = wi * 2.0 ** a
-        s_terms.append(wt)
-        t_terms.append(wt * ((r1 + r2) + r3))
-    return _root_of_power_sum(pp, math.fsum(s_terms), math.fsum(t_terms), xs[ref])
 
 
 def _finite_power_mean(pp: float, ws: np.ndarray, xs: np.ndarray) -> float:
@@ -555,21 +586,22 @@ def _root_of_power_sum(pp: float, S: float, T: float, x_ref: float) -> float:
     """x_ref · (S + T)^(1/p), with S = Σ w · 2^(p·u) and T its correction."""
     m_s, k_s = math.frexp(S)
     g = math.log2(m_s) + T / S  # log₂(S) − k_s, corrected
-    q_hi, q_lo = _div_dd(float(k_s), g, pp)  # log₂(S)/p as a pair
+    # log₂(S)/p as a pair q_hi + q_lo: one Newton correction, with the exact
+    # product q_hi · p as the pair p1 + p2 (Dekker, as _two_prod).
+    q_hi = (k_s + g) / pp
+    p1 = q_hi * pp
+    c = _SPLIT * q_hi
+    qh = c - (c - q_hi)
+    ql = q_hi - qh
+    c = _SPLIT * pp
+    ph = c - (c - pp)
+    pl = pp - ph
+    p2 = ((qh * ph - p1) + qh * pl + ql * ph) + ql * pl
+    q_lo = (((k_s - p1) - p2) + g) / pp
     n0 = math.floor(q_hi)
     f = (q_hi - n0) + q_lo
     m_ref, e_ref = math.frexp(x_ref)
-    return math.ldexp(m_ref * float(np.exp2(f)), e_ref + int(n0))
-
-
-def _scalar_geometric_mean(ws: list[float], xs: list[float]) -> float:
-    """:func:`_geometric_mean` on Python floats and strictly positive xs."""
-    parts: list[float] = []
-    for wi, xi in zip(ws, xs):
-        m, e = math.frexp(xi)
-        parts.extend(_two_prod(wi, float(e)))
-        parts.append(wi * math.log2(m))
-    return _exp2_of_exact_sum(parts)
+    return math.ldexp(m_ref * float(np.exp2(f)), e_ref + n0)
 
 
 def _geometric_mean(ws: np.ndarray, xs: np.ndarray) -> float:
@@ -664,13 +696,12 @@ def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def pushforward(f: IndexMap, w: Weighting) -> Weighting:
     """Push a weighting forward along f: (f·w)ⱼ = Σ_{i : f(i)=j} wᵢ."""
     out = _pushed(f, w.entries)
-    exact = None
-    if w.exact is not None:
-        sums = [Fraction(0)] * f.codomain_size
-        for i, j in enumerate(f.images):
-            sums[j] += w.exact[i]
-        exact = tuple(sums)
-    return Weighting(out, exact=exact)
+    if w._counts is None:
+        return Weighting(out)
+    sums = [0] * f.codomain_size
+    for j, k in zip(f.images, w._counts):
+        sums[j] += k
+    return _checked_from_counts(out, sums, w._denominator)
 
 
 def pullback(f: IndexMap, x: ValueVector) -> ValueVector:
@@ -695,10 +726,10 @@ def embed(f: IndexMap, x: SignedVector) -> SignedVector:
 def tensor_weights(w: Weighting, v: Weighting) -> Weighting:
     """Product weighting (w⊗v)_{(i,j)} = wᵢ·vⱼ, flattened row-major (i major)."""
     out = _outer(w.entries, v.entries)
-    exact = None
-    if w.exact is not None and v.exact is not None:
-        exact = tuple(a * b for a in w.exact for b in v.exact)
-    return Weighting(out, exact=exact)
+    if w._counts is None or v._counts is None:
+        return Weighting(out)
+    counts = [a * b for a in w._counts for b in v._counts]
+    return _checked_from_counts(out, counts, w._denominator * v._denominator)
 
 
 def tensor_values(x, y):
@@ -768,14 +799,14 @@ def expand_rational(
     the symmetry/repetition laws takes the same value on both presentations.
     Raises if the common denominator k would exceed ``max_size``.
     """
-    if w.exact is None:
+    if w._counts is None:
         raise ValueError("rational expansion needs exact rational weights")
     if len(w) != len(x):
         raise ValueError(f"length mismatch: {len(w)} weights vs {len(x)} values")
-    k = math.lcm(*(f.denominator for f in w.exact))
+    g = math.gcd(w._denominator, *w._counts)  # k = the least common denominator
+    k = w._denominator // g
     if k > max_size:
         raise ValueError(f"common denominator {k} exceeds the size cap {max_size}")
-    counts = [f.numerator * (k // f.denominator) for f in w.exact]
-    assert sum(counts) == k
+    counts = w._counts if g == 1 else [c // g for c in w._counts]
     expanded = np.repeat(x.entries, counts)
     return uniform(k), ValueVector(expanded)

@@ -3,6 +3,7 @@ properties under seeded random sweeps."""
 
 import itertools
 import math
+import random
 import warnings
 from fractions import Fraction
 
@@ -335,13 +336,195 @@ def test_scalar_and_numpy_paths_agree_across_the_crossover():
             keep = (we > 0.0) & (xe > 0.0)
             if math.isfinite(p) and keep.any():
                 ws, xs = we[keep], xe[keep]
+                a = core._scalar_power_mean(p, ws.tolist(), xs.tolist())
                 if p == 0.0:
-                    a = core._scalar_geometric_mean(ws.tolist(), xs.tolist())
                     b = core._geometric_mean(ws, xs)
                 else:
-                    a = core._scalar_finite_power_mean(p, ws.tolist(), xs.tolist())
                     b = core._finite_power_mean(p, ws, xs)
                 assert abs(a - b) <= 1e-14 * b, (n, p, a, b)
+
+
+# ── The scalar kernel against the chain of calls it replaced ──────────────────
+
+
+def _two_prod_reference(a, b):
+    p = a * b
+    ca = core._SPLIT * a
+    ah = ca - (ca - a)
+    al = a - ah
+    cb = core._SPLIT * b
+    bh = cb - (cb - b)
+    bl = b - bh
+    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    return p, e
+
+
+def _div_dd_reference(a_hi, a_lo, b):
+    q1 = (a_hi + a_lo) / b
+    p1, p2 = _two_prod_reference(q1, b)
+    r = ((a_hi - p1) - p2) + a_lo
+    return q1, r / b
+
+
+def _root_reference(pp, S, T, x_ref):
+    m_s, k_s = math.frexp(S)
+    g = math.log2(m_s) + T / S
+    q_hi, q_lo = _div_dd_reference(float(k_s), g, pp)
+    n0 = math.floor(q_hi)
+    f = (q_hi - n0) + q_lo
+    m_ref, e_ref = math.frexp(x_ref)
+    return math.ldexp(m_ref * float(np.exp2(f)), e_ref + int(n0))
+
+
+def _finite_reference(pp, ws, xs, root):
+    es, lms = [], []
+    for xi in xs:
+        m, e = math.frexp(xi)
+        es.append(e)
+        lms.append(math.log2(m))
+    lx = [e + lm for e, lm in zip(es, lms)]
+    ref = lx.index(max(lx) if pp > 0.0 else min(lx))
+    e_ref, lm_ref = es[ref], lms[ref]
+    c = core._SPLIT * pp
+    ph = c - (c - pp)
+    pl = pp - ph
+    s_terms, t_terms = [], []
+    for wi, e, lm in zip(ws, es, lms):
+        ue = e - e_ref
+        um = lm - lm_ref
+        a1 = pp * ue
+        r1 = (ph * ue - a1) + pl * ue
+        a2 = pp * um
+        c = core._SPLIT * um
+        uh = c - (c - um)
+        ul = um - uh
+        r2 = ((ph * uh - a2) + ph * ul + pl * uh) + pl * ul
+        a = a1 + a2
+        v = a - a1
+        r3 = (a1 - (a - v)) + (a2 - v)
+        wt = wi * 2.0 ** a
+        s_terms.append(wt)
+        t_terms.append(wt * ((r1 + r2) + r3))
+    return root(pp, math.fsum(s_terms), math.fsum(t_terms), xs[ref])
+
+
+def _geometric_reference(ws, xs):
+    parts = []
+    for wi, xi in zip(ws, xs):
+        m, e = math.frexp(xi)
+        parts.extend(_two_prod_reference(wi, float(e)))
+        parts.append(wi * math.log2(m))
+    n0 = int(round(math.fsum(parts)))
+    frac = math.fsum(parts + [float(-n0)])
+    return math.ldexp(float(np.exp2(frac)), n0)
+
+
+def _scalar_reference(pp, wl, xl, root=_root_reference):
+    """The scalar path that the one-pass kernel replaced, a chain of five
+    calls, kept as the reference it must match bit for bit.  ``root`` takes
+    (p, S, T, x_ref) at finite p ≠ 0 and gives the result."""
+    if math.isinf(pp):
+        xs = [xi for wi, xi in zip(wl, xl) if wi > 0.0]
+        return max(xs) if pp > 0.0 else min(xs)
+    ws, xs = [], []
+    for wi, xi in zip(wl, xl):
+        if wi > 0.0:
+            if xi > 0.0:
+                ws.append(wi)
+                xs.append(xi)
+            elif pp <= 0.0:
+                return 0.0
+    if not xs:
+        return 0.0
+    if pp == 0.0:
+        return _geometric_reference(ws, xs)
+    return _finite_reference(pp, ws, xs, root)
+
+
+def _kernel_case(rng):
+    """(p, weights, values) of 1 to 32 entries, short ones more often.  The
+    weights sum to 1 within the tolerance, some are 0.  The values spread
+    narrowly or across the doubles, with zeros, repeats or near-ties in
+    log₂ x; or they are identify-shaped: a few values repeated under a
+    uniform weighting, as a rational weighting expands."""
+    u = rng.random
+    kind = rng.randrange(4)
+    sign = 1.0 if u() < 0.5 else -1.0
+    if kind == 0:
+        p = sign * (math.inf if u() < 0.7 else 0.0)
+    elif kind == 1:  # around the switch to p = 0 at 2**-35
+        p = sign * 2.0 ** (-36.0 + 6.0 * u())
+    elif kind == 2:  # 2**-30 to 500
+        p = sign * 2.0 ** (-30.0 + 38.96 * u())
+    else:  # 1e-3 to 500
+        p = sign * 10.0 ** (-3.0 + 5.7 * u())
+    n = int(33.0 ** u())
+    if u() < 0.3:
+        distinct = [10.0 ** (8.0 * u() - 4.0) for _ in range(rng.randint(1, n))]
+        return p, [1 / n] * n, sorted(rng.choices(distinct, k=n), key=distinct.index)
+    w = [1.0 - u() for _ in range(n)]
+    if n >= 2 and u() < 0.3:
+        w = [0.0 if u() < 0.3 else v for v in w]
+        w[0] += sum(w) == 0.0
+    decades = (0.5, 4.0, 300.0)[rng.randrange(3)]
+    x = [10.0 ** (decades * (2.0 * u() - 1.0)) for _ in range(n)]
+    r = u()
+    if r < 0.2:
+        x = [0.0 if u() < 0.2 else v for v in x]
+    elif r < 0.4:
+        x = rng.choices(x[: max(1, n // 3)], k=n)  # repeated values
+    elif r < 0.5:  # values a few ulps apart near a large power of two: equal log₂ x
+        top = math.ldexp(1.0, 1000 if u() < 0.5 else -1000)
+        x = [top * (1.0 - rng.randrange(8) * 2.0 ** -53) for _ in range(n)]
+    total = sum(w)
+    return p, [v / total for v in w], x
+
+
+def test_scalar_kernel_matches_the_chain_it_replaced_bit_for_bit(monkeypatch):
+    # Each root's arguments (p, S, T, x_ref) are compared too: the output
+    # cannot show every bit of the correction T, which moves it by about
+    # 1e-13 of itself at most.
+    seen = []
+
+    def recorded(root):
+        return lambda *args: seen.append(args) or root(*args)
+
+    monkeypatch.setattr(core, "_root_of_power_sum", recorded(core._root_of_power_sum))
+    reference_root = recorded(_root_reference)
+    rng = random.Random(2026)
+    edge = [math.ldexp(s, -35) for s in (1.0, -1.0)]
+    edge += [math.nextafter(e, 0.0) for e in edge]
+    for case in range(100_000):
+        p, wl, xl = _kernel_case(rng)
+        if case < 4:
+            p = edge[case]
+        # power_mean evaluates a nonzero |p| below 2**-35 as 0; the kernel
+        # itself takes any p.
+        seen.clear()
+        got = core._scalar_power_mean(p, wl, xl)
+        want = _scalar_reference(p, wl, xl, reference_root)
+        assert got.hex() == want.hex(), (p, wl, xl)
+        if seen:
+            (got_args, want_args) = seen
+            assert [v.hex() for v in got_args] == [v.hex() for v in want_args], (p, wl, xl)
+        if case % 10 == 0:
+            pp = 0.0 if abs(p) < core._ZERO_P else p
+            got = power_mean(p, Weighting(np.array(wl)), ValueVector(np.array(xl)))
+            assert got.hex() == _scalar_reference(pp, wl, xl).hex(), (p, wl, xl)
+
+
+def test_root_of_power_sum_matches_the_chain_it_replaced_bit_for_bit():
+    # The root is shared by the scalar and numpy paths, so it is pinned on its
+    # own: every p the kernel takes, S in [2**-60, 1] as a power sum whose
+    # largest term is 1 lies, T a few ulps of S, and S^(1/p) within 2**±900.
+    rng = random.Random(35)
+    for _ in range(20_000):
+        pp = (1.0 if rng.random() < 0.5 else -1.0) * 2.0 ** (-35.0 + 44.0 * rng.random())
+        S = 2.0 ** -(min(60.0, 900.0 * abs(pp)) * rng.random())
+        T = S * (rng.random() - 0.5) * 2.0 ** -rng.randrange(40, 60)
+        x_ref = 2.0 ** (200.0 * rng.random() - 100.0)
+        got, want = core._root_of_power_sum(pp, S, T, x_ref), _root_reference(pp, S, T, x_ref)
+        assert got.hex() == want.hex(), (pp, S, T, x_ref)
 
 
 # Inputs with values in 1e±300 and |p| ≈ 0.004: the rounding of p·log₂(x/x_ref)
@@ -453,6 +636,91 @@ def test_transports_validate_what_they_build():
     with pytest.raises(ValueError, match=r"^weighting sums to 1\.0000000000018, off by more "
                                          r"than 1e-12 — normalize explicitly"):
         tensor_weights(w, w)
+
+
+def _twin_ways(counts, d):
+    """One weighting with twins counts / d, built each way meanlab builds one:
+    from the counts, and by the public constructor from Fraction twins, from
+    int and Fraction twins mixed, and from twins over a multiple of d."""
+    twins = tuple(Fraction(k, d) for k in counts)
+    floats = np.array([k / d for k in counts])
+    mixed = tuple(int(f) if f.denominator == 1 else f for f in twins)
+    wider = tuple(Fraction(3 * k, 3 * d) for k in counts)
+    return twins, [core._weighting_from_counts(list(counts), d), Weighting(floats, exact=twins),
+                   Weighting(floats.copy(), exact=mixed), Weighting(floats.copy(), exact=wider)]
+
+
+def _transported(w, f, v, x):
+    """Entries, twins and expansions of every transport of ``w``, or the error."""
+    got = []
+    for make in (lambda: pushforward(f, w), lambda: tensor_weights(w, v),
+                 lambda: tensor_weights(v, w), lambda: expand_rational(w, x, max_size=500)):
+        try:
+            out = make()
+        except ValueError as exc:
+            got.append(str(exc))
+            continue
+        for part in out if isinstance(out, tuple) else (out,):
+            got.append((part.entries.tolist(), getattr(part, "exact", None)))
+    return got
+
+
+def test_count_backed_twins_match_their_fractions():
+    rng = np.random.default_rng(16)
+    for _ in range(400):
+        n = int(rng.integers(1, 9))
+        d = int(rng.choice([1, 2, 6, int(rng.integers(1, 100)), int(rng.integers(1, 10**6))]))
+        probs = rng.dirichlet(np.ones(n))
+        probs[rng.random(n) < 0.3] = 0.0
+        probs[0] += probs.sum() == 0.0
+        counts = rng.multinomial(d, probs / probs.sum()).tolist()
+        twins, ways = _twin_ways(counts, d)
+        for w in ways:
+            assert w.exact == twins and all(type(t) is Fraction for t in w.exact)
+            assert w.entries.tolist() == [k / d for k in counts]
+        m = int(rng.integers(1, n + 1))
+        f = IndexMap(n, m, tuple(rng.integers(0, m, n).tolist()))
+        v = core._weighting_from_counts([1, 2], 3)
+        x = V(*np.power(10.0, rng.uniform(-3.0, 3.0, n)))
+        want = _transported(ways[0], f, v, x)
+        for w in ways[1:]:
+            assert _transported(w, f, v, x) == want, (counts, d)
+        # the twins the Fraction code computed for each transport
+        sums = [Fraction(0)] * m
+        for i, j in enumerate(f.images):
+            sums[j] += twins[i]
+        assert want[0] == (pushforward(f, W(*ways[0].entries)).entries.tolist(), tuple(sums))
+        assert want[1][1] == tuple(a * b for a in twins for b in v.exact)
+        k = math.lcm(*(t.denominator for t in twins))
+        if k <= 500:
+            assert want[3] == ([1 / k] * k, (Fraction(1, k),) * k)
+            assert want[4][0] == np.repeat(x.entries, [t.numerator * (k // t.denominator)
+                                                       for t in twins]).tolist()
+        else:
+            assert want[3] == f"common denominator {k} exceeds the size cap 500"
+
+
+def test_transports_of_twins_reject_what_the_constructor_rejects():
+    # Entries within EXACT_MATCH_TOL of their twins, whose pushed sums and
+    # tensor products drift past it: the messages are the constructor's own.
+    d = 0.6e-15
+    quarters = Weighting(np.array([0.25 + d, 0.25 + d, 0.25 - d, 0.25 - d]),
+                         exact=(Fraction(1, 4),) * 4)
+    f = IndexMap(4, 2, (0, 0, 1, 1))
+    pushed = core._pushed(f, quarters.entries)
+    with pytest.raises(ValueError) as want:
+        Weighting(pushed, exact=(Fraction(1, 2), Fraction(1, 2)))
+    with pytest.raises(ValueError) as got:
+        pushforward(f, quarters)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("exact entries drift from floats by up to")
+    heavy = Weighting(np.array([1.0 - 1e-15, 1e-15]), exact=(1, 0))
+    with pytest.raises(ValueError) as want:
+        Weighting(core._outer(heavy.entries, heavy.entries), exact=(1, 0, 0, 0))
+    with pytest.raises(ValueError) as got:
+        tensor_weights(heavy, heavy)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("exact entries drift from floats by up to")
 
 
 # ── Norms ─────────────────────────────────────────────────────────────────────
