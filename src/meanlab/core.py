@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -155,6 +156,9 @@ def as_exponent(p: ExponentLike) -> Exponent:
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
+    """``a``, made read-only.  The frozen containers store what this returns,
+    and every other field they set in construction, straight into the
+    instance ``__dict__``: ``object.__setattr__`` would cost more per wrap."""
     a.setflags(write=False)
     return a
 
@@ -185,7 +189,7 @@ class _Entries:
         """Wrap a one-dimensional float64 array that meanlab built itself and
         that is valid by construction: read-only, with no rule re-checked."""
         obj = object.__new__(cls)
-        object.__setattr__(obj, "entries", _read_only(a))
+        obj.__dict__["entries"] = _read_only(a)
         return obj
 
 
@@ -257,10 +261,11 @@ class Weighting(_Entries):
         self._hold(a, counts, d)
 
     def _hold(self, a: np.ndarray, counts: list[int] | None, d: int) -> None:
-        object.__setattr__(self, "entries", _read_only(a))
+        held = self.__dict__
+        held["entries"] = _read_only(a)
         if counts is not None:
-            object.__setattr__(self, "_counts", tuple(counts))
-            object.__setattr__(self, "_denominator", d)
+            held["_counts"] = tuple(counts)
+            held["_denominator"] = d
 
     @classmethod
     def _unchecked(cls, a: np.ndarray, counts: list[int] | None = None, d: int = 1):
@@ -302,7 +307,7 @@ class ValueVector(_Entries):
             if not np.all(np.isfinite(a)):
                 raise ValueError("value entries must be finite")
             raise ValueError("value entries must be nonnegative")
-        object.__setattr__(self, "entries", _read_only(a))
+        self.__dict__["entries"] = _read_only(a)
 
 
 @dataclass(frozen=True, eq=False)
@@ -316,14 +321,16 @@ class SignedVector(_Entries):
         # Not a.sum(): finite entries such as (1e308, 1e308) overflow it and warn.
         if not np.isfinite(a).all():
             raise ValueError("signed entries must be finite")
-        object.__setattr__(self, "entries", _read_only(a))
+        self.__dict__["entries"] = _read_only(a)
 
 
 @dataclass(frozen=True)
 class IndexMap:
     """A map between finite index sets {0..n−1} → {0..m−1}.
 
-    ``images[i]`` is the image of domain index i.  Indices are 0-based.
+    ``images[i]`` is the image of domain index i.  Indices are 0-based.  Sizes
+    and images must be integers (anything with ``__index__``, as every
+    ``numbers.Integral`` has); a float or a string is refused, not truncated.
     """
 
     domain_size: int
@@ -331,14 +338,21 @@ class IndexMap:
     images: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.domain_size < 0 or self.codomain_size < 0:
+        images = tuple(self.images)
+        try:
+            n, m = operator.index(self.domain_size), operator.index(self.codomain_size)
+            images = tuple(map(operator.index, images))
+        except TypeError as exc:
+            raise ValueError(f"index map sizes and images must be integers: {exc}") from None
+        if n < 0 or m < 0:
             raise ValueError("index set sizes must be nonnegative")
-        images = tuple(int(j) for j in self.images)
-        if len(images) != self.domain_size:
+        if len(images) != n:
             raise ValueError("images must list one codomain index per domain index")
-        if any(j < 0 or j >= self.codomain_size for j in images):
+        if images and (min(images) < 0 or max(images) >= m):
             raise ValueError("an image falls outside the codomain")
-        object.__setattr__(self, "images", images)
+        # _index: the images as an index array, built once for every transport along f.
+        self.__dict__.update(domain_size=n, codomain_size=m, images=images,
+                             _index=_read_only(np.array(images, dtype=np.intp)))
 
     @staticmethod
     def identity(n: int) -> "IndexMap":
@@ -676,7 +690,7 @@ def _pushed(f: IndexMap, w: np.ndarray) -> np.ndarray:
     """The entries of pushforward(f, ·) for weight entries w, unvalidated."""
     if w.size != f.domain_size:
         raise ValueError("weighting length must equal the map's domain size")
-    return np.bincount(np.array(f.images, dtype=np.intp), weights=w, minlength=f.codomain_size)
+    return np.bincount(f._index, weights=w, minlength=f.codomain_size)
 
 
 def _pulled(f: IndexMap, x: np.ndarray) -> np.ndarray:
@@ -685,12 +699,12 @@ def _pulled(f: IndexMap, x: np.ndarray) -> np.ndarray:
         raise ValueError("value length must equal the map's codomain size")
     if f.domain_size == 0:
         raise ValueError("pullback along an empty domain yields an empty vector")
-    return x[np.array(f.images, dtype=np.intp)]
+    return x[f._index]
 
 
 def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The entries of a tensor product, row-major (a's index major), unvalidated."""
-    return np.outer(a, b).ravel()
+    return np.multiply.outer(a, b).ravel()
 
 
 def pushforward(f: IndexMap, w: Weighting) -> Weighting:
@@ -716,7 +730,7 @@ def embed(f: IndexMap, x: SignedVector) -> SignedVector:
     if len(x) != f.domain_size:
         raise ValueError("vector length must equal the map's domain size")
     out = np.zeros(f.codomain_size)
-    out[np.array(f.images, dtype=np.intp)] = x.entries
+    out[f._index] = x.entries
     return SignedVector(out)
 
 

@@ -22,6 +22,8 @@ and non-finite results are reported as evaluation errors, not propagated.
 
 Each tree is compiled once, on its first evaluation, into one generated
 Python function; later evaluations of the same tree only call that function.
+It runs the arithmetic inline, and only an evaluation that fails runs it again
+through the checks that word the error (compiled on the first failure).
 """
 
 from __future__ import annotations
@@ -183,9 +185,9 @@ _BASE_EXPECTED = ("a number", "'w'", "'x'", "'sum'", "'prod'", "'max'", "'min'",
 _BINDING = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3}
 _BASE = 4
 
-# Real means nest a few levels.  Parsing and printing keep their own stacks, but
-# compiling recurses once per tree level, and the generated function nests as
-# deep as the tree, so deeper sources are refused as the tree is built.
+# Real means nest a few levels.  Parsing, printing and compiling keep their own
+# stacks, but the generated function nests as deep as the tree, and CPython's
+# compiler must take it, so deeper sources are refused as the tree is built.
 _MAX_DEPTH = 100
 _TOO_DEEP = f"expression nests deeper than {_MAX_DEPTH} levels"
 
@@ -292,35 +294,61 @@ def _pow(a: float, b: float) -> float:
 
 def _compile(tree: MeanExpr) -> Callable[[list, list], float]:
     """One generated function f(ws, xs) of the entry lists that evaluates ``tree``.
-    Its source comes from the tree alone.  Literals are bound by name, not by
-    repr (1e999 reads back as inf), which also keeps CPython from folding them."""
-    env: dict[str, Any] = {"_div": _div, "_pow": _pow, "fsum": math.fsum, "prod": math.prod}
 
-    def emit(node: MeanExpr, in_reducer: bool) -> str:
+    One walk over the tree, with an explicit stack so that no Python frame is
+    spent per level, writes two bodies of the same arithmetic.  The fast body
+    calls ``math.pow`` and ``/`` inline.  The checked body calls ``_pow`` and
+    ``_div``, which word the error, and feeds a ``sum`` over such terms to
+    fsum one at a time, so that fsum meets an overflow before a later term
+    raises.  f runs the fast body; if that raises, f runs the checked body,
+    compiled on the first error only, whose outcome is the one to report.
+    Literals are bound by name, not by repr (1e999 reads back as inf), which
+    also keeps CPython from folding them."""
+    env: dict[str, Any] = {"_div": _div, "_pow": _pow, "mpow": math.pow, "fsum": math.fsum,
+                           "prod": math.prod}
+    done: list[tuple[str, str]] = []  # (fast, checked) source of finished operands
+    todo: list[tuple[MeanExpr, bool, bool]] = [(tree, False, False)]  # (node, in_reducer, joining)
+    while todo:
+        node, in_reducer, joining = todo.pop()
         if isinstance(node, Literal):
             name = f"c{len(env)}"
             env[name] = node.value
-            return name
-        if isinstance(node, (WeightRef, ValueRef)):
+            done.append((name, name))
+        elif isinstance(node, (WeightRef, ValueRef)):
             if not in_reducer:
                 raise TypeError(f"{node!r} outside a reducer")
-            return "w" if isinstance(node, WeightRef) else "x"
-        if isinstance(node, Neg):
-            return f"(-{emit(node.operand, in_reducer)})"
-        if isinstance(node, BinOp):  # Python runs operands left before right
-            a, b = emit(node.left, in_reducer), emit(node.right, in_reducer)
-            return _FORMS[node.op].format(a, b)
-        if isinstance(node, Reduce):
-            if in_reducer:
+            done.append(("w", "w") if isinstance(node, WeightRef) else ("x", "x"))
+        elif not joining:  # operands first, left before right, as Python runs them
+            if isinstance(node, Reduce) and in_reducer:
                 raise TypeError(f"nested reducer {node!r}")
-            body = emit(node.body, True)
-            terms = f"{body} for w, x in zip(ws, xs)"
-            if node.kind == "sum" and ("_div" in body or "_pow" in body):
-                return f"fsum({terms})"  # fsum may overflow before a later term raises
-            return _FORMS[node.kind].format(f"[{terms}]")
-        raise TypeError(f"not an expression node: {node!r}")
+            todo.append((node, in_reducer, True))
+            inner = in_reducer or isinstance(node, Reduce)
+            todo.extend((child, inner, False) for child, _ in reversed(_operands(node)))
+        elif isinstance(node, Neg):
+            fast, checked = done.pop()
+            done.append((f"(-{fast})", f"(-{checked})"))
+        elif isinstance(node, BinOp):
+            (fast_b, checked_b), (fast_a, checked_a) = done.pop(), done.pop()
+            done.append((_FAST_FORMS.get(node.op, _FORMS[node.op]).format(fast_a, fast_b),
+                         _FORMS[node.op].format(checked_a, checked_b)))
+        else:  # a Reduce
+            fast, checked = (f"{body} for w, x in zip(ws, xs)" for body in done.pop())
+            form = _FORMS[node.kind]
+            if node.kind == "sum" and ("_div" in checked or "_pow" in checked):
+                done.append((form.format(f"[{fast}]"), f"fsum({checked})"))
+            else:
+                done.append((form.format(f"[{fast}]"), form.format(f"[{checked}]")))
+    fast, checked = done[0]
+    source = (f"def f(ws, xs):\n    try:\n        return {fast}\n"
+              f"    except (ArithmeticError, ValueError):\n        return checked(ws, xs)\n")
 
-    source = f"def f(ws, xs):\n    return {emit(tree, False)}\n"
+    def compile_checked(ws: list, xs: list) -> float:
+        # Replaces itself in env with the checked body, then runs that.
+        exec(compile(f"def checked(ws, xs):\n    return {checked}\n", "<meanlab.dsl>", "exec"),
+             env)
+        return env["checked"](ws, xs)
+
+    env["checked"] = compile_checked
     exec(compile(source, "<meanlab.dsl>", "exec"), env)
     return env["f"]
 
@@ -336,6 +364,8 @@ def _div(a: float, b: float) -> float:
 _FORMS = {"+": "({} + {})", "-": "({} - {})", "*": "({} * {})", "/": "_div({}, {})",
           "^": "_pow({}, {})", "sum": "fsum({})", "prod": "prod({}, start=1.0)",
           "max": "max({})", "min": "min({})"}
+# Where the fast body differs from the checked one.
+_FAST_FORMS = {"/": "({} / {})", "^": "mpow({}, {})"}
 
 
 def eval_mean_expr(expr: MeanExpr, w: Weighting, x: ValueVector) -> float:

@@ -223,14 +223,17 @@ def _trial_rngs(seed: int, stream: int, trials: int) -> Iterator[np.random.Gener
         return
     bitgen = np.random.PCG64(0)
     rng = np.random.Generator(bitgen)
+    # One state dict, refilled per trial: the setter copies what it reads.
+    pcg = {"state": 0, "inc": 0}
+    full = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0, "state": pcg}
     for start in range(0, trials, _SEED_BLOCK):
         t = np.arange(start, min(trials, start + _SEED_BLOCK), dtype=np.uint64)
         for s0, s1, s2, s3 in zip(*_seed_words(seed, stream, t)):
             # pcg_setseq_128_srandom_r with initstate (s0, s1), initseq (s2, s3)
             inc = (s2 << 65 | s3 << 1 | 1) & _MASK128
-            state = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128
-            bitgen.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-                            "state": {"state": state, "inc": inc}}
+            pcg["state"] = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128
+            pcg["inc"] = inc
+            bitgen.state = full
             yield rng
 
 
@@ -246,10 +249,10 @@ def _gen_weights(rng: np.random.Generator, n: int, positive_only: bool) -> np.nd
             order = rng.permutation(n)
             g = rng.exponential(1.0, n - zeros)
             w = np.zeros(n)
-            w[order[zeros:]] = g / g.sum()
+            w[order[zeros:]] = g / np.add.reduce(g)
             return w
     g = rng.exponential(1.0, n)
-    return g / g.sum()
+    return g / np.add.reduce(g)
 
 
 def _gen_values(rng: np.random.Generator, n: int, zero_prob: float = 0.1,
@@ -267,25 +270,26 @@ def _gen_wx(cfg: CheckConfig, positive: bool, rng: np.random.Generator, low: int
     return _gen_weights(rng, n + extra_w, positive), _gen_values(rng, n + extra_x)
 
 
-def _gen_index_map(rng: np.random.Generator, max_n: int, positive_only: bool) -> IndexMap:
+def _gen_index_map(rng: np.random.Generator, max_n: int,
+                   positive_only: bool) -> tuple[int, tuple[int, ...]]:
+    """(codomain size, images) of a random index map; ``_ev_functoriality``
+    validates it as an ``IndexMap``."""
     kind = int(rng.integers(0, 2 if positive_only else 4))
     if kind == 0:  # bijection
-        n = m = int(rng.integers(1, max_n + 1))
-        images = tuple(int(v) for v in rng.permutation(n))
-    elif kind == 1:  # surjection
+        m = int(rng.integers(1, max_n + 1))
+        return m, tuple(rng.permutation(m).tolist())
+    if kind == 1:  # surjection
         m = int(rng.integers(1, max_n + 1))
         n = int(rng.integers(m, max_n + 1))
-        pool = np.concatenate([rng.permutation(m), rng.integers(0, m, n - m)])
-        images = tuple(int(v) for v in rng.permutation(pool))
-    elif kind == 2:  # injection
+        pool = rng.permutation(m).tolist() + rng.integers(0, m, n - m).tolist()
+        return m, tuple(rng.permutation(pool).tolist())
+    if kind == 2:  # injection
         n = int(rng.integers(1, max_n + 1))
         m = int(rng.integers(n, max_n + 1))
-        images = tuple(int(v) for v in rng.choice(m, size=n, replace=False))
-    else:  # arbitrary map
-        n = int(rng.integers(1, max_n + 1))
-        m = int(rng.integers(1, max_n + 1))
-        images = tuple(int(v) for v in rng.integers(0, m, n))
-    return IndexMap(n, m, images)
+        return m, tuple(rng.choice(m, size=n, replace=False).tolist())
+    n = int(rng.integers(1, max_n + 1))  # an arbitrary map
+    m = int(rng.integers(1, max_n + 1))
+    return m, tuple(rng.integers(0, m, n).tolist())
 
 
 # ── Check definitions ─────────────────────────────────────────────────────────
@@ -335,16 +339,16 @@ class _CheckDef:
 
 
 def _mk_functoriality(cfg: CheckConfig, positive: bool, trial: int, rng: _Rng) -> dict:
-    f = _gen_index_map(rng, cfg.max_n, positive)
-    w = _gen_weights(rng, f.domain_size, positive)
-    x = _gen_values(rng, f.codomain_size)
-    return {"w": w, "x": x, "images": f.images, "codomain_size": f.codomain_size}
+    m, images = _gen_index_map(rng, cfg.max_n, positive)
+    w = _gen_weights(rng, len(images), positive)
+    x = _gen_values(rng, m)
+    return {"w": w, "x": x, "images": images, "codomain_size": m}
 
 
 def _ev_functoriality(system: MeanSystem, wit: dict, weighting, values) -> _Sides:
     w = weighting(wit["w"])
     x = values(wit["x"])
-    f = IndexMap(len(w), int(wit["codomain_size"]), tuple(wit["images"]))
+    f = IndexMap(w.entries.size, wit["codomain_size"], wit["images"])
     pushed, pulled = weighting(_pushed(f, w.entries)), values(_pulled(f, x.entries))
     return system(pushed, x), system(w, pulled)
 
@@ -377,7 +381,7 @@ def _mk_monotonicity(cfg: CheckConfig, positive: bool, trial: int, rng: _Rng) ->
 def _ev_monotonicity(system: MeanSystem, wit: dict, weighting, values) -> _Sides:
     w = weighting(wit["w"])
     x, y = values(wit["x"]), values(wit["y"])
-    if np.any(y.entries < x.entries):
+    if (y.entries < x.entries).any():
         raise ValueError("monotonicity needs y >= x")
     return system(w, x), system(w, y)
 
@@ -434,7 +438,7 @@ def _ev_multiplicativity(system: MeanSystem, wit: dict, weighting, values) -> _S
 
 def _mk_symmetry(cfg: CheckConfig, positive: bool, trial: int, rng: _Rng) -> dict:
     w, x = _gen_wx(cfg, positive, rng)
-    return {"w": w, "x": x, "sigma": tuple(int(v) for v in rng.permutation(x.size))}
+    return {"w": w, "x": x, "sigma": tuple(rng.permutation(x.size).tolist())}
 
 
 def _ev_symmetry(system: MeanSystem, wit: dict, weighting, values) -> _Sides:
@@ -460,8 +464,8 @@ def _ev_repetition(system: MeanSystem, wit: dict, weighting, values) -> _Sides:
     x = np.asarray(wit["x"])
     if not 1 <= x.size == w.size - 1:
         raise ValueError("repetition needs n >= 1 values and n + 1 weights")
-    wv, repeated = weighting(w), values(np.append(x, x[-1]))
-    merged, xv = weighting(np.append(w[:-2], w[-2] + w[-1])), values(x)
+    wv, repeated = weighting(w), values(np.concatenate((x, x[-1:])))
+    merged, xv = weighting(np.concatenate((w[:-2], (w[-2] + w[-1],)))), values(x)
     return system(wv, repeated), system(merged, xv)
 
 
@@ -476,7 +480,7 @@ def _mk_zero_weight(cfg: CheckConfig, positive: bool, trial: int, rng: _Rng) -> 
 def _ev_zero_weight(system: MeanSystem, wit: dict, weighting, values) -> _Sides:
     w = np.asarray(wit["w"])
     x = np.asarray(wit["x"])
-    padded, xv = weighting(np.append(w, 0.0)), values(x)
+    padded, xv = weighting(np.concatenate((w, (0.0,)))), values(x)
     wv, dropped = weighting(w), values(x[:-1])
     return system(padded, xv), system(wv, dropped)
 
@@ -506,7 +510,7 @@ def _ev_transfer(system: MeanSystem, wit: dict, weighting, values) -> _Sides:
     if not (2 <= len(w) == len(x) and 0.0 <= eps <= float(w[-1])
             and x.entries[-1] <= x.entries[-2]):
         raise ValueError("transfer needs n >= 2, 0 <= epsilon <= w[-1], x[-1] <= x[-2]")
-    before, after = weighting(w), weighting(np.append(w[:-2], (w[-2] + eps, w[-1] - eps)))
+    before, after = weighting(w), weighting(np.concatenate((w[:-2], (w[-2] + eps, w[-1] - eps))))
     return system(before, x), system(after, x)
 
 
@@ -595,11 +599,13 @@ def _merge_candidates(check: _CheckDef, wit: dict) -> Iterator[dict]:
             yield cand
 
 
-def _snap_candidates(check: _CheckDef, wit: dict) -> Iterator[dict]:
+def _snap_candidates(check: _CheckDef, wit: dict, positive: bool = False) -> Iterator[dict]:
     """Each off-grid entry set to each grid point.  A snapped weight becomes
     exactly g, the weights already on the grid keep their bits, and the other
     off-grid weights are rescaled to carry the rest of the mass; with none left,
-    the weighting goes out as it is, for the constructor to judge."""
+    the weighting goes out as it is, for the constructor to judge.  With
+    ``positive``, a weighting with an entry <= 0 is not yielded at all: the
+    positive pair would refuse it without calling the system."""
     for key, i, entry in _snap_sites(check, wit):
         if _off_grid(entry) <= _ON_GRID_TOL:
             continue
@@ -615,6 +621,8 @@ def _snap_candidates(check: _CheckDef, wit: dict) -> Iterator[dict]:
                 if rescaled is not None and rescaled.any():
                     rest = 1.0 - float(new[~rescaled].sum())
                     new[rescaled] = new[rescaled] / float(new[rescaled].sum()) * rest
+                if positive and rescaled is not None and not new.min() > 0.0:
+                    continue
             yield {**wit, key: new}
 
 
@@ -625,9 +633,11 @@ def _shrink(system: MeanSystem, check: _CheckDef, wit: dict, tol: float,
     best = wit
     budget = 500
     improved = True
+    positive = wrap is _POSITIVE
     while improved and budget > 0:
         improved = False
-        for cand in chain(_merge_candidates(check, best), _snap_candidates(check, best)):
+        for cand in chain(_merge_candidates(check, best),
+                          _snap_candidates(check, best, positive)):
             budget -= 1
             if budget <= 0:
                 break

@@ -203,6 +203,22 @@ def test_index_map_validation():
         IndexMap(2, 2, (0,))  # wrong arity
 
 
+@pytest.mark.parametrize("args", [
+    (2, 2, (0.7, 1.2)), (1, 2, ("1",)), (2, 2, (0, 1.0)), (2, 2.0, (0, 1)), (2.0, 2, (0, 1)),
+    (2, "2", (0, 1)),
+])
+def test_index_map_refuses_what_is_not_an_integer(args):
+    # IndexMap(2, 2, (0.7, 1.2)) was the map (0, 1), and ("1",) the map (1,).
+    with pytest.raises(ValueError, match="^index map sizes and images must be integers: "):
+        IndexMap(*args)
+
+
+def test_index_map_holds_integers_as_ints():
+    f = IndexMap(np.int64(3), np.uint8(2), np.array([1, 0, 1]))
+    assert f == IndexMap(3, 2, (1, 0, 1))
+    assert all(type(v) is int for v in (f.domain_size, f.codomain_size, *f.images))
+
+
 def test_uniform_and_normalize():
     u = uniform(3)
     assert u.exact == (Fraction(1, 3),) * 3

@@ -26,6 +26,7 @@ from meanlab import (
     uniform,
 )
 from meanlab import dsl
+from meanlab.systems import SystemEvalError
 
 
 def W(*entries):
@@ -669,25 +670,51 @@ def test_the_depth_verdict_does_not_depend_on_the_callers_stack():
             parse_mean_expr(source), kind
         with pytest.raises(ExprSyntaxError, match="nests deeper than 100 levels"):
             _from_depth(deep, lambda: parse_mean_expr(make(levels + 1)))
-    # Evaluating compiles the tree, which recurses once per tree level: the
-    # 97-paren tree is three levels tall, the others up to 99.
-    w, x = W(0.25, 0.75), V(0.5, 2.0)
-    for kind, (make, levels) in _DEEPEST.items():
-        frames = deep if kind == "parens" else sys.getrecursionlimit() - 150
-        got = _from_depth(frames, lambda: _outcome(eval_mean_expr, parse_mean_expr(make(levels)),
-                                                   w, x))
-        assert got == _outcome(_interpret, parse_mean_expr(make(levels)), w, x), kind
+
+
+def _system_outcome(system, w, x):
+    try:
+        return system(w, x).hex()
+    except SystemEvalError as exc:
+        return ExprEvalError, str(exc)
 
 
 def test_deepest_systems_build_from_deep_in_the_stack():
-    # Parsing and printing the label keep their own stacks, so a system's
-    # source is accepted or refused whatever the caller's depth.
+    # Parsing, printing the label and compiling both bodies keep their own
+    # stacks, so a system's source is accepted or refused, and evaluated, whatever
+    # the caller's depth.  The first evaluation compiles the fast body; the first
+    # one that fails (every input but the first, for powers and mixed) compiles
+    # the checked body.
     deep = sys.getrecursionlimit() - 60
+    inputs = ((W(0.25, 0.75), V(0.5, 2.0)), (W(1.0), V(0.0)), (W(0.5, 0.5), V(0.9, 1.1)))
     for kind, (make, levels) in _DEEPEST.items():
-        system = _from_depth(deep, lambda: dsl_mean_system(make(levels)))
-        assert system.label == _fmt_reference(parse_mean_expr(make(levels))), kind
+        def build_and_evaluate():
+            system = dsl_mean_system(make(levels))
+            return system, [_system_outcome(system, w, x) for w, x in inputs]
+
+        system, got = _from_depth(deep, build_and_evaluate)
+        tree = parse_mean_expr(make(levels))
+        assert system.label == _fmt_reference(tree), kind
+        assert got == [_outcome(_interpret, tree, w, x) for w, x in inputs], kind
         with pytest.raises(ExprSyntaxError, match="nests deeper than 100 levels"):
             _from_depth(deep, lambda: dsl_mean_system(make(levels + 1)))
+
+
+def test_the_checked_body_compiles_on_the_first_failure_only(monkeypatch):
+    compiled = []
+
+    def counting_compile(source, *args):
+        compiled.append(source.split("(", 1)[0])
+        return compile(source, *args)
+
+    monkeypatch.setattr(dsl, "compile", counting_compile, raising=False)
+    tree = parse_mean_expr("sum(w/x) + sum(x^w)")
+    fine, zero = (W(0.5, 0.5), V(1.0, 2.0)), (W(1.0), V(0.0))
+    steps = [(fine, ["def f"]), (fine, ["def f"]), (zero, ["def f", "def checked"]),
+             (zero, ["def f", "def checked"]), (fine, ["def f", "def checked"])]
+    for (w, x), want in steps:
+        assert _outcome(eval_mean_expr, tree, w, x) == _outcome(_interpret, tree, w, x)
+        assert compiled == want
 
 
 # ── Systems built from expressions ────────────────────────────────────────────
