@@ -23,7 +23,8 @@ form, which uses no recovered exponent at all), and on sandwich brackets.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -38,7 +39,7 @@ from .core import (
     power_mean,
     uniform,
 )
-from .harness import CheckConfig, _gen_values, _residual, _trial_rngs
+from .harness import CheckConfig, _field_dict, _gen_values, _residual, _trial_rngs
 from .systems import MeanSystem, SystemEvalError
 
 __all__ = [
@@ -77,9 +78,14 @@ def indicator_probe(system: MeanSystem, s: float) -> float:
     """Value of ``system`` on values (1, 0) with weight ``s`` on the 1."""
     if not 0.0 < s <= 1.0:
         raise ValueError("probe weight s must lie in (0, 1]")
+    # A float s in (0, 1] makes (s, 1 - s) sum to 1 within an ulp, so both
+    # containers are valid by construction.  (A float32 s would not.)
+    s = float(s)
     if s == 1.0:
-        return system(Weighting(np.array([1.0])), ValueVector(np.array([1.0])))
-    return system(Weighting(np.array([s, 1.0 - s])), ValueVector(np.array([1.0, 0.0])))
+        return system(Weighting._unchecked(np.array([1.0])),
+                      ValueVector._unchecked(np.array([1.0])))
+    return system(Weighting._unchecked(np.array([s, 1.0 - s])),
+                  ValueVector._unchecked(np.array([1.0, 0.0])))
 
 
 # ── Exponent recovery ─────────────────────────────────────────────────────────
@@ -182,7 +188,7 @@ class SandwichResult:
                 and self.value_at <= self.value_upper + tol)
 
 
-def _sweep(w: Weighting, order: np.ndarray, denominator: int) -> Weighting:
+def _sweep(w: Weighting, order: list[int], denominator: int) -> Weighting:
     # Sweep in the given order, flooring each weight (plus accumulated carry)
     # to the grid; the carry flows to later positions in the sweep, and the
     # final position absorbs whatever remains.  With S_j the exact prefix sum
@@ -190,7 +196,6 @@ def _sweep(w: Weighting, order: np.ndarray, denominator: int) -> Weighting:
     # floor(d·S_j) − floor(d·S_{j−1}); S_j is summed in integers over one
     # power-of-two denominator 2**e (a float weight is an integer over 2**k).
     d = denominator
-    order = order.tolist()
     floats = w.entries.tolist()
     ratios = [floats[i].as_integer_ratio() for i in order[:-1]]
     e = max((den.bit_length() for _, den in ratios), default=1) - 1
@@ -219,13 +224,20 @@ def rational_sandwich(system: MeanSystem, w: Weighting, x: ValueVector,
     when delta is out of range, D would exceed ``max_denominator`` or the
     lengths differ, before the system is called.
     """
-    return _sandwich(system, w, x, delta, max_denominator, None)
+    return _sandwich(system, w, x, delta, max_denominator, None, None)
+
+
+def _ascending(x: ValueVector) -> list[int]:
+    """The indices of ``x`` in ascending order of value, ties in index order."""
+    return np.argsort(x.entries, kind="stable").tolist()
 
 
 def _sandwich(system: MeanSystem, w: Weighting, x: ValueVector, delta: float,
-              max_denominator: int, value_at: float | None) -> SandwichResult:
-    # ``value_at`` is system(w, x) when the caller has it already (the sandwich
-    # stage reuses its first delta's); None evaluates it here.
+              max_denominator: int, value_at: float | None,
+              order: list[int] | None) -> SandwichResult:
+    # ``value_at`` is system(w, x) and ``order`` is _ascending(x) when the caller
+    # has them already (the sandwich stage has both once per trial); None
+    # evaluates or sorts here.
     if not (0.0 < delta <= 1.0):
         raise ValueError("delta must lie in (0, 1]")
     d = math.ceil(2.0 / delta)
@@ -233,9 +245,10 @@ def _sandwich(system: MeanSystem, w: Weighting, x: ValueVector, delta: float,
         raise ValueError(f"denominator {d} exceeds max_denominator={max_denominator}")
     if w.entries.size != x.entries.size:
         raise ValueError("weighting and value vector must have equal length")
-    ascending = np.argsort(x.entries, kind="stable")
-    w_upper = _sweep(w, ascending, d)
-    w_lower = _sweep(w, ascending[::-1], d)
+    if order is None:
+        order = _ascending(x)
+    w_upper = _sweep(w, order, d)
+    w_lower = _sweep(w, order[::-1], d)
     return SandwichResult(
         w_lower=w_lower,
         w_upper=w_upper,
@@ -258,24 +271,27 @@ def transfer_slope_estimate(system: MeanSystem, w: Weighting, x: ValueVector,
     how sandwich brackets differ from their target.  Requires every weight to
     exceed ``step``.
     """
-    return _transfer_slope(system, w, x, step, None)
+    return _transfer_slope(system, w, x, step, None, None, Weighting)
 
 
 def _transfer_slope(system: MeanSystem, w: Weighting, x: ValueVector, step: float,
-                    base: float | None) -> float:
-    # ``base`` is system(w, x) when the caller has it already (the sandwich
-    # stage evaluates it once per trial); None evaluates it here.
-    order = np.argsort(x.entries, kind="stable")
-    if np.any(w.entries[order[:-1]] < step):
+                    base: float | None, order: list[int] | None,
+                    weighting: Callable[[np.ndarray], Weighting]) -> float:
+    # ``base`` and ``order`` as _sandwich's ``value_at`` and ``order``.
+    # ``weighting`` wraps each shifted weighting: the public constructor, or
+    # the sandwich stage's Weighting._unchecked for weightings it knows valid.
+    if order is None:
+        order = _ascending(x)
+    if (w.entries[order[:-1]] < step).any():
         raise ValueError("every weight (except the largest-value one) must exceed step")
     if base is None:
         base = system(w, x)
     total = 0.0
-    for j in range(len(order) - 1):
+    for lo, hi in zip(order, order[1:]):
         shifted = w.entries.copy()
-        shifted[order[j]] -= step
-        shifted[order[j + 1]] += step
-        total += abs(system(Weighting(shifted), x) - base) / step
+        shifted[lo] -= step
+        shifted[hi] += step
+        total += abs(system(weighting(shifted), x) - base) / step
     return total
 
 
@@ -330,10 +346,13 @@ class CharacterizationReport:
 
 
 # The stages draw their own witnesses, valid by construction, and wrap them
-# without the public constructors' checks.  What the shared functions derive
-# from them (``_transfer_slope``'s shifted weightings, ``expand_rational``'s
-# values) is still validated: those functions also take a user's containers,
-# and a weighting right at WEIGHT_SUM_TOL can drift past it when shifted.
+# without the public constructors' checks, as they do every container made
+# from them.  ``expand_rational``'s repeated values are valid for every input.
+# The sandwich stage's shifted slope weightings are valid because
+# CharacterizationConfig keeps every delta at most 1/(2*max_n), the least
+# weight the stage draws: no entry goes negative, and the sum moves only by
+# rounding.  The public ``transfer_slope_estimate`` still validates them: a
+# user's weighting right at WEIGHT_SUM_TOL can drift past it when shifted.
 
 
 def _stage_values(rng: np.random.Generator, n: int) -> ValueVector:
@@ -410,12 +429,14 @@ def _stage_sandwich(system: MeanSystem, cfg: CharacterizationConfig) -> StageRep
         g = rng.exponential(1.0, n)
         w = Weighting._unchecked(0.5 * g / g.sum() + 0.5 / n)  # every entry >= 1/(2n)
         x = ValueVector._unchecked(np.power(10.0, rng.uniform(-3.0, 3.0, n)))
+        order = _ascending(x)
         value_at = None  # system(w, x), once the trial's first delta has it
         for delta in cfg.deltas:
             try:
-                sr = _sandwich(system, w, x, delta, _GRID_CAP, value_at)
+                sr = _sandwich(system, w, x, delta, _GRID_CAP, value_at, order)
                 value_at = sr.value_at
-                slope = _transfer_slope(system, w, x, delta, value_at)
+                slope = _transfer_slope(system, w, x, delta, value_at, order,
+                                        Weighting._unchecked)
             except SystemEvalError as exc:
                 return StageReport("sandwich", False, trial + 1, math.inf,
                                    {"w": w.entries.tolist(), "x": x.entries.tolist(),
@@ -476,12 +497,12 @@ def verify_characterization(system: MeanSystem,
 
 def recovery_to_dict(result: RecoveryResult) -> dict:
     exponent = None if result.exponent is None else str(result.exponent)
-    return {**asdict(result), "exponent": exponent,
+    return {**_field_dict(result), "exponent": exponent,
             "samples": [[t, q] for t, q in result.samples]}
 
 
 def sandwich_to_dict(result: SandwichResult) -> dict:
-    return {**asdict(result), "w_lower": result.w_lower.entries.tolist(),
+    return {**_field_dict(result), "w_lower": result.w_lower.entries.tolist(),
             "w_upper": result.w_upper.entries.tolist(), "gap": result.gap,
             "ordered": result.ordered}
 
@@ -491,7 +512,7 @@ def characterization_to_dict(report: CharacterizationReport) -> dict:
         "verdict": report.verdict,
         "passed": report.passed,
         "recovery": recovery_to_dict(report.recovery) if report.recovery else None,
-        "stages": [asdict(s) for s in report.stages],
+        "stages": [_field_dict(s) for s in report.stages],
     }
     if report.note is not None:
         d["note"] = report.note

@@ -30,6 +30,7 @@ import io
 import json
 import os
 import sys
+from functools import cache
 
 import numpy as np
 
@@ -138,6 +139,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_args(p_sw, "json")
 
     return parser
+
+
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses: built on its first call, not at import, and
+    shared by every later call in the process.  Parsing leaves it unchanged."""
+    return build_parser()
 
 
 def _build_system(args: argparse.Namespace, positive: bool = False) -> MeanSystem:
@@ -327,7 +335,7 @@ def main(argv=None) -> int:
                 and value[:1] == "-" and value[:2] != "--"):
             argv[i:i + 2] = [f"{flag}={value}"]
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse has already printed its message
         return int(exc.code or 0)
     try:

@@ -811,7 +811,9 @@ def expand_rational(
     For w with exact entries kᵢ/k, returns (u_k, x′) where x′ repeats each xᵢ
     exactly kᵢ times (zero-weight coordinates disappear).  Any mean satisfying
     the symmetry/repetition laws takes the same value on both presentations.
-    Raises if the common denominator k would exceed ``max_size``.
+    Raises if the common denominator k would exceed ``max_size``.  Neither
+    result is re-validated: u_k is built from counts, and x′ repeats a valid
+    vector's entries by counts summing to k ≥ 1, which is valid for every input.
     """
     if w._counts is None:
         raise ValueError("rational expansion needs exact rational weights")
@@ -822,5 +824,4 @@ def expand_rational(
     if k > max_size:
         raise ValueError(f"common denominator {k} exceeds the size cap {max_size}")
     counts = w._counts if g == 1 else [c // g for c in w._counts]
-    expanded = np.repeat(x.entries, counts)
-    return uniform(k), ValueVector(expanded)
+    return uniform(k), ValueVector._unchecked(np.repeat(x.entries, counts))

@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from itertools import chain
 from typing import Callable, Iterator, TypeAlias
 
@@ -106,7 +106,7 @@ class Counterexample:
     residual: float
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "w": list(self.w) if self.w is not None else None,
+        return {**_field_dict(self), "w": list(self.w) if self.w is not None else None,
                 "x": list(self.x) if self.x is not None else None}
 
     @classmethod
@@ -603,9 +603,10 @@ def _snap_candidates(check: _CheckDef, wit: dict, positive: bool = False) -> Ite
     """Each off-grid entry set to each grid point.  A snapped weight becomes
     exactly g, the weights already on the grid keep their bits, and the other
     off-grid weights are rescaled to carry the rest of the mass; with none left,
-    the weighting goes out as it is, for the constructor to judge.  With
-    ``positive``, a weighting with an entry <= 0 is not yielded at all: the
-    positive pair would refuse it without calling the system."""
+    the weighting goes out as it is, for the constructor to judge.  A weighting
+    with an entry < 0 (with ``positive``, <= 0) is not yielded at all: the
+    constructors would refuse it without calling the system.  The grid weights
+    can outweigh 1, and the rescale then turns the rest negative."""
     for key, i, entry in _snap_sites(check, wit):
         if _off_grid(entry) <= _ON_GRID_TOL:
             continue
@@ -618,11 +619,13 @@ def _snap_candidates(check: _CheckDef, wit: dict, positive: bool = False) -> Ite
             if i is not None:
                 new = wit[key].copy()
                 new[i] = g
-                if rescaled is not None and rescaled.any():
-                    rest = 1.0 - float(new[~rescaled].sum())
-                    new[rescaled] = new[rescaled] / float(new[rescaled].sum()) * rest
-                if positive and rescaled is not None and not new.min() > 0.0:
-                    continue
+                if rescaled is not None:
+                    if rescaled.any():
+                        rest = 1.0 - float(new[~rescaled].sum())
+                        new[rescaled] = new[rescaled] / float(new[rescaled].sum()) * rest
+                    low = float(new.min())
+                    if low < 0.0 or (positive and not low > 0.0):
+                        continue
             yield {**wit, key: new}
 
 
@@ -770,6 +773,12 @@ def json_ready(obj):
     if isinstance(obj, (np.integer,)):
         return int(obj)
     return obj
+
+
+def _field_dict(obj) -> dict:
+    """A dataclass instance's fields by name, not copied: ``json_ready`` builds
+    new containers for what it serializes, so a deep copy (``asdict``) is waste."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
 def deterministic_json(obj) -> str:

@@ -1,9 +1,10 @@
 """Exponent identification: probe values, recovery fits, sandwich brackets,
 and the staged verifier's three verdicts."""
 
+import itertools
 import math
 from collections import Counter
-from dataclasses import fields
+from dataclasses import asdict, fields
 from fractions import Fraction
 
 import numpy as np
@@ -23,11 +24,13 @@ from meanlab import (
     power_mean,
     rational_sandwich,
     recover_exponent,
+    recovery_to_dict,
+    sandwich_to_dict,
     transfer_slope_estimate,
     verify_characterization,
 )
 from meanlab import characterize
-from meanlab.systems import MeanSystem
+from meanlab.systems import MeanSystem, SystemEvalError
 
 
 def W(*entries):
@@ -186,13 +189,63 @@ def test_sweep_matches_the_fraction_carry_loop():
     rng = np.random.default_rng(17)
     for _ in range(10_000):
         w, order, d = _sweep_case(rng)
-        for o in (order, order[::-1]):  # both sweep orders, as the sandwich uses them
+        for o in (order.tolist(), order[::-1].tolist()):  # both orders, as the sandwich sweeps
             want = _fraction_sweep(w, o, d)
             got = characterize._sweep(w, o, d)
             assert [f.numerator * (d // f.denominator) for f in got.exact] == want, (w, o, d)
             assert got.entries.tolist() == [k / d for k in want]
             again = Weighting(got.entries.copy(), exact=got.exact)  # the public checks pass
             assert again.entries.tolist() == got.entries.tolist() and again.exact == got.exact
+
+
+def _sweep_reference(w, order, denominator):
+    """``_sweep`` as it was when it sorted per call: ``order`` an index array."""
+    d = denominator
+    order = order.tolist()
+    floats = w.entries.tolist()
+    ratios = [floats[i].as_integer_ratio() for i in order[:-1]]
+    e = max((den.bit_length() for _, den in ratios), default=1) - 1
+    numerators = [0] * len(order)
+    total = 0
+    floor_before = 0
+    for idx, (num, den) in zip(order, ratios):
+        total += num << (e + 1 - den.bit_length())
+        floor_here = (d * total) >> e
+        numerators[idx] = floor_here - floor_before
+        floor_before = floor_here
+    numerators[order[-1]] = d - floor_before
+    if numerators[order[-1]] < 0:
+        raise ValueError("weights sum above 1 beyond tolerance; cannot bracket")
+    return characterize._weighting_from_counts(numerators, d)
+
+
+def _same_weighting(a, b):
+    return (a.entries.tobytes() == b.entries.tobytes() and a._counts == b._counts
+            and a._denominator == b._denominator)
+
+
+def test_sweep_on_a_shared_order_matches_its_reference():
+    # The sandwich stage sorts x once per trial and sweeps both deltas along
+    # that list; the brackets must be the ones a per-call argsort gave.
+    rng = np.random.default_rng(29)
+    for case in range(3000):
+        w, _, d = _sweep_case(rng)
+        n = len(w)
+        x = ValueVector(rng.choice((0.5, 1.0, 2.0), n) if case % 2 else rng.random(n))  # ties
+        order = np.argsort(x.entries, kind="stable")
+        shared = characterize._ascending(x)
+        assert shared == order.tolist()
+        for denominator in (d, characterize._GRID_CAP):
+            for want_order, got_order in ((order, shared), (order[::-1], shared[::-1])):
+                want = _sweep_reference(w, want_order, denominator)
+                got = characterize._sweep(w, got_order, denominator)
+                assert _same_weighting(got, want), (w, got_order, denominator)
+    # Weights that sum past 1 (wrapped without the checks) cannot be bracketed.
+    over = Weighting._unchecked(np.array([0.6, 0.6, 0.6]))
+    for order in ([0, 1, 2], [2, 1, 0]):
+        for call in (_sweep_reference, characterize._sweep):
+            with pytest.raises(ValueError, match="^weights sum above 1 beyond tolerance"):
+                call(over, np.array(order) if call is _sweep_reference else order, 100)
 
 
 def test_sandwich_parameter_guards():
@@ -244,10 +297,11 @@ def test_sandwich_stage_evaluates_each_trial_point_once(monkeypatch, source):
     # Dropping the given values evaluates (w, x) twice per delta.
     sandwich, slope = characterize._sandwich, characterize._transfer_slope
     monkeypatch.setattr(characterize, "_sandwich",
-                        lambda system, w, x, delta, cap, value_at:
-                        sandwich(system, w, x, delta, cap, None))
+                        lambda system, w, x, delta, cap, value_at, order:
+                        sandwich(system, w, x, delta, cap, None, order))
     monkeypatch.setattr(characterize, "_transfer_slope",
-                        lambda system, w, x, step, base: slope(system, w, x, step, None))
+                        lambda system, w, x, step, base, order, weighting:
+                        slope(system, w, x, step, None, order, weighting))
     assert stage() == (report, [2 * len(cfg.deltas)] * report.trials)
 
 
@@ -280,6 +334,120 @@ def test_sandwich_gap_shrinks_linearly():
 
 
 # ── Staged verification ───────────────────────────────────────────────────────
+
+# The builtin exponents and the DSL systems of the benchmark's suites.
+_BUILTIN_EXPONENTS = ("1", "1.5", "2", "3", "10", "inf", "0.5", "0")
+_SUITE_DSL = ("sum(w*x^2)^0.5", "sum(w*x^3)^(1/3)", "sum(w*x)", "sum(w*x^2)", "sum(w^2*x)",
+              "(sum(w*x)+sum(w*x^2)^0.5)/2", "prod(x^w)", "max(x*w^0)",
+              "sum(w*(x-1)*1e300*1e300)")
+
+
+def _revalidating(system, seen):
+    """``system``, re-validating every container it is handed first: read-only,
+    and rebuilt bit for bit by the public constructors (a positivity-only
+    system's weighting with no zero).  Failures go to ``seen["invalid"]``, not
+    raised, so that no stage reads them as the system's error."""
+    def evaluate(w, x):
+        seen["calls"] += 1
+        seen["exact"] += w.exact is not None
+        try:
+            assert not (w.entries.flags.writeable or x.entries.flags.writeable)
+            for wrapped, rebuilt in ((w, Weighting(w.entries, exact=w.exact)),
+                                     (x, ValueVector(x.entries))):
+                assert rebuilt.entries.dtype == wrapped.entries.dtype == np.float64
+                assert rebuilt.entries.tobytes() == wrapped.entries.tobytes()
+            assert not system.positivity_only or w.support.all()
+        except (AssertionError, ValueError) as exc:
+            seen["invalid"].append((w.entries.tolist(), x.entries.tolist(), repr(exc)))
+        return system.evaluate(w, x)
+
+    return MeanSystem(evaluate, system.label, system.positivity_only)
+
+
+def test_unchecked_stage_containers_pass_the_public_constructors():
+    # The probes, the stages' draws, the expanded uniform form and the sandwich
+    # stage's brackets and shifted slope weightings are all wrapped without the
+    # constructors' checks; this test stands in for those checks.
+    systems = ([builtin_power_mean_system(p) for p in _BUILTIN_EXPONENTS]
+               + [builtin_power_mean_system(p, positivity_only=True)
+                  for p in _BUILTIN_EXPONENTS[:6]]  # positive-only rational weightings
+               + [dsl_mean_system(source) for source in _SUITE_DSL])
+    seen = Counter(invalid=[])
+    for system, seed in itertools.product(systems, range(20)):
+        cfg = CharacterizationConfig(seed=seed, trials=24)
+        report = verify_characterization(_revalidating(system, seen), cfg)
+        assert seen["invalid"] == [], (system.label, seed)
+        # The wrapper adds nothing: the report is the unwrapped system's.
+        if seed == 0:
+            want = verify_characterization(system, cfg)
+            assert (deterministic_json(characterization_to_dict(report))
+                    == deterministic_json(characterization_to_dict(want))), (system.label, seed)
+    assert seen["calls"] > 50_000 and seen["exact"] > 20_000, seen
+    # The probe takes any real s in (0, 1].  It reads s as a float: in float32,
+    # 1 - s rounds, and (s, 1 - s) misses the unit sum by up to 3e-8.
+    system = _revalidating(builtin_power_mean_system(2), seen)
+    for s in (np.float32(0.3889214), Fraction(1, 3), np.float64(0.25), 0.1, 1):
+        assert indicator_probe(system, s) == pytest.approx(math.sqrt(float(s)), rel=1e-15), s
+    assert seen["invalid"] == []
+
+
+# The asdict-based serializers the shallow field dicts replaced, kept as the
+# reference their bytes must match.
+
+
+def _recovery_to_dict_reference(result):
+    exponent = None if result.exponent is None else str(result.exponent)
+    return {**asdict(result), "exponent": exponent,
+            "samples": [[t, q] for t, q in result.samples]}
+
+
+def _sandwich_to_dict_reference(result):
+    return {**asdict(result), "w_lower": result.w_lower.entries.tolist(),
+            "w_upper": result.w_upper.entries.tolist(), "gap": result.gap,
+            "ordered": result.ordered}
+
+
+def _characterization_to_dict_reference(report):
+    d = {
+        "verdict": report.verdict,
+        "passed": report.passed,
+        "recovery": _recovery_to_dict_reference(report.recovery) if report.recovery else None,
+        "stages": [asdict(s) for s in report.stages],
+    }
+    if report.note is not None:
+        d["note"] = report.note
+    return d
+
+
+def test_report_dicts_match_their_asdict_reference():
+    sources = _SUITE_DSL + ("sum(w*x)+1", "min(x*w^0)", "sum(w^2*x)/sum(w^2)",
+                            "sum(w*x)+1e999-1e999", "max(x)")
+    short = MeanSystem(lambda w, x: power_mean(2, w, x) if len(w) <= 2 else 1 / 0,
+                       "fails past the probes")  # a stage reports its error
+    systems = ([builtin_power_mean_system(p) for p in _BUILTIN_EXPONENTS]
+               + [dsl_mean_system(source) for source in sources] + [short])
+    rng = np.random.default_rng(31)
+    verdicts, stages = Counter(), Counter()
+    for system, seed in itertools.product(systems, (0, 7)):
+        report = verify_characterization(system, CharacterizationConfig(seed=seed, trials=24))
+        verdicts[report.verdict] += 1
+        stages.update(("error" in (s.detail or {}), s.passed) for s in report.stages)
+        assert (deterministic_json(characterization_to_dict(report))
+                == deterministic_json(_characterization_to_dict_reference(report)))
+        if report.recovery is not None:
+            assert (deterministic_json(recovery_to_dict(report.recovery))
+                    == deterministic_json(_recovery_to_dict_reference(report.recovery)))
+        n = int(rng.integers(1, 9))
+        w = Weighting(rng.dirichlet(np.ones(n)))
+        x = ValueVector(np.power(10.0, rng.uniform(-3.0, 3.0, n)))
+        try:
+            sr = rational_sandwich(system, w, x, float(rng.choice((0.5, 1e-2, 1e-5))))
+        except SystemEvalError:
+            continue
+        assert (deterministic_json(sandwich_to_dict(sr))
+                == deterministic_json(_sandwich_to_dict_reference(sr)))
+    assert set(verdicts) == {"consistent", "counterexample", "degenerate"}
+    assert set(stages) == {(False, True), (False, False), (True, False)}
 
 _FAST = CharacterizationConfig(seed=0, trials=60)
 

@@ -11,6 +11,7 @@ import sys
 import pytest
 
 from meanlab import CharacterizationConfig, CheckConfig, rational_sandwich, recover_exponent
+from meanlab import cli
 from meanlab.cli import _check_settings, build_parser, main
 
 
@@ -181,6 +182,54 @@ def test_ambiguous_abbreviation_with_a_dash_value_exits_2(capsys):
     # --d could be characterize's --dsl or --delta; argparse must still say so.
     code, out, err = run_cli(capsys, "characterize", "--d", "-sum(w*x)")
     assert code == 2 and out == "" and "ambiguous option: --d" in err
+
+
+def _run_with_a_fresh_parser(capsys, *argv):
+    """``run_cli``, with a parser built for this call alone instead of
+    ``main``'s shared one (argv needs none of ``main``'s rewriting)."""
+    try:
+        args = build_parser().parse_args(list(argv))
+    except SystemExit as exc:
+        code = int(exc.code or 0)
+    else:
+        code = args.handler(args)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_the_shared_parser_keeps_no_state_between_calls(capsys, monkeypatch):
+    monkeypatch.delenv("MEANLAB_SEED", raising=False)
+    assert build_parser() is not build_parser()
+    assert main(["recover", "--builtin", "2"]) == 0 and cli._parser() is cli._parser()
+    assert build_parser() is not cli._parser()
+    capsys.readouterr()
+    # A flag given once does not stick: the next call gets the default.
+    code, out, _ = run_cli(capsys, "recover", "--builtin", "2", "--format", "csv")
+    assert code == 0 and out.startswith("record,field,value\n")
+    code, out, _ = run_cli(capsys, "recover", "--builtin", "2")
+    assert code == 0 and json.loads(out)["exponent"] == "2.0"
+    # MEANLAB_SEED is read per call.
+    for seed in ("3", "4"):
+        monkeypatch.setenv("MEANLAB_SEED", seed)
+        code, out, _ = run_cli(capsys, "axioms", "--builtin", "2", "--trials", "5")
+        assert code == 0 and json.loads(out)["seed"] == int(seed)
+    monkeypatch.delenv("MEANLAB_SEED")
+    # A usage error leaves the parser as it was.
+    good = ["characterize", "--builtin", "1.5", "--trials", "8", "--format", "csv"]
+    for bad in (["axioms", "--builtin", "2", "--trials", "x"], ["characterize", "--dsl"],
+                ["sandwich", "--builtin", "2", "--delta", "0.1", "--format", "xml"]):
+        got_bad = run_cli(capsys, *bad)
+        assert got_bad[0] == 2 and got_bad == _run_with_a_fresh_parser(capsys, *bad)
+        got_good = run_cli(capsys, *good)
+        assert got_good[0] == 0 and got_good == _run_with_a_fresh_parser(capsys, *good)
+
+
+def test_the_parser_is_not_built_at_import():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import meanlab.cli as c; print(c._parser.cache_info().misses)"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0 and proc.stdout == "0\n", proc.stderr
 
 
 def test_parser_defaults_are_the_librarys(monkeypatch):
