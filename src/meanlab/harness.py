@@ -8,13 +8,16 @@ transfer toward larger values, homogeneity) are tested by randomized trials.
 Every trial is a pure function of ``(config.seed, check, trial_index)`` — runs
 are reproducible trial-by-trial, identical whether executed serially or in
 parallel, and two runs with the same system and config produce reports that
-serialize to identical bytes.  Failing inputs are shrunk before reporting:
-adjacent coordinates are merged and off-grid entries snapped onto {0, 1/2, 1}
-for as long as the input keeps failing.  A snapped weight is exactly its grid
-point, the weights on the grid keep their bits, and the other off-grid weights
-carry the rest of the mass, so every move drops a coordinate or puts one more
-entry on the grid.  Reported witnesses end on the grid wherever the failure
-allows, and are locally minimal under those moves.
+serialize to identical bytes.  Failing inputs are shrunk before reporting, for
+as long as they keep failing: off-grid entries are snapped onto {0, 1/2, 1},
+and adjacent coordinates merge where the law reads none by its position
+(monotonicity, convexity, multiplicativity, homogeneity).  The other laws
+follow an index map or a permutation or read the last coordinates, so those
+witnesses never lose a coordinate.  A snapped weight is exactly its grid point,
+the weights on the grid keep their bits, and the other off-grid weights carry
+the rest of the mass, so every move drops a coordinate or puts one more entry
+on the grid.  Reported witnesses end on the grid wherever the failure allows,
+and are locally minimal under those moves.
 
 Equality-shaped laws use a relative tolerance; inequality-shaped laws allow an
 additive slack scaled by max(1, |lhs|, |rhs|).
@@ -113,17 +116,16 @@ class Counterexample:
     def from_dict(cls, data: dict) -> "Counterexample":
         """The inverse of ``to_dict``; malformed data is a ValueError."""
         try:
-            w = data.get("w")
-            x = data.get("x")
+            w, x = data.get("w"), data.get("x")
             return cls(
-                w=tuple(float(v) for v in w) if w is not None else None,
-                x=tuple(float(v) for v in x) if x is not None else None,
+                w=tuple(map(_real, w)) if w is not None else None,
+                x=tuple(map(_real, x)) if x is not None else None,
                 aux=dict(data.get("aux") or {}),
                 lhs=float(data["lhs"]),
                 rhs=float(data["rhs"]),
                 residual=float(data["residual"]),
             )
-        except (KeyError, TypeError, AttributeError) as exc:
+        except (KeyError, TypeError, AttributeError, OverflowError) as exc:
             raise ValueError(f"malformed counterexample: {exc!r}") from None
 
 
@@ -294,21 +296,29 @@ def _gen_index_map(rng: np.random.Generator, max_n: int,
 
 # ── Check definitions ─────────────────────────────────────────────────────────
 #
+# A check declares its witness once, as ``fields`` of (name, kind, axis) in the
+# trial dict's order, scalars last.  A _VECTORS field is a float64 array and a
+# _SCALAR a float, wherever the witness came from; no move changes _INDEX data
+# (codomain_size, an int, counts its axis).  Fields on one axis share
+# coordinates.  On a _FREE_AXES axis, weighting first, the law reads no
+# coordinate by position, so adjacent ones may merge; it reads the last
+# coordinates of a "tail" axis, where a "tail+1" field has one entry more.
+#
 # Each ``_ev_*`` raises ValueError before it calls the system when a witness
 # does not fit its law (``MeanSystem.__call__`` rejects unequal lengths), so
-# shrink moves and replayed counterexamples meet the same rules.
-#
-# An ``_ev_*`` wraps every array it passes to the system, derived ones too, with
-# the (weighting, values) constructor pair it is given.  Where a witness came
-# from decides the pair: a fresh trial's arrays come from the generators above
-# and are valid by construction, so they are only made read-only; shrink
-# candidates and replayed counterexamples go through the public constructors.
-# It wraps them all before its first system call.  A shrink for a
+# shrink moves and replayed counterexamples meet the same rules.  Before its
+# first system call it wraps every array it passes, derived ones too, with the
+# (weighting, values) constructor pair it is given.  A fresh trial's arrays are
+# valid by construction, so they are only made read-only; shrink candidates and
+# replayed counterexamples go through the public constructors.  A shrink for a
 # positivity-only system also refuses a weighting with a zero entry.
 
 _Wrap = tuple[Callable[..., Weighting], Callable[..., ValueVector]]
 _Rng: TypeAlias = "np.random.Generator"  # numpy imports np.random on first use
 _Sides = tuple[float, float]  # (lhs, rhs)
+_WEIGHTS, _VALUES, _SCALAR, _INDEX = "weighting", "values", "scalar", "index"
+_VECTORS = (_WEIGHTS, _VALUES)
+_FREE_AXES = ("free", "free b")
 
 
 def _positive_weighting(entries) -> Weighting:
@@ -330,9 +340,7 @@ class _CheckDef:
     derived: bool
     make_trial: Callable[[CheckConfig, bool, int, _Rng], dict]
     evaluate: Callable[..., _Sides]  # (system, wit, weighting, values)
-    merge_groups: tuple[tuple[str, ...], ...] = ()  # (weight_field, value_fields…)
-    weight_fields: tuple[str, ...] = ("w",)
-    scalar_fields: tuple[str, ...] = ()
+    fields: tuple[tuple[str, str, str | None], ...]  # (name, kind, axis)
 
 
 # functoriality ---------------------------------------------------------------
@@ -365,7 +373,7 @@ def _mk_consistency(cfg: CheckConfig, positive: bool, trial: int, rng: _Rng) -> 
 
 
 def _ev_consistency(system: MeanSystem, wit: dict, weighting, values) -> _Sides:
-    c = float(wit["c"])
+    c = wit["c"]
     return system(weighting(np.array([1.0])), values(np.array([c]))), c
 
 
@@ -403,9 +411,7 @@ def _mk_convexity(cfg: CheckConfig, positive: bool, trial: int, rng: _Rng) -> di
 
 
 def _ev_convexity(system: MeanSystem, wit: dict, weighting, values) -> _Sides:
-    w = weighting(wit["w"])
-    x = np.asarray(wit["x"])
-    y = np.asarray(wit["y"])
+    w, x, y = weighting(wit["w"]), wit["x"], wit["y"]
     mid, xv, yv = values((x + y) / 2.0), values(x), values(y)
     return system(w, mid), max(system(w, xv), system(w, yv))
 
@@ -442,8 +448,7 @@ def _mk_symmetry(cfg: CheckConfig, positive: bool, trial: int, rng: _Rng) -> dic
 
 
 def _ev_symmetry(system: MeanSystem, wit: dict, weighting, values) -> _Sides:
-    w = np.asarray(wit["w"])
-    x = np.asarray(wit["x"])
+    w, x = wit["w"], wit["x"]
     if sorted(wit["sigma"]) != list(range(len(w))):
         raise ValueError("sigma must be a permutation of the weight indices")
     sigma = np.array(wit["sigma"], dtype=np.intp)
@@ -460,8 +465,7 @@ def _mk_repetition(cfg: CheckConfig, positive: bool, trial: int, rng: _Rng) -> d
 
 
 def _ev_repetition(system: MeanSystem, wit: dict, weighting, values) -> _Sides:
-    w = np.asarray(wit["w"])
-    x = np.asarray(wit["x"])
+    w, x = wit["w"], wit["x"]
     if not 1 <= x.size == w.size - 1:
         raise ValueError("repetition needs n >= 1 values and n + 1 weights")
     wv, repeated = weighting(w), values(np.concatenate((x, x[-1:])))
@@ -478,8 +482,7 @@ def _mk_zero_weight(cfg: CheckConfig, positive: bool, trial: int, rng: _Rng) -> 
 
 
 def _ev_zero_weight(system: MeanSystem, wit: dict, weighting, values) -> _Sides:
-    w = np.asarray(wit["w"])
-    x = np.asarray(wit["x"])
+    w, x = wit["w"], wit["x"]
     padded, xv = weighting(np.concatenate((w, (0.0,)))), values(x)
     wv, dropped = weighting(w), values(x[:-1])
     return system(padded, xv), system(wv, dropped)
@@ -504,9 +507,7 @@ def _mk_transfer(cfg: CheckConfig, positive: bool, trial: int, rng: _Rng) -> dic
 
 
 def _ev_transfer(system: MeanSystem, wit: dict, weighting, values) -> _Sides:
-    w = np.asarray(wit["w"])
-    x = values(wit["x"])
-    eps = float(wit["epsilon"])
+    w, x, eps = wit["w"], values(wit["x"]), wit["epsilon"]
     if not (2 <= len(w) == len(x) and 0.0 <= eps <= float(w[-1])
             and x.entries[-1] <= x.entries[-2]):
         raise ValueError("transfer needs n >= 2, 0 <= epsilon <= w[-1], x[-1] <= x[-2]")
@@ -529,34 +530,36 @@ def _mk_homogeneity(cfg: CheckConfig, positive: bool, trial: int, rng: _Rng) -> 
 
 
 def _ev_homogeneity(system: MeanSystem, wit: dict, weighting, values) -> _Sides:
-    w = weighting(wit["w"])
-    x = np.asarray(wit["x"])
-    c = float(wit["c"])
+    w, x, c = weighting(wit["w"]), wit["x"], wit["c"]
     scaled, xv = values(c * x), values(x)
     return system(w, scaled), c * system(w, xv)
 
 
 # registry -----------------------------------------------------------------------
 
+_FREE_WX = (("w", _WEIGHTS, "free"), ("x", _VALUES, "free"))
+_FREE_WXY = (*_FREE_WX, ("y", _VALUES, "free"))
 _CHECKS: tuple[_CheckDef, ...] = (
-    _CheckDef("functoriality", "equality", False, _mk_functoriality,
-              _ev_functoriality),
+    _CheckDef("functoriality", "equality", False, _mk_functoriality, _ev_functoriality,
+              (("w", _WEIGHTS, "domain"), ("x", _VALUES, "codomain"),
+               ("images", _INDEX, "domain"), ("codomain_size", _INDEX, "codomain"))),
     _CheckDef("consistency", "equality", False, _mk_consistency, _ev_consistency,
-              scalar_fields=("c",)),
-    _CheckDef("monotonicity", "inequality", False, _mk_monotonicity,
-              _ev_monotonicity, merge_groups=(("w", "x", "y"),)),
-    _CheckDef("convexity", "inequality", False, _mk_convexity, _ev_convexity,
-              merge_groups=(("w", "x", "y"),)),
+              (("c", _SCALAR, None),)),
+    _CheckDef("monotonicity", "inequality", False, _mk_monotonicity, _ev_monotonicity, _FREE_WXY),
+    _CheckDef("convexity", "inequality", False, _mk_convexity, _ev_convexity, _FREE_WXY),
     _CheckDef("multiplicativity", "equality", False, _mk_multiplicativity,
-              _ev_multiplicativity, merge_groups=(("w", "x"), ("v", "y")),
-              weight_fields=("w", "v")),
-    _CheckDef("symmetry", "equality", True, _mk_symmetry, _ev_symmetry),
-    _CheckDef("repetition", "equality", True, _mk_repetition, _ev_repetition),
-    _CheckDef("zero_weight", "equality", True, _mk_zero_weight, _ev_zero_weight),
+              _ev_multiplicativity,
+              (*_FREE_WX, ("v", _WEIGHTS, "free b"), ("y", _VALUES, "free b"))),
+    _CheckDef("symmetry", "equality", True, _mk_symmetry, _ev_symmetry,
+              (("w", _WEIGHTS, "sigma"), ("x", _VALUES, "sigma"), ("sigma", _INDEX, "sigma"))),
+    _CheckDef("repetition", "equality", True, _mk_repetition, _ev_repetition,
+              (("w", _WEIGHTS, "tail+1"), ("x", _VALUES, "tail"))),
+    _CheckDef("zero_weight", "equality", True, _mk_zero_weight, _ev_zero_weight,
+              (("w", _WEIGHTS, "tail"), ("x", _VALUES, "tail+1"))),
     _CheckDef("transfer", "inequality", True, _mk_transfer, _ev_transfer,
-              scalar_fields=("epsilon",)),
+              (("w", _WEIGHTS, "tail"), ("x", _VALUES, "tail"), ("epsilon", _SCALAR, None))),
     _CheckDef("homogeneity", "equality", True, _mk_homogeneity, _ev_homogeneity,
-              merge_groups=(("w", "x"),), scalar_fields=("c",)),
+              (*_FREE_WX, ("c", _SCALAR, None))),
 )
 
 _CHECK_INDEX = {c.name: i for i, c in enumerate(_CHECKS)}
@@ -573,29 +576,25 @@ def _off_grid(v: float) -> float:
     return min(abs(v), abs(v - 0.5), abs(v - 1.0))  # the distance to _GRID
 
 
-def _snap_sites(check: _CheckDef, wit: dict) -> Iterator[tuple[str, int | None, float]]:
-    """(field, index or None, value) for each entry a snap may move, in order."""
-    for key, val in wit.items():
-        if isinstance(val, np.ndarray):
-            for i, entry in enumerate(val.tolist()):
-                yield key, i, entry
-    for key in check.scalar_fields:
-        yield key, None, float(wit[key])
+def _snap_sites(check: _CheckDef, wit: dict) -> Iterator[tuple[str, str, int | None, float]]:
+    """(field, kind, index or None, value) of each entry a snap may move, in order."""
+    for key, kind, _ in check.fields:
+        if kind in _VECTORS:
+            yield from ((key, kind, i, entry) for i, entry in enumerate(wit[key].tolist()))
+        elif kind == _SCALAR:
+            yield key, kind, None, wit[key]
 
 
 def _merge_candidates(check: _CheckDef, wit: dict) -> Iterator[dict]:
-    for group in check.merge_groups:
-        weight_key = group[0]
-        w = np.asarray(wit[weight_key])
-        n = w.size
-        for i in range(n - 1):
-            cand = dict(wit)
+    """Adjacent coordinates of a free axis made one: weights add, values keep the heavier's."""
+    groups = ([key for key, _, on in check.fields if on == axis] for axis in _FREE_AXES)
+    for weight_key, *value_keys in filter(None, groups):  # the weighting comes first
+        w = wit[weight_key]
+        for i in range(w.size - 1):
             keep = i if w[i] >= w[i + 1] else i + 1
-            merged_w = np.concatenate([w[:i], [w[i] + w[i + 1]], w[i + 2:]])
-            cand[weight_key] = merged_w
-            for vk in group[1:]:
-                v = np.asarray(wit[vk])
-                cand[vk] = np.concatenate([v[:i], [v[keep]], v[i + 2:]])
+            cand = {**wit, weight_key: np.concatenate([w[:i], [w[i] + w[i + 1]], w[i + 2:]])}
+            for v in value_keys:
+                cand[v] = np.concatenate([wit[v][:i], [wit[v][keep]], wit[v][i + 2:]])
             yield cand
 
 
@@ -607,11 +606,10 @@ def _snap_candidates(check: _CheckDef, wit: dict, positive: bool = False) -> Ite
     with an entry < 0 (with ``positive``, <= 0) is not yielded at all: the
     constructors would refuse it without calling the system.  The grid weights
     can outweigh 1, and the rescale then turns the rest negative."""
-    for key, i, entry in _snap_sites(check, wit):
+    for key, kind, i, entry in _snap_sites(check, wit):
         if _off_grid(entry) <= _ON_GRID_TOL:
             continue
-        rescaled = None
-        if key in check.weight_fields:
+        if kind == _WEIGHTS:
             rescaled = np.array([_off_grid(v) > _ON_GRID_TOL for v in wit[key].tolist()])
             rescaled[i] = False
         for g in _GRID:
@@ -619,7 +617,7 @@ def _snap_candidates(check: _CheckDef, wit: dict, positive: bool = False) -> Ite
             if i is not None:
                 new = wit[key].copy()
                 new[i] = g
-                if rescaled is not None:
+                if kind == _WEIGHTS:
                     if rescaled.any():
                         rest = 1.0 - float(new[~rescaled].sum())
                         new[rescaled] = new[rescaled] / float(new[rescaled].sum()) * rest
@@ -658,22 +656,14 @@ def _shrink(system: MeanSystem, check: _CheckDef, wit: dict, tol: float,
 # ── Running checks ────────────────────────────────────────────────────────────
 
 
-def _to_counterexample(wit: dict, lhs: float, rhs: float, residual: float,
+def _to_counterexample(check: _CheckDef, wit: dict, lhs: float, rhs: float, residual: float,
                        error: str | None) -> Counterexample:
-    aux: dict = {}
-    w = x = None
-    for key, val in wit.items():
-        if key == "w":
-            w = tuple(float(v) for v in np.asarray(val))
-        elif key == "x":
-            x = tuple(float(v) for v in np.asarray(val))
-        elif isinstance(val, (np.ndarray, tuple)):  # float arrays, integer index tuples
-            aux[key] = np.asarray(val).tolist()
-        else:
-            aux[key] = val
+    aux = {key: wit[key] if kind == _SCALAR else np.asarray(wit[key]).tolist()
+           for key, kind, _ in check.fields}
+    w, x = (tuple(aux.pop(key)) if key in aux else None for key in ("w", "x"))
     if error is not None:
         aux["error"] = error
-    return Counterexample(w=w, x=x, aux=aux, lhs=lhs, rhs=rhs, residual=residual)
+    return Counterexample(w, x, aux, lhs, rhs, residual)
 
 
 def _run_check(system: MeanSystem, cfg: CheckConfig, check: _CheckDef) -> CheckReport:
@@ -692,7 +682,7 @@ def _run_check(system: MeanSystem, cfg: CheckConfig, check: _CheckDef) -> CheckR
             wrap = _POSITIVE if positive else _CHECKED
             shrunk = _shrink(system, check, wit, tol, wrap)
             lhs, rhs, resid, error = _evaluate(check, system, shrunk, _CHECKED)
-            ce = _to_counterexample(shrunk, lhs, rhs, resid, error)
+            ce = _to_counterexample(check, shrunk, lhs, rhs, resid, error)
             return CheckReport(check.name, False, trial + 1, ce, resid, note=note)
         worst = max(worst, resid)
     return CheckReport(check.name, True, cfg.trials, None, worst, note=note)
@@ -731,6 +721,20 @@ def suite_passed(reports) -> bool:
     return all(r.passed for r in reports)
 
 
+def _real(value) -> float:
+    """A real number as a float; anything else, a string included, is a TypeError."""
+    if not isinstance(value, numbers.Real):
+        raise TypeError(f"{value!r} is not a real number")
+    return float(value)
+
+
+def _replayed(kind: str, value):
+    """A replayed field as a fresh trial holds it; index data goes as given."""
+    if kind in _VECTORS:
+        return np.array([_real(v) for v in value], dtype=np.float64)
+    return _real(value) if kind == _SCALAR else value
+
+
 def replay_counterexample(system: MeanSystem, property_name: str,
                           counterexample: Counterexample) -> tuple[float, float, float]:
     """Re-evaluate a reported counterexample; returns (lhs, rhs, residual).
@@ -740,12 +744,13 @@ def replay_counterexample(system: MeanSystem, property_name: str,
         raise ValueError(f"unknown property {property_name!r}")
     check = _CHECKS[_CHECK_INDEX[property_name]]
     mains = {"w": counterexample.w, "x": counterexample.x}
-    wit = {**counterexample.aux, **{k: v for k, v in mains.items() if v is not None}}
+    given = {**counterexample.aux, **{k: v for k, v in mains.items() if v is not None}}
     try:
+        wit = {key: _replayed(kind, given[key]) for key, kind, _ in check.fields}
         lhs, rhs, resid, _ = _evaluate(check, system, wit, _CHECKED)
     except KeyError as exc:
         raise ValueError(f"{property_name} counterexample lacks the field {exc}") from None
-    except TypeError as exc:  # a field of the wrong type, such as sigma=5
+    except (TypeError, OverflowError) as exc:  # such as sigma=5, or c=10**400
         raise ValueError(f"{property_name} counterexample does not fit: {exc}") from None
     return lhs, rhs, resid
 
@@ -763,14 +768,8 @@ def json_ready(obj):
         return [json_ready(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, float)):
         v = float(obj)
-        if math.isnan(v):
-            return "nan"
-        if v == math.inf:
-            return "inf"
-        if v == -math.inf:
-            return "-inf"
-        return v
-    if isinstance(obj, (np.integer,)):
+        return v if math.isfinite(v) else str(v)  # "nan", "inf" or "-inf"
+    if isinstance(obj, np.integer):
         return int(obj)
     return obj
 

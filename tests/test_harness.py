@@ -198,6 +198,16 @@ def test_replay_rejects_counterexamples_that_do_not_fit():
         ("consistency", ce(None, None, c=None)),
         ("transfer", ce((0.5, 0.5), (2.0, 1.0), epsilon=[0.1])),
         ("functoriality", ce((0.5, 0.5), (1.0, 2.0), images=3, codomain_size=2)),
+        # Strings, which replay used to parse as numbers and evaluate.
+        ("consistency", ce(None, None, c="2")),
+        ("transfer", ce((0.5, 0.5), (2.0, 1.0), epsilon="0.1")),
+        ("monotonicity", ce((0.5, 0.5), (1.0, 2.0), y=["1", "2"])),
+        ("symmetry", ce(("0.5", "0.5"), (1.0, 2.0), sigma=[1, 0])),
+        ("homogeneity", ce((0.5, 0.5), "12", c=2.0)),
+        # Integers no float holds, which escaped as an OverflowError.
+        ("consistency", ce(None, None, c=10 ** 400)),
+        ("monotonicity", ce((0.5, 0.5), (1.0, 2.0), y=[10 ** 400, 3.0])),
+        ("functoriality", ce((0.5, 0.5), (1.0, 2.0), images=[0, 1], codomain_size=10 ** 30)),
     ]
     for name, bad in wrong_types:
         with pytest.raises(ValueError, match=f"^{name} counterexample does not fit"):
@@ -222,6 +232,16 @@ def test_malformed_reports_are_value_errors():
     for data in ({**good, "w": 5}, lacking_lhs, {**good, "aux": [1]}, [good]):
         with pytest.raises(ValueError):
             Counterexample.from_dict(data)
+    # Strings are not numbers, though "10" once read as w = (1.0, 0.0), and an
+    # integer no float holds escaped as an OverflowError.
+    for data in ({**good, "w": "10"}, {**good, "x": "12"}, {**good, "w": ["0.5", 0.5]},
+                 {**good, "x": [1.0, "2"]}, {**good, "w": [10 ** 400]},
+                 {**good, "lhs": 10 ** 400}):
+        with pytest.raises(ValueError, match="^malformed counterexample"):
+            Counterexample.from_dict(data)
+    # The sides keep reading the strings json_ready writes for non-finite floats.
+    sides = Counterexample.from_dict({**good, "lhs": "nan", "rhs": "inf", "residual": "-inf"})
+    assert math.isnan(sides.lhs) and (sides.rhs, sides.residual) == (math.inf, -math.inf)
     empty_x = Counterexample.from_dict({**good, "x": []})
     with pytest.raises(ValueError, match="^repetition needs n >= 1 values"):
         replay_counterexample(system, "repetition", empty_x)
@@ -400,19 +420,23 @@ def test_positive_only_counterexamples_keep_weights_positive():
     assert failures >= len(_POSITIVE_ONLY_SYSTEMS) * 2
 
 
+# The positive-only systems and four more that fail a law without positivity.
+_SHRINK_COUNT_SYSTEMS = (*_POSITIVE_ONLY_SYSTEMS, "sum(w/(1+x))", "sum(w^2*x)/sum(w^2)",
+                         "max(x*w^0)", "sum(w*x)+1")
+
+
 def test_positive_shrinks_evaluate_no_weighting_with_a_zero(monkeypatch):
     # A snap that leaves a weight at or below 0 is refused by the positive pair
     # before the system runs, so it is not tried at all.  Over these 11 systems
     # at seeds 0-6, the 224 shrinks took 9104 evaluations when such snaps were
     # tried (7576 of them refused) and take 1528 without them.
-    sources = (*_POSITIVE_ONLY_SYSTEMS, "sum(w/(1+x))", "sum(w^2*x)/sum(w^2)", "max(x*w^0)",
-               "sum(w*x)+1")
+    sources = _SHRINK_COUNT_SYSTEMS
     evaluate, shrink = harness._evaluate, harness._shrink
     counts = []
 
     def counting_evaluate(check, system, wit, wrap):
         counts[-1] += 1
-        assert all(np.asarray(wit[k]).min() > 0.0 for k in check.weight_fields if k in wit)
+        assert all(wit[k].min() > 0.0 for k in _fields_of(check, harness._WEIGHTS))
         return evaluate(check, system, wit, wrap)
 
     def counting_shrink(system, check, wit, tol, wrap):
@@ -437,8 +461,7 @@ def test_no_shrink_candidate_has_a_negative_weight(monkeypatch):
     # system runs; it is not yielded.  Over these 11 systems at seeds 0-6, 409
     # such snaps were tried while they were still yielded.  With positivity
     # on, the test above finds every evaluated weight positive.
-    sources = (*_POSITIVE_ONLY_SYSTEMS, "sum(w/(1+x))", "sum(w^2*x)/sum(w^2)", "max(x*w^0)",
-               "sum(w*x)+1")
+    sources = _SHRINK_COUNT_SYSTEMS
     evaluate = harness._evaluate
     refusals = Counter()
 
@@ -453,6 +476,48 @@ def test_no_shrink_candidate_has_a_negative_weight(monkeypatch):
     for source, seed in itertools.product(sources, range(7)):
         run_full_suite(dsl_mean_system(source), CheckConfig(seed=seed, trials=100))
     assert refusals and not [m for m in refusals if "nonnegative" in m], refusals
+
+
+@pytest.mark.parametrize("positive", [False, True])
+def test_no_shrink_candidate_is_refused_for_its_shape(monkeypatch, positive):
+    # Merges run only along free axes, so they keep every field's length in
+    # step, and snaps change no length.  What the checks still refuse is the
+    # transfer precondition on epsilon and the order of x (272 candidates with
+    # positivity off, 259 of them from the first set of runs; 126 with it on,
+    # 111 from the first set), and 6 transfers that empty w[-1] for a
+    # positivity-only system.
+    runs = [*itertools.product(_SHRINK_COUNT_SYSTEMS, range(7)),
+            *itertools.product(_SHRINK_SYSTEMS, (7, 11))]
+    evaluate, shrink = harness._evaluate, harness._shrink
+    refusals = Counter()
+
+    def recording_evaluate(check, system, wit, wrap):
+        try:
+            return evaluate(check, system, wit, wrap)
+        except ValueError as exc:
+            message = str(exc)
+            assert not any(s in message for s in ("length mismatch", "broadcast")), message
+            if check.name == "transfer":  # its precondition also names the shape
+                assert 2 <= wit["w"].size == wit["x"].size, (message, wit)
+            refusals[check.name, message] += 1
+            raise
+
+    def recording_shrink(system, check, wit, tol, wrap):
+        monkeypatch.setattr(harness, "_evaluate", recording_evaluate)
+        try:
+            return shrink(system, check, wit, tol, wrap)
+        finally:
+            monkeypatch.setattr(harness, "_evaluate", evaluate)
+
+    monkeypatch.setattr(harness, "_shrink", recording_shrink)
+    for source, seed in runs:
+        run_full_suite(dsl_mean_system(source, positivity_only=positive),
+                       CheckConfig(seed=seed, trials=100))
+    transfer = ("transfer", "transfer needs n >= 2, 0 <= epsilon <= w[-1], x[-1] <= x[-2]")
+    positivity = ("transfer", "weighting entries must be strictly positive")
+    assert set(refusals) <= {transfer, positivity}, refusals
+    assert 0 < refusals[transfer] <= (126 if positive else 272), refusals
+    assert refusals[positivity] <= (6 if positive else 0), refusals
 
 
 def test_positive_pair_rejects_a_transfer_that_empties_the_last_weight():
@@ -739,6 +804,61 @@ def test_fresh_witnesses_match_the_frozen_reference(max_n, positive):
                 assert handed == want, where
 
 
+def test_check_schemas_are_well_formed():
+    # Only four laws read no coordinate by its position; a field put on a free
+    # axis by mistake keeps every report byte but lets merges that the check
+    # refuses eat the shrink budget.
+    free = {}
+    for check in harness._CHECKS:
+        names, kinds, axes = zip(*check.fields)
+        assert len(set(names)) == len(names), check.name
+        assert set(kinds) <= {harness._WEIGHTS, harness._VALUES, harness._SCALAR, harness._INDEX}
+        scalars = [kind == harness._SCALAR for kind in kinds]
+        assert scalars == sorted(scalars), check.name  # scalars last
+        assert all((axis is None) == scalar for axis, scalar in zip(axes, scalars)), check.name
+        for axis in harness._FREE_AXES:
+            on = [kind for kind, at in zip(kinds, axes) if at == axis]
+            if on:  # one weighting first, then values
+                assert on == [harness._WEIGHTS] + [harness._VALUES] * (len(on) - 1), check.name
+                free.setdefault(check.name, []).append(axis)
+    assert free == {"monotonicity": ["free"], "convexity": ["free"],
+                    "multiplicativity": ["free", "free b"], "homogeneity": ["free"]}
+
+
+@pytest.mark.parametrize("max_n", [2, 8, 32])
+@pytest.mark.parametrize("positive", [False, True])
+def test_fresh_witnesses_fit_their_schema(max_n, positive):
+    # Each field has the schema's name, place and type, and the fields on one
+    # axis have one length, a "tail+1" field one more; an integer on an axis
+    # is its length.
+    for seed in range(20):
+        cfg = CheckConfig(seed=seed, trials=100, max_n=max_n)
+        for stream, check in enumerate(harness._CHECKS):
+            for trial, rng in enumerate(harness._trial_rngs(seed, stream, cfg.trials)):
+                where = (check.name, seed, trial)
+                wit = check.make_trial(cfg, positive, trial, rng)
+                assert list(wit) == [name for name, _, _ in check.fields], where
+                lengths = Counter()
+                for name, kind, axis in check.fields:
+                    value = wit[name]
+                    if kind == harness._SCALAR:
+                        assert type(value) is float, where
+                        continue
+                    if kind == harness._INDEX and type(value) is int:
+                        length = value
+                    elif kind == harness._INDEX:
+                        assert type(value) is tuple, where
+                        assert all(type(v) is int for v in value), where
+                        length = len(value)
+                    else:
+                        assert type(value) is np.ndarray and value.ndim == 1, where
+                        assert value.dtype == np.float64, where
+                        length = value.size
+                    base, _, extra = axis.partition("+")
+                    lengths[base, length - int(extra or 0)] += 1
+                assert len(lengths) == len({base for base, _ in lengths}), (where, lengths)
+
+
 def test_rewritten_array_expressions_match_their_originals():
     rng = np.random.default_rng(17)
     for _ in range(20000):
@@ -757,21 +877,26 @@ def test_rewritten_array_expressions_match_their_originals():
         assert tuple(perm.tolist()) == tuple(int(v) for v in perm)
 
 
+def _fields_of(check, *kinds):
+    """The names of the check's witness fields of these kinds, in schema order."""
+    return [name for name, kind, _ in check.fields if kind in kinds]
+
+
 def _witness_size_reference(check, wit):
     """(array entries, entries off the {0, 1/2, 1} grid, their summed distance
     to it, each capped at 1): the size a shrink move must lower."""
-    def sites():
-        for key, val in wit.items():
-            if isinstance(val, np.ndarray):
-                for i, entry in enumerate(val.tolist()):
-                    yield key, i, entry
-        for key in check.scalar_fields:
-            yield key, None, float(wit[key])
+    vectors = _fields_of(check, harness._WEIGHTS, harness._VALUES)
 
-    total = sum(val.size for val in wit.values() if isinstance(val, np.ndarray))
+    def sites():
+        for key in vectors:
+            yield from wit[key].tolist()
+        for key in _fields_of(check, harness._SCALAR):
+            yield float(wit[key])
+
+    total = sum(wit[key].size for key in vectors)
     count = 0
     dist = 0.0
-    for _, _, entry in sites():
+    for entry in sites():
         d = min(abs(entry - g) for g in (0.0, 0.5, 1.0))
         if d > 1e-12:
             count += 1
@@ -794,16 +919,16 @@ def _near_grid_witnesses(trials):
     for stream, check in enumerate(harness._CHECKS):
         for trial, trial_rng in enumerate(harness._trial_rngs(cfg.seed, stream, trials)):
             wit = check.make_trial(cfg, trial % 2 == 1, trial, trial_rng)
-            for key, val in wit.items():
-                if isinstance(val, np.ndarray):
-                    pick = rng.random(val.size) < 0.5
-                    wit[key] = val.copy()
-                    wit[key][pick] = rng.choice(_NEAR_GRID, int(pick.sum()))
-                    if key in check.weight_fields:
-                        rest, kept = 1.0 - wit[key][pick].sum(), wit[key][~pick].sum()
-                        if rest >= 0.0 and kept > 0.0:
-                            wit[key][~pick] *= rest / kept
-            for key in check.scalar_fields:  # c and epsilon
+            for key in _fields_of(check, harness._WEIGHTS, harness._VALUES):
+                val = wit[key]
+                pick = rng.random(val.size) < 0.5
+                wit[key] = val.copy()
+                wit[key][pick] = rng.choice(_NEAR_GRID, int(pick.sum()))
+                if key in _fields_of(check, harness._WEIGHTS):
+                    rest, kept = 1.0 - wit[key][pick].sum(), wit[key][~pick].sum()
+                    if rest >= 0.0 and kept > 0.0:
+                        wit[key][~pick] *= rest / kept
+            for key in _fields_of(check, harness._SCALAR):  # c and epsilon
                 if rng.random() < 0.5:
                     wit[key] = float(rng.choice(_NEAR_GRID))
             yield check, wit
@@ -821,11 +946,11 @@ def _snap_reference(check, wit):
     """((field, index, grid point), candidate) for every snap, as
     ``_snap_candidates`` made them before it dropped the weightings that go
     below 0."""
-    for key, i, entry in harness._snap_sites(check, wit):
+    for key, kind, i, entry in harness._snap_sites(check, wit):
         if harness._off_grid(entry) <= harness._ON_GRID_TOL:
             continue
         rescaled = None
-        if key in check.weight_fields:
+        if kind == harness._WEIGHTS:
             rescaled = np.array([harness._off_grid(v) > harness._ON_GRID_TOL
                                  for v in wit[key].tolist()])
             rescaled[i] = False
@@ -847,16 +972,17 @@ def test_every_shrink_candidate_is_smaller_than_its_source():
     # leaves a weight below 0 is not yielded: every other one is, in order.
     seen = Counter()
     for check, wit in _near_grid_witnesses(80):
+        weights = _fields_of(check, harness._WEIGHTS)
         size = _witness_size_reference(check, wit)
         for cand in harness._merge_candidates(check, wit):
             assert _witness_size_reference(check, cand)[0] < size[0], check.name
             seen["merge"] += 1
-        sites = [(key, i, g) for key, i, entry in harness._snap_sites(check, wit)
+        sites = [(key, i, g) for key, _, i, entry in harness._snap_sites(check, wit)
                  if harness._off_grid(entry) > harness._ON_GRID_TOL for g in (0.0, 0.5, 1.0)]
         reference = list(_snap_reference(check, wit))
         assert [site for site, _ in reference] == sites
         kept = [(site, ref) for site, ref in reference
-                if site[0] not in check.weight_fields or ref[site[0]].min() >= 0.0]
+                if site[0] not in weights or ref[site[0]].min() >= 0.0]
         seen["dropped"] += len(reference) - len(kept)
         cands = list(harness._snap_candidates(check, wit))
         assert len(cands) == len(kept), check.name
@@ -871,7 +997,7 @@ def test_every_shrink_candidate_is_smaller_than_its_source():
                 continue
             new, old = cand[key], wit[key]
             assert _bits(new[i]) == _bits(g), where
-            if key not in check.weight_fields:
+            if key not in weights:
                 assert _bits(*np.delete(new, i)) == _bits(*np.delete(old, i)), where
                 continue
             on_grid = [j for j, v in enumerate(old.tolist())
