@@ -356,7 +356,8 @@ class CharacterizationReport:
 
 
 def _stage_values(rng: np.random.Generator, n: int) -> ValueVector:
-    return ValueVector._unchecked(_gen_values(rng, n, decades=4.0))
+    # evaluated twice: by the system, and as the reference power mean
+    return ValueVector._reused(_gen_values(rng, n, decades=4.0))
 
 
 def _stage_uniform(system: MeanSystem, cfg: CharacterizationConfig,
@@ -428,7 +429,7 @@ def _stage_sandwich(system: MeanSystem, cfg: CharacterizationConfig) -> StageRep
         n = int(rng.integers(2, cfg.max_n + 1))
         g = rng.exponential(1.0, n)
         w = Weighting._unchecked(0.5 * g / g.sum() + 0.5 / n)  # every entry >= 1/(2n)
-        x = ValueVector._unchecked(np.power(10.0, rng.uniform(-3.0, 3.0, n)))
+        x = ValueVector._reused(np.power(10.0, rng.uniform(-3.0, 3.0, n)))  # ~13 weightings
         order = _ascending(x)
         value_at = None  # system(w, x), once the trial's first delta has it
         for delta in cfg.deltas:

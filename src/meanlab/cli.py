@@ -176,8 +176,7 @@ def _load_vectors(args: argparse.Namespace) -> tuple[Weighting, ValueVector]:
         try:
             with open(args.input, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-            w_raw = np.array(data["w"], dtype=np.float64)
-            x_raw = np.array(data["x"], dtype=np.float64)
+            w_raw, x_raw = data["w"], data["x"]  # a string in the file is no number
         except (OSError, ValueError, KeyError, TypeError) as exc:
             raise ValueError(f"cannot read --input {args.input!r}: {exc}") from exc
     else:

@@ -163,11 +163,24 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+_REAL = (numbers.Real, np.bool_)  # np.bool_ is no numbers.Real
+
+
 def _as_1d_float(entries: object, what: str) -> np.ndarray:
-    a = np.asarray(entries, dtype=np.float64)
+    """``entries`` as a new one-dimensional float64 array, so that a caller
+    who keeps the original cannot change a validated container.  Entries
+    must be real numbers (bool, int, float, ``Fraction``, numpy numbers); a
+    string is refused, not parsed."""
+    a = np.array(entries)
     if a.ndim != 1:
         raise ValueError(f"{what} must be one-dimensional")
-    return a
+    if a.dtype.kind not in "biuf" and not (
+            a.dtype.kind == "O" and all(isinstance(v, _REAL) for v in a.tolist())):
+        raise ValueError(f"{what} entries must be real numbers")
+    try:
+        return a.astype(np.float64, copy=False)
+    except OverflowError:  # an int or Fraction beyond the largest float
+        raise ValueError(f"{what} entries must be finite") from None
 
 
 class _Entries:
@@ -187,7 +200,9 @@ class _Entries:
     @classmethod
     def _unchecked(cls, a: np.ndarray):
         """Wrap a one-dimensional float64 array that meanlab built itself and
-        that is valid by construction: read-only, with no rule re-checked."""
+        that is valid by construction: read-only, with no rule re-checked.
+        The container takes the array over, with no copy, so nothing else may
+        write to it."""
         obj = object.__new__(cls)
         obj.__dict__["entries"] = _read_only(a)
         return obj
@@ -298,6 +313,9 @@ class ValueVector(_Entries):
     """A nonempty vector of nonnegative finite reals (inputs to a mean)."""
 
     entries: np.ndarray
+    # power_mean's x-half (_power_terms) by exponent, for a vector made by
+    # _reused; None for every other vector.
+    _power_terms_by_p = None
 
     def __post_init__(self) -> None:
         a = _as_1d_float(self.entries, "value vector")
@@ -308,6 +326,17 @@ class ValueVector(_Entries):
                 raise ValueError("value entries must be finite")
             raise ValueError("value entries must be nonnegative")
         self.__dict__["entries"] = _read_only(a)
+
+    @classmethod
+    def _reused(cls, a: np.ndarray) -> "ValueVector":
+        """``_unchecked``, for a short vector meanlab evaluates under many
+        weightings at one exponent: :func:`power_mean` keeps the part of
+        its power sum that reads only the values (2n floats per exponent).
+        A vector evaluated once gains nothing and would pay for that part.
+        """
+        x = cls._unchecked(a)
+        x.__dict__["_power_terms_by_p"] = {}
+        return x
 
 
 @dataclass(frozen=True, eq=False)
@@ -473,6 +502,11 @@ def power_mean(p: ExponentLike, w: Weighting, x: ValueVector) -> float:
     1.0)))`` gives 1.0155804546001013, not 1.0 (ROADMAP.md item 4 plans the
     fix: divide the power sum by the weights' total).  A nonzero |p| below
     2⁻³⁵ is evaluated as p = 0: the finite formula cannot resolve it.
+
+    A short vector made by ``ValueVector._reused`` keeps, per finite p ≠ 0,
+    the part of the power sum that depends only on its values and p
+    (:func:`_power_terms`), so each later weighting at that p costs only the
+    weighted sums and the root.
     """
     pp = as_exponent(p).value
     if abs(pp) < _ZERO_P:
@@ -480,9 +514,17 @@ def power_mean(p: ExponentLike, w: Weighting, x: ValueVector) -> float:
     n = w.entries.size
     if n != x.entries.size:
         raise ValueError(f"length mismatch: {n} weights vs {x.entries.size} values")
-    if n <= _SCALAR_MAX_N:
-        return _scalar_power_mean(pp, w.entries.tolist(), x.entries.tolist())
-    return _numpy_power_mean(pp, w.entries, x.entries)
+    if n > _SCALAR_MAX_N:
+        return _numpy_power_mean(pp, w.entries, x.entries)
+    wl = w.entries.tolist()
+    kept = x._power_terms_by_p
+    if kept is not None and pp != 0.0 and not math.isinf(pp):
+        terms = kept.get(pp)
+        if terms is None:
+            terms = kept[pp] = _power_terms(pp, x.entries.tolist())
+        if terms[0] is None or wl[terms[0]] > 0.0:
+            return _power_sum_mean(pp, wl, terms)
+    return _scalar_power_mean(pp, wl, x.entries.tolist())
 
 
 def _scalar_power_mean(pp: float, wl: list[float], xl: list[float]) -> float:
@@ -544,6 +586,84 @@ def _scalar_power_mean(pp: float, wl: list[float], xl: list[float]) -> float:
     return _root_of_power_sum(pp, math.fsum(s_terms), math.fsum(t_terms), x_ref)
 
 
+def _power_terms(pp: float, xl: list[float]) -> tuple:
+    """The half of the short power-sum kernel that reads only x and p ≠ 0.
+
+    Returns (ref, x_ref, ts, ds, zeros).  ``ref`` is the index of the
+    reference entry, the first positive value with the largest log₂ x for
+    p > 0 and the smallest for p < 0 (None if no value is positive), and
+    ``x_ref`` its value.  Each positive entry i, with u = log₂(xᵢ/x_ref) split
+    as binary exponent and mantissa log, gets the term tᵢ = 2^a, a = p·u
+    rounded, and dᵢ, the rounding error of a, so (xᵢ/x_ref)ᵖ = 2^(a + dᵢ);
+    ``zeros`` lists the zero entries, whose t and d are 0.  Every t is
+    finite, so a zero weight times it is 0.
+    """
+    top = pp > 0.0  # the reference entry has the largest log₂ x for p > 0, else the least
+    lx_ref = -math.inf if top else math.inf
+    ref = x_ref = None
+    parts: list[tuple[float, float] | None] = []
+    zeros = []
+    for i, xi in enumerate(xl):
+        if xi > 0.0:
+            m, e = math.frexp(xi)
+            e = float(e)  # exact; it keeps the arithmetic below on floats
+            lm = math.log2(m)
+            lx = e + lm
+            if (lx > lx_ref) if top else (lx < lx_ref):  # the first on a tie
+                lx_ref, ref, x_ref, e_ref, lm_ref = lx, i, xi, e, lm
+            parts.append((e, lm))
+        else:
+            parts.append(None)
+            zeros.append(i)
+    c = _SPLIT * pp  # Dekker split of p, shared by every product below
+    ph = c - (c - pp)
+    pl = pp - ph
+    ts: list[float] = []
+    ds: list[float] = []
+    for part in parts:
+        if part is None:  # a zero value
+            ts.append(0.0)
+            ds.append(0.0)
+            continue
+        e, lm = part
+        ue = e - e_ref  # a small integer, so its Dekker split is (ue, 0)
+        um = lm - lm_ref
+        a1 = pp * ue
+        r1 = (ph * ue - a1) + pl * ue
+        a2 = pp * um
+        c = _SPLIT * um
+        uh = c - (c - um)
+        ul = um - uh
+        r2 = ((ph * uh - a2) + ph * ul + pl * uh) + pl * ul
+        a = a1 + a2  # _two_sum(a1, a2), inline
+        v = a - a1
+        r3 = (a1 - (a - v)) + (a2 - v)
+        ts.append(2.0 ** a)
+        ds.append((r1 + r2) + r3)
+    return ref, x_ref, ts, ds, zeros
+
+
+def _power_sum_mean(pp: float, wl: list[float], terms: tuple) -> float:
+    """The weighted half of the short kernel: M_p(w, x) at finite p ≠ 0 from
+    x's :func:`_power_terms`, whose reference entry, if any, must carry
+    weight.
+
+    That entry is then also the reference of the supported entries, since
+    every earlier entry has a strictly smaller log₂ x for p > 0 (larger for
+    p < 0), so the supported terms are exactly those the one-pass kernel
+    over the support makes, and an unsupported or zero entry adds an exact
+    0 to each sum.
+    """
+    ref, x_ref, ts, ds, zeros = terms
+    if zeros and pp < 0.0 and any(wl[i] > 0.0 for i in zeros):
+        return 0.0  # limit of (Σ w x^p)^(1/p) as any x_i ↓ 0 with p < 0
+    if ref is None:
+        return 0.0  # p > 0 and every value is zero
+    wts = list(map(operator.mul, wl, ts))
+    T = math.fsum(map(operator.mul, wts, ds))
+    return _root_of_power_sum(pp, math.fsum(wts), T, x_ref)
+
+
 def _numpy_power_mean(pp: float, we: np.ndarray, xe: np.ndarray) -> float:
     """:func:`power_mean` on arrays, for long vectors."""
     supp = we > 0.0
@@ -555,13 +675,13 @@ def _numpy_power_mean(pp: float, we: np.ndarray, xe: np.ndarray) -> float:
         return float(xs.min())
     if pp == 0.0:
         return _geometric_mean(ws, xs)
-    has_zero = bool(np.any(xs == 0.0))
+    has_zero = bool((xs == 0.0).any())
     if pp < 0.0:
         if has_zero:
             return 0.0  # limit of (Σ w x^p)^(1/p) as any x_i ↓ 0 with p < 0
     elif has_zero:
         keep = xs > 0.0
-        if not np.any(keep):
+        if not keep.any():
             return 0.0
         ws = ws[keep]
         xs = xs[keep]
@@ -577,22 +697,31 @@ def _finite_power_mean(pp: float, ws: np.ndarray, xs: np.ndarray) -> float:
     rounding of huge log terms (|u| can reach ~2100) never leaks into the
     result; S's logarithm is taken piecewise (integer exponent + mantissa log)
     and divided by p in double-double, then reassembled through exact ldexp
-    scaling.
+    scaling.  The integer part of u needs no split, and the arrays are
+    updated in place where no later step reads the old values.
     """
     m, e = np.frexp(xs)
     e = e.astype(np.float64)
     lm = np.log2(m)  # ∈ (−1, 0]
     lx = e + lm
-    ref = int(np.argmax(lx)) if pp > 0.0 else int(np.argmin(lx))
-    ue = e - e[ref]  # exact small integers
+    ref = int(lx.argmax()) if pp > 0.0 else int(lx.argmin())
+    ue = e - e[ref]  # exact small integers, so p·ue's error needs only p split
     um = lm - lm[ref]
-    a1, r1 = _two_prod(pp, ue)
+    c = _SPLIT * pp
+    ph = c - (c - pp)
+    pl = pp - ph
+    a1 = pp * ue
+    r1 = ph * ue
+    r1 -= a1
+    r1 += pl * ue
     a2, r2 = _two_prod(pp, um)
     a, r3 = _two_sum(a1, a2)
-    da = (r1 + r2) + r3
+    r1 += r2
+    r1 += r3  # (r1 + r2) + r3: the error of a
     t = np.exp2(a)  # dominant term is 2^~0; far terms underflow harmlessly
     S = float((ws * t).sum())  # pairwise: rounding grows like log n, not n
-    T = float(np.dot(ws, t * da))  # first-order correction to Σ w·2^(a+da)
+    t *= r1
+    T = float(np.dot(ws, t))  # first-order correction to Σ w·2^(a + r1)
     return _root_of_power_sum(pp, S, T, float(xs[ref]))
 
 
@@ -720,7 +849,7 @@ def pushforward(f: IndexMap, w: Weighting) -> Weighting:
 
 def pullback(f: IndexMap, x: ValueVector) -> ValueVector:
     """Pull values back along f: (x·f)ᵢ = x_{f(i)}."""
-    return ValueVector(_pulled(f, x.entries))
+    return ValueVector._unchecked(_pulled(f, x.entries))  # a new array of x's entries
 
 
 def embed(f: IndexMap, x: SignedVector) -> SignedVector:
@@ -731,7 +860,7 @@ def embed(f: IndexMap, x: SignedVector) -> SignedVector:
         raise ValueError("vector length must equal the map's domain size")
     out = np.zeros(f.codomain_size)
     out[f._index] = x.entries
-    return SignedVector(out)
+    return SignedVector._unchecked(out)
 
 
 # ── Tensor products ───────────────────────────────────────────────────────────
@@ -797,7 +926,7 @@ def norm_from_mean(mean: Callable[[Weighting, ValueVector], float],
     if n == 0:
         return 0.0
     factor = float(n) ** (1.0 / q.value)  # n ** 0 = 1 at q = inf
-    return factor * mean(uniform(n), ValueVector(np.abs(x.entries)))
+    return factor * mean(uniform(n), ValueVector._unchecked(np.abs(x.entries)))
 
 
 # ── Rational expansion ────────────────────────────────────────────────────────

@@ -115,6 +115,12 @@ def test_malformed_input_file_exit_2(tmp_path, capsys):
     path.write_text(json.dumps({"w": [1.0]}))  # x missing
     code, _, _ = run_cli(capsys, "eval", "--builtin", "2", "--input", str(path))
     assert code == 2
+    path.write_text(json.dumps({"w": ["0.5", "0.5"], "x": [1, 2]}))  # was parsed
+    code, out, err = run_cli(capsys, "eval", "--builtin", "2", "--input", str(path))
+    assert (code, out, err) == (2, "", "meanlab: weighting entries must be real numbers\n")
+    path.write_text(json.dumps({"w": [1.0], "x": [10**400]}))  # read as an int; raised
+    code, out, err = run_cli(capsys, "eval", "--builtin", "2", "--input", str(path))
+    assert (code, out, err) == (2, "", "meanlab: value vector entries must be finite\n")
 
 
 def test_runtime_evaluation_error_exits_1(capsys):

@@ -147,6 +147,59 @@ def test_weighting_validation():
     assert [type(f) for f in w.exact] == [Fraction, Fraction]
 
 
+@pytest.mark.parametrize("make, entries", [
+    (Weighting, [0.5, 0.5]), (ValueVector, [1.0, 2.0]), (SignedVector, [-1.0, 2.0]),
+])
+def test_validated_containers_own_their_entries(make, entries):
+    # A write through the caller's array, or through the array it is a view
+    # of, must not reach a container that was checked; and the caller's
+    # array stays writable.
+    base = np.array(entries + [9.0])
+    given = base[:2]
+    got = make(given)
+    base[0] = -3.0
+    given[1] = math.nan
+    assert got.entries.tolist() == entries
+    assert given.flags.writeable and base.flags.writeable
+    assert not got.entries.flags.writeable
+
+
+@pytest.mark.parametrize("make", [Weighting, ValueVector, SignedVector])
+@pytest.mark.parametrize("entries", [
+    ["0.5", "0.5"], [0.5, "0.5"], np.array(["1", "1"]), np.array([b"0.5", b"0.5"]),
+    np.array(["0.5", Fraction(1, 2)], dtype=object), [None, 1.0], [1 + 0j, 0j],
+    np.array(["2020-01-01", "2020-01-02"], dtype="datetime64[D]"),
+])
+def test_containers_refuse_entries_that_are_not_real_numbers(make, entries):
+    # They were parsed: Weighting(["0.5", "0.5"]) was a weighting, and
+    # power_mean(2, it, ValueVector(["1", "2"])) gave 1.5811388300841895.
+    what = {Weighting: "weighting", ValueVector: "value vector", SignedVector: "signed vector"}
+    with pytest.raises(ValueError) as err:
+        make(entries)
+    assert str(err.value) == f"{what[make]} entries must be real numbers"
+
+
+@pytest.mark.parametrize("make", [Weighting, ValueVector, SignedVector])
+def test_containers_refuse_numbers_beyond_the_largest_float(make):
+    # An int or Fraction too large for a float raised OverflowError.
+    what = {Weighting: "weighting", ValueVector: "value vector", SignedVector: "signed vector"}
+    for entries in ([10**400], [Fraction(10**400), 1]):
+        with pytest.raises(ValueError) as err:
+            make(entries)
+        assert str(err.value) == f"{what[make]} entries must be finite"
+
+
+def test_containers_accept_every_kind_of_real_number():
+    for entries in ([Fraction(1, 2), Fraction(1, 2)], [1, 0], [True, False],
+                    [np.float32(0.5), np.float16(0.5)], np.array([1, 0], dtype=np.uint8),
+                    [np.True_, Fraction(0)], np.array([0.5, 0.5], dtype=np.float32),
+                    np.array([Fraction(1, 4), 0.75], dtype=object), (0.25, 0.75)):
+        w = Weighting(entries)
+        assert w.entries.dtype == np.float64 and w.entries.sum() == 1.0
+    assert ValueVector([1, 2**70]).entries.tolist() == [1.0, 2.0**70]
+    assert power_mean(2, Weighting([Fraction(1, 2), 0.5]), ValueVector([1, 7])) == 5.0
+
+
 def _public_copy(w):
     """``w`` rebuilt through the validating constructor, which must accept it."""
     again = Weighting(w.entries.copy(), exact=w.exact)
@@ -586,6 +639,151 @@ def test_power_mean_dispatch_follows_the_crossover(monkeypatch):
         power_mean(2.0, uniform(n), ValueVector(np.ones(n)))
     assert calls == [("scalar", list, 1), ("scalar", list, edge),
                      ("numpy", np.ndarray, edge + 1), ("numpy", np.ndarray, 2 * edge)]
+
+
+def _one_vector_case(rng):
+    """(x, [(p, w), ...]): one short value vector and the evaluations made on
+    it, exponents and weightings in random order.  The values may tie in
+    log₂ x, hold zeros or repeat; some weightings leave the reference entry
+    (the first largest or least log₂ x) or a zero value unsupported."""
+    u = rng.random
+    n = rng.randint(1, core._SCALAR_MAX_N)
+    r = u()
+    if r < 0.2:  # a few ulps apart near a large power of two: equal log₂ x
+        top = math.ldexp(1.0, rng.choice((1000, -1000, 3)))
+        x = [top * (1.0 - rng.randrange(6) * 2.0 ** -53) for _ in range(n)]
+    else:
+        decades = rng.choice((0.5, 4.0, 300.0))
+        x = [10.0 ** (decades * (2.0 * u() - 1.0)) for _ in range(n)]
+        if r < 0.5:
+            x = [0.0 if u() < 0.25 else v for v in x]
+        elif r < 0.7:
+            x = rng.choices(x[: max(1, n // 3)], k=n)
+    edge = math.ldexp(1.0, -35)
+    exponents = [math.inf, -math.inf, 0.0, edge, -edge, math.nextafter(edge, 0.0),
+                 2.0 ** -30, 1e-3, -1e-3, 0.5, 1.0, 1.5, 2.0, 3.0, 10.0, 700.0, -700.0,
+                 -(10.0 ** (3.0 * u() - 1.0)), 10.0 ** (3.0 * u() - 1.0)]
+    evaluations = []
+    for p in rng.sample(exponents, 8):
+        for _ in range(rng.randint(1, 6)):
+            w = [1.0 - u() for _ in range(n)]
+            if n >= 2 and u() < 0.5:  # zero weights, often on the largest or least value
+                for i in rng.sample(range(n), rng.randint(1, n - 1)):
+                    w[i] = 0.0
+                if u() < 0.5:
+                    pos = [i for i in range(n) if x[i] > 0.0] or [0]
+                    w[max(pos, key=x.__getitem__) if p > 0.0 else min(pos, key=x.__getitem__)] = 0.0
+                if sum(w) == 0.0:
+                    w[rng.randrange(n)] = 1.0
+            total = sum(w)
+            evaluations.append((p, [v / total for v in w]))
+    rng.shuffle(evaluations)
+    return x, evaluations
+
+
+def _zero_free_hex(args):
+    # A sum of terms that are all zero may be 0.0 or -0.0; the root reads
+    # T only through T / S next to a nonzero log, so the sign is not a bit
+    # of the result.
+    return [(v + 0.0).hex() for v in args]
+
+
+def test_short_power_mean_matches_the_chain_it_replaced_bit_for_bit(monkeypatch):
+    # A reused ValueVector keeps its x-half per exponent across weightings;
+    # each evaluation must equal the reference on that weighting alone, and
+    # so must the root's arguments.  A public one keeps nothing.
+    seen = []
+
+    def recorded(root):
+        return lambda *args: seen.append(args) or root(*args)
+
+    monkeypatch.setattr(core, "_root_of_power_sum", recorded(core._root_of_power_sum))
+    reference_root = recorded(_root_reference)
+    kept_sums = []
+    power_sum_mean = core._power_sum_mean
+    monkeypatch.setattr(core, "_power_sum_mean",
+                        lambda *args: kept_sums.append(1) or power_sum_mean(*args))
+    rng = random.Random(2027)
+    cases = 0
+    for _ in range(1500):
+        xl, evaluations = _one_vector_case(rng)
+        x = ValueVector._reused(np.array(xl))
+        for p, wl in evaluations:
+            pp = 0.0 if abs(p) < core._ZERO_P else p
+            seen.clear()
+            got = power_mean(p, Weighting(np.array(wl)), x)
+            want = _scalar_reference(pp, wl, xl, reference_root)
+            assert got.hex() == want.hex(), (p, wl, xl)
+            if seen:
+                (got_args, want_args) = seen
+                assert _zero_free_hex(got_args) == _zero_free_hex(want_args), (p, wl, xl)
+            cases += 1
+    assert cases > 20_000
+    assert len(kept_sums) > 10_000  # evaluations from a kept x-half
+    x = ValueVector(np.array(xl))
+    power_mean(2.0, uniform(len(xl)), x)
+    assert x._power_terms_by_p is None
+
+
+def _parent_numpy_power_mean(pp, we, xe):
+    """The long-vector kernel as it was before its array operations were cut,
+    kept as the reference it must match bit for bit."""
+    supp = we > 0.0
+    ws = we[supp]
+    xs = xe[supp]
+    if pp == math.inf:
+        return float(xs.max())
+    if pp == -math.inf:
+        return float(xs.min())
+    if pp == 0.0:
+        return core._geometric_mean(ws, xs)
+    has_zero = bool(np.any(xs == 0.0))
+    if pp < 0.0:
+        if has_zero:
+            return 0.0
+    elif has_zero:
+        keep = xs > 0.0
+        if not np.any(keep):
+            return 0.0
+        ws = ws[keep]
+        xs = xs[keep]
+    m, e = np.frexp(xs)
+    e = e.astype(np.float64)
+    lm = np.log2(m)
+    lx = e + lm
+    ref = int(np.argmax(lx)) if pp > 0.0 else int(np.argmin(lx))
+    ue = e - e[ref]
+    um = lm - lm[ref]
+    a1, r1 = core._two_prod(pp, ue)
+    a2, r2 = core._two_prod(pp, um)
+    a, r3 = core._two_sum(a1, a2)
+    da = (r1 + r2) + r3
+    t = np.exp2(a)
+    S = float((ws * t).sum())
+    T = float(np.dot(ws, t * da))
+    return core._root_of_power_sum(pp, S, T, float(xs[ref]))
+
+
+def test_long_power_mean_matches_the_kernel_it_replaced_bit_for_bit(monkeypatch):
+    seen = []
+    root = core._root_of_power_sum
+    monkeypatch.setattr(core, "_root_of_power_sum", lambda *args: seen.append(args) or root(*args))
+    rng = np.random.default_rng(33)
+    sizes = [33, 34, 40, 64, 100, 128, 257, 1000, 2000, 10**5]
+    sizes += rng.integers(33, 2001, 40).tolist()
+    for n in sizes:
+        for _ in range(12 if n < 10**5 else 2):
+            we, xe = _differential_case(rng, n, adversarial=bool(rng.random() < 0.5))
+            if rng.random() < 0.2:  # equal log₂ x: ulps apart near a power of two
+                xe = np.ldexp(1.0 - rng.integers(0, 6, n) * 2.0 ** -53, 900)
+            for p in (2.0, -2.0, 0.5, 10.0, -700.0, 1e-3, float(rng.uniform(-50.0, 50.0))):
+                seen.clear()
+                got = core._numpy_power_mean(p, we, xe)
+                want = _parent_numpy_power_mean(p, we, xe)
+                assert got.hex() == want.hex(), (n, p)
+                if seen:
+                    (got_args, want_args) = seen
+                    assert _zero_free_hex(got_args) == _zero_free_hex(want_args), (n, p)
 
 
 def test_oracle_matches_simple_cases():
