@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -39,7 +39,8 @@ from .core import (
     power_mean,
     uniform,
 )
-from .harness import CheckConfig, _field_dict, _gen_values, _residual, _trial_rngs
+from .harness import (CheckConfig, _field_dict, _gen_values, _residual, _trial_rngs,
+                      _trial_streams)
 from .systems import MeanSystem, SystemEvalError
 
 __all__ = [
@@ -240,6 +241,9 @@ def _sandwich(system: MeanSystem, w: Weighting, x: ValueVector, delta: float,
     # evaluates or sorts here.
     if not (0.0 < delta <= 1.0):
         raise ValueError("delta must lie in (0, 1]")
+    if math.isinf(2.0 / delta):  # below about 1.1e-308; math.ceil would overflow
+        raise ValueError(f"delta={delta!r} needs a denominator beyond the largest float, "
+                         f"which exceeds max_denominator={max_denominator}")
     d = math.ceil(2.0 / delta)
     if d > max_denominator:
         raise ValueError(f"denominator {d} exceeds max_denominator={max_denominator}")
@@ -360,10 +364,19 @@ def _stage_values(rng: np.random.Generator, n: int) -> ValueVector:
     return ValueVector._reused(_gen_values(rng, n, decades=4.0))
 
 
-def _stage_uniform(system: MeanSystem, cfg: CharacterizationConfig,
-                   p: Exponent) -> StageReport:
+def _stage_streams(cfg: CharacterizationConfig) -> tuple[tuple[int, int], ...]:
+    """(stream, trials) of the uniform, rational and sandwich stages.  The
+    sandwich stage runs a quarter of the trials, each under ~13 weightings."""
+    return (100, cfg.trials), (101, cfg.trials), (102, max(1, cfg.trials // 4))
+
+
+# Each stage takes its trial stream as ``rngs``, or seeds it itself when None.
+
+
+def _stage_uniform(system: MeanSystem, cfg: CharacterizationConfig, p: Exponent,
+                   rngs: Iterator[np.random.Generator] | None = None) -> StageReport:
     worst = 0.0
-    for trial, rng in enumerate(_trial_rngs(cfg.seed, 100, cfg.trials)):
+    for trial, rng in enumerate(rngs or _trial_rngs(cfg.seed, *_stage_streams(cfg)[0])):
         n = int(rng.integers(1, cfg.max_n + 1))
         x = _stage_values(rng, n)
         w = uniform(n)
@@ -395,10 +408,10 @@ def _rational_weighting(rng: np.random.Generator, n: int, denominator_max: int,
     return _weighting_from_counts(counts.tolist(), q)
 
 
-def _stage_rational(system: MeanSystem, cfg: CharacterizationConfig,
-                    p: Exponent) -> StageReport:
+def _stage_rational(system: MeanSystem, cfg: CharacterizationConfig, p: Exponent,
+                    rngs: Iterator[np.random.Generator] | None = None) -> StageReport:
     worst = 0.0
-    for trial, rng in enumerate(_trial_rngs(cfg.seed, 101, cfg.trials)):
+    for trial, rng in enumerate(rngs or _trial_rngs(cfg.seed, *_stage_streams(cfg)[1])):
         n = int(rng.integers(1, cfg.max_n + 1))
         w = _rational_weighting(rng, n, cfg.weight_denominator_max,
                                 system.positivity_only)
@@ -422,10 +435,11 @@ def _stage_rational(system: MeanSystem, cfg: CharacterizationConfig,
     return StageReport("rational", True, cfg.trials, worst)
 
 
-def _stage_sandwich(system: MeanSystem, cfg: CharacterizationConfig) -> StageReport:
-    trials = max(1, cfg.trials // 4)
+def _stage_sandwich(system: MeanSystem, cfg: CharacterizationConfig,
+                    rngs: Iterator[np.random.Generator] | None = None) -> StageReport:
+    stream, trials = _stage_streams(cfg)[2]
     worst = 0.0
-    for trial, rng in enumerate(_trial_rngs(cfg.seed, 102, trials)):
+    for trial, rng in enumerate(rngs or _trial_rngs(cfg.seed, stream, trials)):
         n = int(rng.integers(2, cfg.max_n + 1))
         g = rng.exponential(1.0, n)
         w = Weighting._unchecked(0.5 * g / g.sum() + 0.5 / n)  # every entry >= 1/(2n)
@@ -484,10 +498,12 @@ def verify_characterization(system: MeanSystem,
             note="probe is identically zero; exponent not identifiable")
 
     assert recovery.exponent is not None
+    # One hashing pass seeds all three stages' streams.
+    uniform_rngs, rational_rngs, sandwich_rngs = _trial_streams(cfg.seed, _stage_streams(cfg))
     stages = (
-        _stage_uniform(system, cfg, recovery.exponent),
-        _stage_rational(system, cfg, recovery.exponent),
-        _stage_sandwich(system, cfg),
+        _stage_uniform(system, cfg, recovery.exponent, uniform_rngs),
+        _stage_rational(system, cfg, recovery.exponent, rational_rngs),
+        _stage_sandwich(system, cfg, sandwich_rngs),
     )
     verdict = "consistent" if all(s.passed for s in stages) else "counterexample"
     return CharacterizationReport(verdict, recovery, stages)

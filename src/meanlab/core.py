@@ -203,8 +203,9 @@ class _Entries:
         that is valid by construction: read-only, with no rule re-checked.
         The container takes the array over, with no copy, so nothing else may
         write to it."""
+        a.setflags(write=False)  # as _read_only does, with no call per wrap
         obj = object.__new__(cls)
-        obj.__dict__["entries"] = _read_only(a)
+        obj.__dict__["entries"] = a
         return obj
 
 
@@ -273,21 +274,19 @@ class Weighting(_Entries):
             d = math.lcm(*(f.denominator for f in ex))
             counts = [f.numerator * (d // f.denominator) for f in ex]
             _check_twins(a, counts, d)
-        self._hold(a, counts, d)
-
-    def _hold(self, a: np.ndarray, counts: list[int] | None, d: int) -> None:
-        held = self.__dict__
-        held["entries"] = _read_only(a)
+        self.__dict__["entries"] = _read_only(a)
         if counts is not None:
-            held["_counts"] = tuple(counts)
-            held["_denominator"] = d
+            self.__dict__.update(_counts=tuple(counts), _denominator=d)
 
     @classmethod
     def _unchecked(cls, a: np.ndarray, counts: list[int] | None = None, d: int = 1):
         """Wrap ``a`` as :meth:`_Entries._unchecked` does, with the exact twins
         counts / d if ``counts`` is given."""
+        a.setflags(write=False)
         w = object.__new__(cls)
-        w._hold(a, counts, d)
+        w.__dict__["entries"] = a
+        if counts is not None:
+            w.__dict__.update(_counts=tuple(counts), _denominator=d)
         return w
 
     @cached_property
@@ -508,8 +507,13 @@ def power_mean(p: ExponentLike, w: Weighting, x: ValueVector) -> float:
     (:func:`_power_terms`), so each later weighting at that p costs only the
     weighted sums and the root.
     """
-    pp = as_exponent(p).value
-    if abs(pp) < _ZERO_P:
+    if type(p) is not float:  # an Exponent, int, str or float subclass
+        pp = as_exponent(p).value
+    elif p != p:
+        raise ValueError("exponent cannot be NaN")  # as Exponent says
+    else:
+        pp = p
+    if abs(pp) < _ZERO_P:  # −0.0 included
         pp = 0.0
     n = w.entries.size
     if n != x.entries.size:

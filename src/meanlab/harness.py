@@ -29,8 +29,8 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, fields
-from itertools import chain
-from typing import Callable, Iterator, TypeAlias
+from itertools import accumulate, chain
+from typing import Callable, Iterator, Sequence, TypeAlias
 
 import numpy as np
 
@@ -165,18 +165,19 @@ def _evaluate(check: "_CheckDef", system: MeanSystem, wit: dict, wrap: "_Wrap"):
 # ── Input generators ──────────────────────────────────────────────────────────
 
 
-# ``_trial_rngs`` re-states what ``np.random.default_rng((seed, stream, t))``
+# ``_trial_streams`` re-states what ``np.random.default_rng((seed, stream, t))``
 # does: numpy's SeedSequence (O'Neill's seed_seq_fe: hash the entropy words into
 # a pool of four, cross-mix the pool, hash it out into four 64-bit words) and
 # PCG64's set-seed step.  The hashing runs as array arithmetic over the trial
-# indices, up to _SEED_BLOCK at a time; only the 128-bit set-seed step and the
-# state write are paid per trial.  Each word of seed, stream and t must fit in 32 bits, or
-# SeedSequence lays the entropy out differently.
+# indices of every stream at once, up to _SEED_BLOCK trials of each at a time;
+# only the 128-bit set-seed step and the state write are paid per trial.  Each
+# word of seed, stream and t must fit in 32 bits, or SeedSequence lays the
+# entropy out differently.
 
 _WORD = 1 << 32
 _MASK128 = (1 << 128) - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG_DEFAULT_MULTIPLIER_128
-_SEED_BLOCK = 1024  # trials hashed per array pass; bounds the memory used
+_SEED_BLOCK = 1024  # trials per stream hashed per array pass; bounds the memory used
 
 
 def _hash_chain(init: int, mult: int, length: int) -> np.ndarray:
@@ -202,9 +203,10 @@ def _hashmix(v: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
     return v ^ v >> _U16
 
 
-def _seed_words(seed: int, stream: int, t: np.ndarray) -> list[list[int]]:
-    """SeedSequence((seed, stream, t)).generate_state(4, np.uint64) for every t,
-    as four lists of Python ints (one list per output word)."""
+def _seed_words(seed: int, stream: int | np.ndarray, t: np.ndarray) -> np.ndarray:
+    """SeedSequence((seed, stream, t)).generate_state(4, np.uint64) for every t
+    (``stream`` a number, or an array matching ``t``), as a (4, t.size) array:
+    one row per output word."""
     pool = np.zeros((4, t.size), dtype=np.uint64)
     pool[0], pool[1], pool[2] = seed, stream, t  # pool[3]: the zero pad
     pool = _hashmix(pool, _HASH_A[0:4], _HASH_A[1:5])
@@ -212,31 +214,56 @@ def _seed_words(seed: int, stream: int, t: np.ndarray) -> list[list[int]]:
         mixed = _MIX_L * pool[dsts] - _MIX_R * _hashmix(pool[src], xor, mult) & _LOW32
         pool[dsts] = mixed ^ mixed >> _U16
     words = _hashmix(np.concatenate((pool, pool)), _HASH_B[0:8], _HASH_B[1:9])
-    return (words[0::2] | words[1::2] << _U32).tolist()
+    return words[0::2] | words[1::2] << _U32
 
 
-def _trial_rngs(seed: int, stream: int, trials: int) -> Iterator[np.random.Generator]:
-    """For t in range(trials), a Generator that draws as
-    ``np.random.default_rng((seed, stream, t))`` does.  Every trial gets the
-    same Generator object, reseeded in place: draw from it before advancing."""
-    if not (0 <= seed < _WORD and 0 <= stream < _WORD and trials <= _WORD):
-        for t in range(trials):
-            yield np.random.default_rng((seed, stream, t))
-        return
-    bitgen = np.random.PCG64(0)
-    rng = np.random.Generator(bitgen)
+def _reseeding(rng: np.random.Generator, seed: int, stream: int, trials: int,
+               head: np.ndarray) -> Iterator[np.random.Generator]:
+    """``rng``, reseeded in place for each trial of one stream: from ``head``,
+    the seed words of its first block, then from each later block's."""
+    bitgen = rng.bit_generator
     # One state dict, refilled per trial: the setter copies what it reads.
     pcg = {"state": 0, "inc": 0}
     full = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0, "state": pcg}
     for start in range(0, trials, _SEED_BLOCK):
-        t = np.arange(start, min(trials, start + _SEED_BLOCK), dtype=np.uint64)
-        for s0, s1, s2, s3 in zip(*_seed_words(seed, stream, t)):
+        if start:
+            t = np.arange(start, min(trials, start + _SEED_BLOCK), dtype=np.uint64)
+            head = _seed_words(seed, stream, t)
+        for s0, s1, s2, s3 in zip(*head.tolist()):
             # pcg_setseq_128_srandom_r with initstate (s0, s1), initseq (s2, s3)
             inc = (s2 << 65 | s3 << 1 | 1) & _MASK128
             pcg["state"] = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128
             pcg["inc"] = inc
             bitgen.state = full
             yield rng
+
+
+def _default_rngs(seed: int, stream: int, trials: int) -> Iterator[np.random.Generator]:
+    for t in range(trials):
+        yield np.random.default_rng((seed, stream, t))
+
+
+def _trial_streams(seed: int, streams: Sequence[tuple[int, int]],
+                   ) -> list[Iterator[np.random.Generator]]:
+    """For each (stream, trials), a Generator per trial t that draws as
+    ``np.random.default_rng((seed, stream, t))`` does.  One array pass hashes
+    the first _SEED_BLOCK trials of every stream, and every trial of every
+    stream gets the same Generator object, reseeded in place: draw from it
+    before advancing any stream."""
+    if not (0 <= seed < _WORD and all(0 <= s < _WORD and n <= _WORD for s, n in streams)):
+        return [_default_rngs(seed, s, n) for s, n in streams]
+    heads = [min(n, _SEED_BLOCK) for _, n in streams]
+    t = np.concatenate([np.arange(h, dtype=np.uint64) for h in heads])
+    words = _seed_words(seed, np.repeat(np.array([s for s, _ in streams], dtype=np.uint64),
+                                        heads), t)
+    rng = np.random.Generator(np.random.PCG64(0))
+    return [_reseeding(rng, seed, s, n, words[:, end - h:end])
+            for (s, n), h, end in zip(streams, heads, accumulate(heads))]
+
+
+def _trial_rngs(seed: int, stream: int, trials: int) -> Iterator[np.random.Generator]:
+    """The one stream of :func:`_trial_streams`, hashed on its own."""
+    return _trial_streams(seed, ((stream, trials),))[0]
 
 
 def _gen_weights(rng: np.random.Generator, n: int, positive_only: bool) -> np.ndarray:
@@ -250,17 +277,21 @@ def _gen_weights(rng: np.random.Generator, n: int, positive_only: bool) -> np.nd
             zeros = int(rng.integers(1, n))
             order = rng.permutation(n)
             g = rng.exponential(1.0, n - zeros)
+            g /= np.add.reduce(g)
             w = np.zeros(n)
-            w[order[zeros:]] = g / np.add.reduce(g)
+            w[order[zeros:]] = g
             return w
     g = rng.exponential(1.0, n)
-    return g / np.add.reduce(g)
+    g /= np.add.reduce(g)
+    return g
 
 
 def _gen_values(rng: np.random.Generator, n: int, zero_prob: float = 0.1,
                 decades: float = 6.0) -> np.ndarray:
     vals = np.power(10.0, rng.uniform(-decades, decades, n))
-    vals[rng.random(n) < zero_prob] = 0.0
+    for i, u in enumerate(rng.random(n).tolist()):  # at most max_n: cheaper than a mask
+        if u < zero_prob:
+            vals[i] = 0.0
     return vals
 
 
@@ -666,16 +697,19 @@ def _to_counterexample(check: _CheckDef, wit: dict, lhs: float, rhs: float, resi
     return Counterexample(w, x, aux, lhs, rhs, residual)
 
 
-def _run_check(system: MeanSystem, cfg: CheckConfig, check: _CheckDef) -> CheckReport:
+def _run_check(system: MeanSystem, cfg: CheckConfig, check: _CheckDef,
+               rngs: Iterator[np.random.Generator] | None = None) -> CheckReport:
+    """``rngs`` is the check's trial stream when the caller has seeded it
+    already; None seeds it here."""
     note = _DERIVED_NOTE if check.derived else None
     positive = system.positivity_only
     if check.name == "zero_weight" and positive:
         return CheckReport(check.name, True, 0, None, 0.0,
                            note=f"{_NOT_APPLICABLE} with strictly positive weights")
     tol = cfg.rel_tol if check.kind == "equality" else cfg.slack
-    index = _CHECK_INDEX[check.name]
     worst = 0.0
-    for trial, rng in enumerate(_trial_rngs(cfg.seed, index, cfg.trials)):
+    for trial, rng in enumerate(rngs or _trial_rngs(cfg.seed, _CHECK_INDEX[check.name],
+                                                    cfg.trials)):
         wit = check.make_trial(cfg, positive, trial, rng)
         lhs, rhs, resid, error = _evaluate(check, system, wit, _FRESH)
         if resid > tol:
@@ -714,7 +748,9 @@ check_homogeneity = _named_check("homogeneity")
 def run_full_suite(system: MeanSystem, cfg: CheckConfig | None = None) -> tuple[CheckReport, ...]:
     """Run all ten checks in canonical order and return their reports."""
     cfg = cfg or CheckConfig()
-    return tuple(_run_check(system, cfg, check) for check in _CHECKS)
+    # Check i draws from stream i; one hashing pass seeds all ten.
+    streams = _trial_streams(cfg.seed, [(i, cfg.trials) for i in range(len(_CHECKS))])
+    return tuple(_run_check(system, cfg, check, rngs) for check, rngs in zip(_CHECKS, streams))
 
 
 def suite_passed(reports) -> bool:

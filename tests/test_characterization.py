@@ -257,6 +257,13 @@ def test_sandwich_parameter_guards():
         rational_sandwich(system, w, x, 2.0)
     with pytest.raises(ValueError):
         rational_sandwich(system, w, x, 1e-9, max_denominator=1000)
+    # 2/delta overflows to inf below delta ~ 1.1e-308, whatever the cap
+    for delta in (5e-324, 1e-308):
+        for cap in (10 ** 6, 10 ** 400):
+            with pytest.raises(ValueError, match="^delta=.* beyond the largest float"):
+                rational_sandwich(system, w, x, delta, max_denominator=cap)
+    with pytest.raises(ValueError, match="^denominator 8695652173913043.* exceeds"):
+        rational_sandwich(system, w, x, 2.3e-308)
     with pytest.raises(ValueError):
         rational_sandwich(system, W(0.5, 0.5), V(1.0), 0.1)
     with pytest.raises(ValueError, match="^weighting and value vector must have equal length$"):

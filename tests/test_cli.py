@@ -429,6 +429,11 @@ def test_sandwich_bad_delta_exits_2(capsys):
                            "--w", "0.5,0.5", "--x", "1,2", "--delta", "1e-9",
                            "--max-denominator", "100")
     assert code == 2 and "denominator" in err
+    # 2/delta overflows a float: a usage error, not an OverflowError
+    code, out, err = run_cli(capsys, "sandwich", "--builtin", "2",
+                             "--w", "0.5,0.5", "--x", "1,2", "--delta", "5e-324")
+    assert (code, out) == (2, "") and err.startswith("meanlab: delta=5e-324 ")
+    assert err.count("\n") == 1
     code, _, err = run_cli(capsys, "sandwich", "--builtin", "2",
                            "--w", "0.5,0.5", "--x", "1,2,3", "--delta", "0.1")
     assert code == 2 and "length" in err

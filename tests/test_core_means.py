@@ -89,6 +89,34 @@ def test_exponent_from_real_rejects_nan():
         Exponent.from_real(math.nan)
 
 
+def _mean_or_error(p, w, x):
+    try:
+        return power_mean(p, w, x).hex()
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_power_mean_reads_every_form_of_an_exponent_alike():
+    # A plain float p is read without building an Exponent; every form of p
+    # must give the bits an Exponent gives, and a NaN the error it raises.
+    inputs = [(W(0.25, 0.75), V(0.0, 3.0)), (W(0.5, 0.5), V(2.0, 8.0)),
+              (uniform(40), V(*np.linspace(0.0, 5.0, 40)))]
+    for v in (2.0, -2.0, 0.0, -0.0, 1.0, 0.5, -1.5, 3.0, 2.0 ** -36, -(2.0 ** -36),
+              2.0 ** -30, 700.0, math.inf, -math.inf):
+        forms = [v, np.float64(v), repr(v), Exponent(v)]
+        if v.is_integer():
+            forms.append(int(v))
+        for w, x in inputs:
+            want = _mean_or_error(Exponent(v), w, x)
+            assert [_mean_or_error(p, w, x) for p in forms] == [want] * len(forms), v
+    with pytest.raises(ValueError) as made:
+        Exponent(math.nan)
+    for p in (math.nan, -math.nan, np.float64(math.nan)):
+        assert _mean_or_error(p, *inputs[0]) == str(made.value)
+    with pytest.raises(ValueError, match="^cannot parse exponent from 'nan'$"):
+        power_mean("nan", *inputs[0])
+
+
 # ── Container validation ──────────────────────────────────────────────────────
 
 

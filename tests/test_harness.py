@@ -356,6 +356,87 @@ def test_default_rng_runs_only_for_words_above_32_bits(monkeypatch):
     assert made == [(2 ** 32, 0, 0), (2 ** 32, 0, 1), (0, 2 ** 32, 0), (0, 2 ** 32, 1)]
 
 
+def _reference_rng(key):
+    """``np.random.default_rng(key)``, without calling it."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
+
+
+def _assert_stream_draws_as_default_rng(seed, stream, trials, rngs):
+    for t, rng in enumerate(rngs):
+        if trials < 200 or t % 97 == 0 or abs(t - harness._SEED_BLOCK) <= 1 or t == trials - 1:
+            assert _draws(rng) == _draws(_reference_rng((seed, stream, t))), (seed, stream, t)
+    assert t == trials - 1
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_full_suite_streams_draw_as_default_rng(monkeypatch):
+    # run_full_suite hashes the first block of all ten streams in one pass and
+    # hands each check its stream; 1100 trials cross the block.
+    ran, made = [], []
+    real = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda key: made.append(key) or real(key))
+
+    def consume(system, cfg, check, rngs=None):
+        stream = harness._CHECK_INDEX[check.name]
+        _assert_stream_draws_as_default_rng(cfg.seed, stream, cfg.trials, rngs)
+        ran.append(stream)
+        return harness.CheckReport(check.name, True, cfg.trials, None, 0.0)
+
+    monkeypatch.setattr(harness, "_run_check", consume)
+    system = builtin_power_mean_system(2)
+    for seed in (0, 11, 2 ** 32 - 1, 2 ** 32):
+        for trials in (1, 100, 1100):
+            ran.clear()
+            made.clear()
+            run_full_suite(system, CheckConfig(seed=seed, trials=trials))
+            assert ran == list(range(10))
+            # default_rng only where the seed does not fit in 32 bits
+            want = [(seed, s, t) for s in range(10) for t in range(trials)]
+            assert made == (want if seed >= 2 ** 32 else []), (seed, trials)
+
+
+@pytest.mark.parametrize("trials", [60, 1100])
+def test_full_suite_reports_match_the_checks_run_one_by_one(trials):
+    checks = [getattr(harness, f"check_{name}") for name in PROPERTY_NAMES]
+    systems = [builtin_power_mean_system(2)]
+    if trials < 1000:
+        systems += [builtin_power_mean_system(0.5),
+                    builtin_power_mean_system(2, positivity_only=True),
+                    dsl_mean_system("sum(w^2*x)", positivity_only=True)]
+        systems += [dsl_mean_system(source) for source in _BROKEN_SYSTEMS if source != "x[0]"]
+    for system in systems:
+        for seed in ((0, 5) if trials < 1000 else (7,)):
+            cfg = CheckConfig(seed=seed, trials=trials)
+            one_by_one = tuple(check(system, cfg) for check in checks)
+            assert deterministic_json(suite_to_dict(system, cfg, run_full_suite(system, cfg))) \
+                == deterministic_json(suite_to_dict(system, cfg, one_by_one)), system.label
+
+
+def test_characterization_stages_draw_their_own_streams(monkeypatch):
+    # verify_characterization hashes streams 100-102 in one pass; each stage
+    # draws its stream as it did when it seeded it alone, the sandwich stage a
+    # quarter of the trials.
+    ran = []
+
+    def stage(index, name):
+        def consume(system, cfg, *args):
+            *_, rngs = args
+            trials = max(1, cfg.trials // 4) if index == 2 else cfg.trials
+            _assert_stream_draws_as_default_rng(cfg.seed, 100 + index, trials, rngs)
+            ran.append(index)
+            return characterize.StageReport(name, True, trials, 0.0)
+        return consume
+
+    for index, name in enumerate(("uniform", "rational", "sandwich")):
+        monkeypatch.setattr(characterize, f"_stage_{name}", stage(index, name))
+    for seed in (0, 2 ** 32 - 1, 2 ** 32):
+        for trials in (1, 7, 1100):
+            ran.clear()
+            cfg = CharacterizationConfig(seed=seed, trials=trials)
+            report = verify_characterization(builtin_power_mean_system(2), cfg)
+            assert report.passed and ran == [0, 1, 2], (seed, trials)
+
+
 # (seed, stream, trial): rng.integers(0, 2**32, 4), then rng.random().hex().
 # Reports name only (seed, check, trial); replaying an old one needs these streams.
 _FROZEN_STREAMS = {
