@@ -39,8 +39,7 @@ from .core import (
     power_mean,
     uniform,
 )
-from .harness import (CheckConfig, _field_dict, _gen_values, _residual, _trial_rngs,
-                      _trial_streams)
+from .harness import CheckConfig, _field_dict, _gen_values, _residual, _trial_streams
 from .systems import MeanSystem, SystemEvalError
 
 __all__ = [
@@ -370,13 +369,14 @@ def _stage_streams(cfg: CharacterizationConfig) -> tuple[tuple[int, int], ...]:
     return (100, cfg.trials), (101, cfg.trials), (102, max(1, cfg.trials // 4))
 
 
-# Each stage takes its trial stream as ``rngs``, or seeds it itself when None.
+# Each stage draws trial t from the t-th Generator of ``rngs``, its stream of
+# ``_stage_streams``.
 
 
 def _stage_uniform(system: MeanSystem, cfg: CharacterizationConfig, p: Exponent,
-                   rngs: Iterator[np.random.Generator] | None = None) -> StageReport:
+                   rngs: Iterator[np.random.Generator]) -> StageReport:
     worst = 0.0
-    for trial, rng in enumerate(rngs or _trial_rngs(cfg.seed, *_stage_streams(cfg)[0])):
+    for trial, rng in enumerate(rngs):
         n = int(rng.integers(1, cfg.max_n + 1))
         x = _stage_values(rng, n)
         w = uniform(n)
@@ -409,9 +409,9 @@ def _rational_weighting(rng: np.random.Generator, n: int, denominator_max: int,
 
 
 def _stage_rational(system: MeanSystem, cfg: CharacterizationConfig, p: Exponent,
-                    rngs: Iterator[np.random.Generator] | None = None) -> StageReport:
+                    rngs: Iterator[np.random.Generator]) -> StageReport:
     worst = 0.0
-    for trial, rng in enumerate(rngs or _trial_rngs(cfg.seed, *_stage_streams(cfg)[1])):
+    for trial, rng in enumerate(rngs):
         n = int(rng.integers(1, cfg.max_n + 1))
         w = _rational_weighting(rng, n, cfg.weight_denominator_max,
                                 system.positivity_only)
@@ -436,10 +436,10 @@ def _stage_rational(system: MeanSystem, cfg: CharacterizationConfig, p: Exponent
 
 
 def _stage_sandwich(system: MeanSystem, cfg: CharacterizationConfig,
-                    rngs: Iterator[np.random.Generator] | None = None) -> StageReport:
-    stream, trials = _stage_streams(cfg)[2]
+                    rngs: Iterator[np.random.Generator]) -> StageReport:
+    trials = _stage_streams(cfg)[2][1]
     worst = 0.0
-    for trial, rng in enumerate(rngs or _trial_rngs(cfg.seed, stream, trials)):
+    for trial, rng in enumerate(rngs):
         n = int(rng.integers(2, cfg.max_n + 1))
         g = rng.exponential(1.0, n)
         w = Weighting._unchecked(0.5 * g / g.sum() + 0.5 / n)  # every entry >= 1/(2n)

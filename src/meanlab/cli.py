@@ -184,7 +184,8 @@ def _load_vectors(args: argparse.Namespace) -> tuple[Weighting, ValueVector]:
             raise ValueError("provide --w and --x, or --input FILE")
         w_raw = _parse_float_list(args.w, "--w")
         x_raw = _parse_float_list(args.x, "--x")
-    w, x = Weighting(w_raw), ValueVector(x_raw)
+    with np.errstate(over="ignore"):  # entries whose sum overflows are refused, not warned of
+        w, x = Weighting(w_raw), ValueVector(x_raw)
     if len(w) != len(x):
         raise ValueError(f"length mismatch: {len(w)} weights vs {len(x)} values")
     return w, x

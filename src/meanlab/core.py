@@ -20,7 +20,8 @@ arithmetic for the exponent bookkeeping so that results track the
 arbitrary-precision reference `power_mean_oracle` to ~1e-14 relative error
 for |p| ≥ 0.01.  For smaller nonzero |p| accuracy degrades smoothly like
 eps/|p| toward the geometric-mean limit, which is evaluated by its own
-compensated path; below |p| = 2⁻³⁵ the limit itself is returned.
+compensated path; below |p| = 2⁻³⁵ the limit itself is returned.  At the
+other end, |p| ≥ 2⁹⁹⁶ is evaluated as p = ±∞, the maximum or minimum.
 """
 
 from __future__ import annotations
@@ -413,9 +414,13 @@ def normalize_weights(entries: Sequence[float] | np.ndarray) -> Weighting:
         raise ValueError("need at least one weight")
     if not np.all(np.isfinite(a)) or np.any(a < 0.0):
         raise ValueError("weights must be finite and nonnegative")
-    total = float(np.sum(a))
+    with np.errstate(over="ignore"):
+        total = float(np.sum(a))
     if total <= 0.0:
         raise ValueError("weights must have positive total mass")
+    if total == math.inf:  # finite entries whose sum overflows: scale them down first
+        a = a / a.max()
+        total = float(np.sum(a))
     return Weighting(a / total)
 
 
@@ -483,6 +488,11 @@ _SCALAR_MAX_N = 32
 #: both errors are below 1e-5, and the limit stays within [min, max].
 _ZERO_P = 2.0 ** -35
 
+#: Exponents with |p| ≥ _INF_P are evaluated as p = ±∞.  The Dekker split of p
+#: (_SPLIT · p) overflows from 2⁹⁹⁷ up, while from |p| = 2⁹⁰⁰ up the finite
+#: formula already gives the max or min bit for bit.
+_INF_P = 2.0 ** 996
+
 
 def power_mean(p: ExponentLike, w: Weighting, x: ValueVector) -> float:
     """Evaluate the weighted power mean M_p(w, x).
@@ -500,7 +510,10 @@ def power_mean(p: ExponentLike, w: Weighting, x: ValueVector) -> float:
     So ``power_mean(2**-34, Weighting((0.5, 0.5 + 0.9e-12)), ValueVector((1.0,
     1.0)))`` gives 1.0155804546001013, not 1.0 (ROADMAP.md item 4 plans the
     fix: divide the power sum by the weights' total).  A nonzero |p| below
-    2⁻³⁵ is evaluated as p = 0: the finite formula cannot resolve it.
+    2⁻³⁵ is evaluated as p = 0: the finite formula cannot resolve it.  A |p|
+    of 2⁹⁹⁶ or more is evaluated as p = ±∞ with its sign: the finite formula
+    overflows from 2⁹⁹⁷ up, and from 2⁹⁰⁰ up to there it gives the max or min
+    bit for bit already.
 
     A short vector made by ``ValueVector._reused`` keeps, per finite p ≠ 0,
     the part of the power sum that depends only on its values and p
@@ -513,8 +526,8 @@ def power_mean(p: ExponentLike, w: Weighting, x: ValueVector) -> float:
         raise ValueError("exponent cannot be NaN")  # as Exponent says
     else:
         pp = p
-    if abs(pp) < _ZERO_P:  # −0.0 included
-        pp = 0.0
+    if not _ZERO_P <= abs(pp) < _INF_P:  # −0.0 and ±∞ included
+        pp = 0.0 if abs(pp) < _ZERO_P else math.copysign(math.inf, pp)
     n = w.entries.size
     if n != x.entries.size:
         raise ValueError(f"length mismatch: {n} weights vs {x.entries.size} values")

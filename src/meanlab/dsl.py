@@ -22,8 +22,8 @@ and non-finite results are reported as evaluation errors, not propagated.
 
 Each tree is compiled once, on its first evaluation, into one generated
 Python function; later evaluations of the same tree only call that function.
-It runs the arithmetic inline, and only an evaluation that fails runs it again
-through the checks that word the error (compiled on the first failure).
+It runs the arithmetic inline, and only an evaluation that fails runs it again,
+in the same function, through the checks that word the error.
 """
 
 from __future__ import annotations
@@ -126,10 +126,6 @@ class Neg(MeanExpr):
 
 # ── Tokenizer ─────────────────────────────────────────────────────────────────
 
-_NUMBER = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
-_NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-
-
 @dataclass(frozen=True)
 class _Token:
     kind: str  # 'number' | 'name' | one of '+-*/^()' | 'end'
@@ -138,40 +134,24 @@ class _Token:
     column: int
 
 
+# One alternative per token kind, tried in order; ``\s`` is ``str.isspace``.
+_SCANNER = re.compile(r"(?P<newline>\n)|(?P<space>\s)|(?P<op>[-+*/^()])"
+                      r"|(?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+                      r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<other>.)")
+
+
 def _tokenize(source: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line, col = 1, 1
-    i = 0
-    while i < len(source):
-        ch = source[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch in "+-*/^()":
-            tokens.append(_Token(ch, ch, line, col))
-            col += 1
-            i += 1
-            continue
-        m = _NUMBER.match(source, i)
-        if m:
-            tokens.append(_Token("number", m.group(), line, col))
-            col += len(m.group())
-            i = m.end()
-            continue
-        m = _NAME.match(source, i)
-        if m:
-            tokens.append(_Token("name", m.group(), line, col))
-            col += len(m.group())
-            i = m.end()
-            continue
-        raise ExprSyntaxError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("end", "", line, col))
+    line, start = 1, 0  # ``start`` is where the current line begins
+    for m in _SCANNER.finditer(source):
+        kind, text, column = m.lastgroup, m.group(), m.start() - start + 1
+        if kind == "newline":
+            line, start = line + 1, m.end()
+        elif kind == "other":
+            raise ExprSyntaxError(f"unexpected character {text!r}", line, column)
+        elif kind != "space":
+            tokens.append(_Token(text if kind == "op" else kind, text, line, column))
+    tokens.append(_Token("end", "", line, len(source) - start + 1))
     return tokens
 
 
@@ -300,10 +280,10 @@ def _compile(tree: MeanExpr) -> Callable[[list, list], float]:
     calls ``math.pow`` and ``/`` inline.  The checked body calls ``_pow`` and
     ``_div``, which word the error, and feeds a ``sum`` over such terms to
     fsum one at a time, so that fsum meets an overflow before a later term
-    raises.  f runs the fast body; if that raises, f runs the checked body,
-    compiled on the first error only, whose outcome is the one to report.
-    Literals are bound by name, not by repr (1e999 reads back as inf), which
-    also keeps CPython from folding them."""
+    raises.  f returns the fast body; if that raises, f returns the checked
+    body, whose outcome is the one to report.  Literals are bound by name,
+    not by repr (1e999 reads back as inf), which also keeps CPython from
+    folding them."""
     env: dict[str, Any] = {"_div": _div, "_pow": _pow, "mpow": math.pow, "fsum": math.fsum,
                            "prod": math.prod}
     done: list[tuple[str, str]] = []  # (fast, checked) source of finished operands
@@ -340,15 +320,7 @@ def _compile(tree: MeanExpr) -> Callable[[list, list], float]:
                 done.append((form.format(f"[{fast}]"), form.format(f"[{checked}]")))
     fast, checked = done[0]
     source = (f"def f(ws, xs):\n    try:\n        return {fast}\n"
-              f"    except (ArithmeticError, ValueError):\n        return checked(ws, xs)\n")
-
-    def compile_checked(ws: list, xs: list) -> float:
-        # Replaces itself in env with the checked body, then runs that.
-        exec(compile(f"def checked(ws, xs):\n    return {checked}\n", "<meanlab.dsl>", "exec"),
-             env)
-        return env["checked"](ws, xs)
-
-    env["checked"] = compile_checked
+              f"    except (ArithmeticError, ValueError):\n        return {checked}\n")
     exec(compile(source, "<meanlab.dsl>", "exec"), env)
     return env["f"]
 
@@ -385,16 +357,13 @@ def eval_mean_expr(expr: MeanExpr, w: Weighting, x: ValueVector) -> float:
 
 def format_mean_expr(expr: MeanExpr) -> str:
     """Render a tree back to source.  parse(format(t)) == t for every tree t
-    expressible in the grammar."""
-    return _fmt(expr)
+    expressible in the grammar.
 
-
-def _fmt(tree: MeanExpr) -> str:
-    """``tree`` as source, each node in parentheses where it binds less tightly
-    than its context.  An explicit stack prints the operands before the node
-    that joins them, so no Python frame is spent per tree level."""
+    Each node is printed in parentheses where it binds less tightly than its
+    context.  An explicit stack prints the operands before the node that
+    joins them, so no Python frame is spent per tree level."""
     done: list[str] = []  # printed operands, left before right
-    todo: list[tuple[MeanExpr, int, bool]] = [(tree, 0, False)]  # (node, context, joining)
+    todo: list[tuple[MeanExpr, int, bool]] = [(expr, 0, False)]  # (node, context, joining)
     while todo:
         node, level, joining = todo.pop()
         if isinstance(node, Literal):

@@ -698,9 +698,8 @@ def _to_counterexample(check: _CheckDef, wit: dict, lhs: float, rhs: float, resi
 
 
 def _run_check(system: MeanSystem, cfg: CheckConfig, check: _CheckDef,
-               rngs: Iterator[np.random.Generator] | None = None) -> CheckReport:
-    """``rngs`` is the check's trial stream when the caller has seeded it
-    already; None seeds it here."""
+               rngs: Iterator[np.random.Generator]) -> CheckReport:
+    """Run ``check``, trial t drawing from the t-th Generator of ``rngs``."""
     note = _DERIVED_NOTE if check.derived else None
     positive = system.positivity_only
     if check.name == "zero_weight" and positive:
@@ -708,8 +707,7 @@ def _run_check(system: MeanSystem, cfg: CheckConfig, check: _CheckDef,
                            note=f"{_NOT_APPLICABLE} with strictly positive weights")
     tol = cfg.rel_tol if check.kind == "equality" else cfg.slack
     worst = 0.0
-    for trial, rng in enumerate(rngs or _trial_rngs(cfg.seed, _CHECK_INDEX[check.name],
-                                                    cfg.trials)):
+    for trial, rng in enumerate(rngs):
         wit = check.make_trial(cfg, positive, trial, rng)
         lhs, rhs, resid, error = _evaluate(check, system, wit, _FRESH)
         if resid > tol:
@@ -726,7 +724,9 @@ def _named_check(name: str):
     check = _CHECKS[_CHECK_INDEX[name]]
 
     def run(system: MeanSystem, cfg: CheckConfig | None = None) -> CheckReport:
-        return _run_check(system, cfg or CheckConfig(), check)
+        cfg = cfg or CheckConfig()
+        return _run_check(system, cfg, check, _trial_rngs(cfg.seed, _CHECK_INDEX[name],
+                                                          cfg.trials))
 
     run.__name__ = f"check_{name}"
     run.__doc__ = f"Run the {name} check and return its report."

@@ -29,7 +29,7 @@ from meanlab import (
     transfer_slope_estimate,
     verify_characterization,
 )
-from meanlab import characterize
+from meanlab import characterize, harness
 from meanlab.systems import MeanSystem, SystemEvalError
 
 
@@ -279,6 +279,11 @@ def test_transfer_slope_for_the_arithmetic_mean():
         transfer_slope_estimate(system, W(0.001, 0.999), V(1.0, 3.0), 0.01)
 
 
+def _sandwich_rngs(cfg):
+    """The trial stream that ``verify_characterization`` hands the sandwich stage."""
+    return harness._trial_rngs(cfg.seed, *characterize._stage_streams(cfg)[2])
+
+
 @pytest.mark.parametrize("source", ["sum(w*x^2)^0.5", "(sum(w*x)+sum(w*x^2)^0.5)/2"])
 def test_sandwich_stage_evaluates_each_trial_point_once(monkeypatch, source):
     # The later deltas and every slope estimate reuse the first delta's value
@@ -293,7 +298,8 @@ def test_sandwich_stage_evaluates_each_trial_point_once(monkeypatch, source):
             calls.append((x.entries.tobytes(), w.entries.tobytes()))
             return dsl(w, x)
 
-        report = characterize._stage_sandwich(MeanSystem(counting, "counting"), cfg)
+        report = characterize._stage_sandwich(MeanSystem(counting, "counting"), cfg,
+                                              _sandwich_rngs(cfg))
         per_trial = {}  # each trial draws its own x; the most repeated w is its own
         for x, w in calls:
             per_trial.setdefault(x, Counter())[w] += 1
@@ -316,7 +322,8 @@ def test_sandwich_stage_fails_on_its_residual():
     # sum(w^2*x)/sum(w^2) is finite everywhere; its bracket misses, and the
     # stage reports the residual, not an error.
     cfg = CharacterizationConfig(seed=0, trials=40)
-    report = characterize._stage_sandwich(dsl_mean_system("sum(w^2*x)/sum(w^2)"), cfg)
+    report = characterize._stage_sandwich(dsl_mean_system("sum(w^2*x)/sum(w^2)"), cfg,
+                                          _sandwich_rngs(cfg))
     assert not report.passed and report.trials == 6
     assert sorted(report.detail) == ["delta", "gap", "slope_estimate", "value_at",
                                      "value_lower", "value_upper", "w", "x"]

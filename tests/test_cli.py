@@ -392,6 +392,28 @@ def test_characterize_degenerate_exits_1(capsys):
     assert json.loads(out)["verdict"] == "degenerate"
 
 
+def test_a_huge_exponent_is_the_max_or_min(capsys):
+    # |p| >= 2**996 is evaluated as +-inf; from 2**997 up every call raised.
+    code, out, _ = run_cli(capsys, "characterize", "--builtin", "1e301")
+    assert code == 0 and json.loads(out)["recovery"]["exponent"] == "inf"
+    code, out, _ = run_cli(capsys, "axioms", "--builtin", "1e301", "--trials", "50")
+    assert code == 0 and all(c["passed"] for c in json.loads(out)["checks"])
+    assert run_cli(capsys, "eval", "--builtin", "-1e301", "--w", "0.5,0.5", "--x", "1,3") \
+        == (0, "1.0\n", "")
+
+
+def test_weights_whose_sum_overflows_exit_2_with_one_line():
+    # In a real process, where numpy's overflow warning would reach stderr.
+    proc = subprocess.run(
+        [sys.executable, "-m", "meanlab.cli", "eval", "--builtin", "2",
+         "--w", "1e308,1e308", "--x", "1,2"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("meanlab: weighting sums to inf, off by more than 1e-12"
+                           " — normalize explicitly if that is intended\n")
+
+
 def test_characterize_out_of_range_settings_exit_2(capsys):
     # A stage cannot use any of these; each must be a usage error.
     for flags in (["--rel-tol", "nan"], ["--slack", "nan"],

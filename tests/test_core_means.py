@@ -4,6 +4,7 @@ properties under seeded random sweeps."""
 import itertools
 import math
 import random
+import sys
 import warnings
 from fractions import Fraction
 
@@ -306,6 +307,10 @@ def test_uniform_and_normalize():
     assert math.isclose(float(u.entries.sum()), 1.0, abs_tol=1e-15)
     w = normalize_weights([2.0, 6.0])
     assert w.entries.tolist() == [0.25, 0.75]
+    # Finite entries whose sum overflows are scaled down before they are summed.
+    assert normalize_weights([1e308, 1e308]).entries.tolist() == [0.5, 0.5]
+    assert normalize_weights([sys.float_info.max, 0.0, sys.float_info.max / 4]).entries.tolist() \
+        == [0.8, 0.0, 0.2]
     with pytest.raises(ValueError):
         normalize_weights([0.0, 0.0])
     with pytest.raises(ValueError):
@@ -1093,6 +1098,29 @@ def test_tiny_exponents_are_the_geometric_limit(p, w, x):
         assert power_mean(-p, w, x) == m
         below = math.nextafter(core._ZERO_P, 0.0)
         assert power_mean(below, w, x) == power_mean(-below, w, x) == m
+
+
+# Short and long (numpy kernel) vectors, each with a zero entry on the support
+# and one off it.
+_HUGE_P_INPUTS = [
+    ((0.25, 0.25, 0.0, 0.5), (0.0, 3.0, 9.0, 2.0)),
+    ((0.5, 0.5), (1.0, 3.0)),
+    ((0.0,) + (1 / 32,) * 32, (5.0, 0.0) + tuple(1.5 ** k for k in range(31))),
+    ((1 / 33,) * 33, tuple(1.5 ** k for k in range(1, 34))),
+]
+
+
+@pytest.mark.parametrize("w, x", _HUGE_P_INPUTS)
+def test_huge_exponents_are_the_max_or_min(w, x):
+    # Splitting a |p| of 2**997 or more overflowed, so every such p raised.
+    w, x = W(*w), V(*x)
+    for p in (2.0 ** 996, 2.0 ** 997, 1e305, sys.float_info.max):
+        for sign in (1.0, -1.0):
+            want = power_mean(sign * math.inf, w, x)
+            assert power_mean(sign * p, w, x) == want, (sign * p, w, x)
+            assert power_mean_oracle(sign * p, w, x) == want, (sign * p, w, x)
+    below = math.nextafter(core._INF_P, 0.0)
+    assert power_mean(below, w, x) == power_mean(math.inf, w, x)
 
 
 def test_oracle_resolves_tiny_exponents():

@@ -1,6 +1,7 @@
 """Expression language: parsing, precedence, evaluation, and round-trips."""
 
 import math
+import re
 import sys
 
 import numpy as np
@@ -650,6 +651,82 @@ def test_parser_matches_the_recursive_reference():
             "'w' is only meaningful inside a reducer"} <= outcomes
 
 
+_REF_NUMBER = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+_REF_NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+
+
+def _tokenize_reference(source):
+    """The character loop that the one scanner pattern replaced, kept as the
+    reference it must match: tokens, columns and the error."""
+    tokens = []
+    line, col = 1, 1
+    i = 0
+    while i < len(source):
+        ch = source[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch.isspace():
+            col += 1
+            i += 1
+            continue
+        if ch in "+-*/^()":
+            tokens.append(dsl._Token(ch, ch, line, col))
+            col += 1
+            i += 1
+            continue
+        m = _REF_NUMBER.match(source, i)
+        if m:
+            tokens.append(dsl._Token("number", m.group(), line, col))
+            col += len(m.group())
+            i = m.end()
+            continue
+        m = _REF_NAME.match(source, i)
+        if m:
+            tokens.append(dsl._Token("name", m.group(), line, col))
+            col += len(m.group())
+            i = m.end()
+            continue
+        raise ExprSyntaxError(f"unexpected character {ch!r}", line, col)
+    tokens.append(dsl._Token("end", "", line, col))
+    return tokens
+
+
+# Characters where str.isspace, \d and the line count could part ways: Unicode
+# spaces and line breaks that are not "\n", control separators, non-ASCII
+# decimal digits (Arabic-Indic, fullwidth) and digits that are not decimal
+# (superscripts), plus characters no token takes.
+_TRICKY = ["\u0085", "\x1c", "\x1f", "\r\n", "\r", "\t", "\x0b", "\x0c", "\u00a0", "\u2028",
+           "\u3000", "\u200b", "\ufeff", "\u0661", "\u0669\u0660", "\uff11", "\u00b2", "\u00b9",
+           "\u0663.\u0665e\u0662", "1e", "1.e5", ".", "e5", "_a1", "\u00e9", "$"]
+
+
+def _tokenized(tokenize, source):
+    try:
+        return tokenize(source)
+    except ExprSyntaxError as exc:
+        return type(exc), str(exc), exc.line, exc.column, exc.expected
+
+
+def test_scanner_matches_the_character_loop():
+    rng = np.random.default_rng(13)
+    sources = list(_differential_sources(np.random.default_rng(12)))
+    pieces = _TOKENS + _TRICKY
+    for _ in range(20000):
+        sources.append("".join(pieces[int(k)] for k in rng.integers(len(pieces),
+                                                                     size=int(rng.integers(0, 12)))))
+    outcomes = set()
+    for source in sources:
+        want = _tokenized(_tokenize_reference, source)
+        assert _tokenized(dsl._tokenize, source) == want, repr(source)
+        outcomes.add("error" if isinstance(want, tuple) else "tokens")
+        if not isinstance(want, tuple):
+            outcomes.update(tok.kind for tok in want)
+    assert {"error", "tokens", "number", "name", "(", "end"} <= outcomes
+
+
 def _from_depth(frames, call):
     """``call()`` run with ``frames`` Python frames on the stack below it."""
     frame, depth = sys._getframe(), 0
@@ -682,9 +759,9 @@ def _system_outcome(system, w, x):
 def test_deepest_systems_build_from_deep_in_the_stack():
     # Parsing, printing the label and compiling both bodies keep their own
     # stacks, so a system's source is accepted or refused, and evaluated, whatever
-    # the caller's depth.  The first evaluation compiles the fast body; the first
-    # one that fails (every input but the first, for powers and mixed) compiles
-    # the checked body.
+    # the caller's depth.  The first evaluation compiles the one function that
+    # holds both bodies; every input but the first fails (for powers and mixed)
+    # and runs the checked body in that function's frame.
     deep = sys.getrecursionlimit() - 60
     inputs = ((W(0.25, 0.75), V(0.5, 2.0)), (W(1.0), V(0.0)), (W(0.5, 0.5), V(0.9, 1.1)))
     for kind, (make, levels) in _DEEPEST.items():
@@ -700,7 +777,7 @@ def test_deepest_systems_build_from_deep_in_the_stack():
             _from_depth(deep, lambda: dsl_mean_system(make(levels + 1)))
 
 
-def test_the_checked_body_compiles_on_the_first_failure_only(monkeypatch):
+def test_each_tree_compiles_one_function_on_its_first_evaluation(monkeypatch):
     compiled = []
 
     def counting_compile(source, *args):
@@ -709,12 +786,16 @@ def test_the_checked_body_compiles_on_the_first_failure_only(monkeypatch):
 
     monkeypatch.setattr(dsl, "compile", counting_compile, raising=False)
     tree = parse_mean_expr("sum(w/x) + sum(x^w)")
+    assert compiled == []  # parsing compiles nothing
     fine, zero = (W(0.5, 0.5), V(1.0, 2.0)), (W(1.0), V(0.0))
-    steps = [(fine, ["def f"]), (fine, ["def f"]), (zero, ["def f", "def checked"]),
-             (zero, ["def f", "def checked"]), (fine, ["def f", "def checked"])]
-    for (w, x), want in steps:
+    for w, x in (fine, fine, zero, zero, fine):
         assert _outcome(eval_mean_expr, tree, w, x) == _outcome(_interpret, tree, w, x)
-        assert compiled == want
+        assert compiled == ["def f"]
+    # A tree that fails on its first evaluation compiles once too.
+    tree = parse_mean_expr("sum(x^w) / sum(w/x)")
+    for w, x in (zero, fine, zero):
+        assert _outcome(eval_mean_expr, tree, w, x) == _outcome(_interpret, tree, w, x)
+        assert compiled == ["def f", "def f"]
 
 
 # ── Systems built from expressions ────────────────────────────────────────────

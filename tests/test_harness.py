@@ -679,6 +679,11 @@ def _revalidating_system(positivity_only):
     return MeanSystem(evaluate, "revalidating", positivity_only)
 
 
+def _stage_rngs(cfg, index):
+    """The trial stream that ``verify_characterization`` hands stage ``index``."""
+    return harness._trial_rngs(cfg.seed, *characterize._stage_streams(cfg)[index])
+
+
 def test_fresh_witnesses_pass_the_public_constructors():
     # Fresh trials wrap what the generators drew, and the pushed, pulled and
     # tensor arrays derived from it, without the constructors' checks; this
@@ -701,15 +706,18 @@ def test_fresh_witnesses_pass_the_public_constructors():
                     assert _bits(*fresh) == _bits(*checked), (check.name, seed, max_n, trial)
                     check.evaluate(revalidating, wit, *harness._FRESH)
             stage_cfg = CharacterizationConfig(seed=seed, trials=200, max_n=max_n)
-            report = characterize._stage_rational(_revalidating_system(positive), stage_cfg, p)
+            report = characterize._stage_rational(_revalidating_system(positive), stage_cfg, p,
+                                                  _stage_rngs(stage_cfg, 1))
             assert report.passed and report.trials == 200, (seed, max_n, positive, report)
         # Only the rational stage draws differently for positive-only systems.
         # The sandwich stage runs a quarter of its trials; its witness does not
         # depend on delta.
         stage_system = _revalidating_system(False)
-        reports = (characterize._stage_uniform(stage_system, stage_cfg, p),
-                   characterize._stage_sandwich(stage_system, replace(
-                       stage_cfg, trials=800, deltas=(1e-2,))))
+        sandwich_cfg = replace(stage_cfg, trials=800, deltas=(1e-2,))
+        reports = (characterize._stage_uniform(stage_system, stage_cfg, p,
+                                               _stage_rngs(stage_cfg, 0)),
+                   characterize._stage_sandwich(stage_system, sandwich_cfg,
+                                                _stage_rngs(sandwich_cfg, 2)))
         for report in reports:
             assert report.passed and report.trials == 200, (seed, max_n, report)
 
