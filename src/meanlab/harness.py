@@ -8,10 +8,20 @@ transfer toward larger values, homogeneity) are tested by randomized trials.
 Every trial is a pure function of ``(config.seed, check, trial_index)`` — runs
 are reproducible trial-by-trial, identical whether executed serially or in
 parallel, and two runs with the same system and config produce reports that
-serialize to identical bytes.  Failing inputs are shrunk before reporting, for
-as long as they keep failing: off-grid entries are snapped onto {0, 1/2, 1},
-and adjacent coordinates merge where the law reads none by its position
-(monotonicity, convexity, multiplicativity, homogeneity).  The other laws
+serialize to identical bytes.
+
+A fresh witness is drawn once per ``(seed, max_n, positivity)`` and shared
+with every system checked there: one store holds the most recent such key,
+per check its drawn prefix of trials (at most _SEED_BLOCK of them, holding at
+most _STORE_FLOATS vector entries), replaced whole and never changed in place.
+Its arrays sit over immutable memory, so a system's ``setflags(write=True)``
+raises and fails its trial.  Reports are byte-identical whether the store was
+warm or empty.
+
+Failing inputs are shrunk before reporting, for as long as they keep failing:
+off-grid entries are snapped onto {0, 1/2, 1}, and adjacent coordinates merge
+where the law reads none by its position (monotonicity, convexity,
+multiplicativity, homogeneity).  The other laws
 follow an index map or a permutation or read the last coordinates, so those
 witnesses never lose a coordinate.  A snapped weight is exactly its grid point,
 the weights on the grid keep their bits, and the other off-grid weights carry
@@ -28,9 +38,10 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import threading
 from dataclasses import dataclass, fields
-from itertools import accumulate, chain
-from typing import Callable, Iterator, Sequence, TypeAlias
+from itertools import accumulate, chain, islice
+from typing import Callable, Iterable, Iterator, Sequence, TypeAlias
 
 import numpy as np
 
@@ -217,17 +228,18 @@ def _seed_words(seed: int, stream: int | np.ndarray, t: np.ndarray) -> np.ndarra
     return words[0::2] | words[1::2] << _U32
 
 
-def _reseeding(rng: np.random.Generator, seed: int, stream: int, trials: int,
+def _reseeding(rng: np.random.Generator, seed: int, stream: int, start: int, trials: int,
                head: np.ndarray) -> Iterator[np.random.Generator]:
-    """``rng``, reseeded in place for each trial of one stream: from ``head``,
-    the seed words of its first block, then from each later block's."""
+    """``rng``, reseeded in place for trials ``start`` to ``trials`` of one
+    stream: from ``head``, the seed words of its first block, then from each
+    later block's."""
     bitgen = rng.bit_generator
     # One state dict, refilled per trial: the setter copies what it reads.
     pcg = {"state": 0, "inc": 0}
     full = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0, "state": pcg}
-    for start in range(0, trials, _SEED_BLOCK):
-        if start:
-            t = np.arange(start, min(trials, start + _SEED_BLOCK), dtype=np.uint64)
+    for block in range(start, trials, _SEED_BLOCK):
+        if block > start:
+            t = np.arange(block, min(trials, block + _SEED_BLOCK), dtype=np.uint64)
             head = _seed_words(seed, stream, t)
         for s0, s1, s2, s3 in zip(*head.tolist()):
             # pcg_setseq_128_srandom_r with initstate (s0, s1), initseq (s2, s3)
@@ -238,27 +250,31 @@ def _reseeding(rng: np.random.Generator, seed: int, stream: int, trials: int,
             yield rng
 
 
-def _default_rngs(seed: int, stream: int, trials: int) -> Iterator[np.random.Generator]:
-    for t in range(trials):
+def _default_rngs(seed: int, stream: int, start: int,
+                  trials: int) -> Iterator[np.random.Generator]:
+    for t in range(start, trials):
         yield np.random.default_rng((seed, stream, t))
 
 
 def _trial_streams(seed: int, streams: Sequence[tuple[int, int]],
-                   ) -> list[Iterator[np.random.Generator]]:
-    """For each (stream, trials), a Generator per trial t that draws as
-    ``np.random.default_rng((seed, stream, t))`` does.  One array pass hashes
-    the first _SEED_BLOCK trials of every stream, and every trial of every
-    stream gets the same Generator object, reseeded in place: draw from it
-    before advancing any stream."""
+                   starts: Sequence[int] | None = None) -> list[Iterator[np.random.Generator]]:
+    """For each (stream, trials), a Generator per trial t, from its start
+    (default 0) up to ``trials``, that draws as ``np.random.default_rng((seed,
+    stream, t))`` does.  One array pass hashes the first _SEED_BLOCK trials of
+    every stream, and every trial of every stream gets the same Generator
+    object, reseeded in place: draw from it before advancing any stream."""
+    starts = starts or [0] * len(streams)
     if not (0 <= seed < _WORD and all(0 <= s < _WORD and n <= _WORD for s, n in streams)):
-        return [_default_rngs(seed, s, n) for s, n in streams]
-    heads = [min(n, _SEED_BLOCK) for _, n in streams]
-    t = np.concatenate([np.arange(h, dtype=np.uint64) for h in heads])
+        return [_default_rngs(seed, s, k, n) for (s, n), k in zip(streams, starts)]
+    heads = [max(0, min(n - k, _SEED_BLOCK)) for (_, n), k in zip(streams, starts)]
+    if not any(heads):  # every trial is kept: nothing to hash
+        return [iter(()) for _ in streams]
+    t = np.concatenate([np.arange(k, k + h, dtype=np.uint64) for k, h in zip(starts, heads)])
     words = _seed_words(seed, np.repeat(np.array([s for s, _ in streams], dtype=np.uint64),
                                         heads), t)
     rng = np.random.Generator(np.random.PCG64(0))
-    return [_reseeding(rng, seed, s, n, words[:, end - h:end])
-            for (s, n), h, end in zip(streams, heads, accumulate(heads))]
+    return [_reseeding(rng, seed, s, k, n, words[:, end - h:end])
+            for (s, n), k, h, end in zip(streams, starts, heads, accumulate(heads))]
 
 
 def _trial_rngs(seed: int, stream: int, trials: int) -> Iterator[np.random.Generator]:
@@ -698,8 +714,8 @@ def _to_counterexample(check: _CheckDef, wit: dict, lhs: float, rhs: float, resi
 
 
 def _run_check(system: MeanSystem, cfg: CheckConfig, check: _CheckDef,
-               rngs: Iterator[np.random.Generator]) -> CheckReport:
-    """Run ``check``, trial t drawing from the t-th Generator of ``rngs``."""
+               witnesses: Iterable[dict]) -> CheckReport:
+    """Run ``check``, trial t on the t-th witness of ``witnesses``."""
     note = _DERIVED_NOTE if check.derived else None
     positive = system.positivity_only
     if check.name == "zero_weight" and positive:
@@ -707,8 +723,7 @@ def _run_check(system: MeanSystem, cfg: CheckConfig, check: _CheckDef,
                            note=f"{_NOT_APPLICABLE} with strictly positive weights")
     tol = cfg.rel_tol if check.kind == "equality" else cfg.slack
     worst = 0.0
-    for trial, rng in enumerate(rngs):
-        wit = check.make_trial(cfg, positive, trial, rng)
+    for trial, wit in enumerate(witnesses):
         lhs, rhs, resid, error = _evaluate(check, system, wit, _FRESH)
         if resid > tol:
             wrap = _POSITIVE if positive else _CHECKED
@@ -720,13 +735,77 @@ def _run_check(system: MeanSystem, cfg: CheckConfig, check: _CheckDef,
     return CheckReport(check.name, True, cfg.trials, None, worst, note=note)
 
 
+# ── Shared witnesses ──────────────────────────────────────────────────────────
+#
+# The store the module docstring describes: ``_store`` is ((seed, max_n,
+# positivity), per check its kept prefix).  Only an assignment changes it, so
+# a suite running in another thread always reads a complete snapshot; the
+# lock keeps two suites that merge at once from dropping what either drew.
+
+_STORE_FLOATS = 1 << 15  # max_n 8 at 1000 trials (criterion 1) fits whole
+_Kept = tuple[tuple[dict, ...], int]  # (witnesses of trials 0, 1, .., their vector entries)
+_NOTHING_KEPT: tuple[_Kept, ...] = (((), 0),) * len(_CHECKS)
+_store: tuple[tuple[int, int, bool] | None, tuple[_Kept, ...]] = (None, _NOTHING_KEPT)
+_store_merge = threading.Lock()
+
+
+def _witnesses(cfg: CheckConfig, check: _CheckDef, positive: bool, kept: _Kept,
+               rngs: Iterator[np.random.Generator],
+               drawn: list[tuple[dict, int]]) -> Iterator[dict]:
+    """Trial t's witness for t = 0, 1, ..: the kept ones, then fresh ones from
+    ``rngs``, which starts at the first trial not kept.  A fresh witness's
+    arrays are frozen; while the store has room, the witness goes to ``drawn``
+    with the vector entries kept up to it."""
+    wits, floats = kept
+    yield from islice(wits, cfg.trials)
+    vectors = [key for key, kind, _ in check.fields if kind in _VECTORS]
+    for trial, rng in enumerate(rngs, len(wits)):
+        wit = check.make_trial(cfg, positive, trial, rng)
+        for key in vectors:
+            floats += wit[key].size
+            wit[key] = np.frombuffer(wit[key].tobytes())
+        if trial < _SEED_BLOCK and floats <= _STORE_FLOATS:
+            drawn.append((wit, floats))
+        yield wit
+
+
+def _run_stored(system: MeanSystem, cfg: CheckConfig,
+                indices: Sequence[int]) -> tuple[CheckReport, ...]:
+    """Run the checks at ``indices`` in order on the stored witnesses, drawing
+    the trials the store lacks and keeping those it has room for."""
+    global _store
+    positive = system.positivity_only
+    at = (cfg.seed, cfg.max_n, positive)
+    stored_at, stored = _store
+    kept = list(stored if stored_at == at else _NOTHING_KEPT)
+    # Check i draws from stream i, from its first trial not kept; one hashing
+    # pass seeds them all.
+    streams = _trial_streams(cfg.seed, [(i, cfg.trials) for i in indices],
+                             [len(kept[i][0]) for i in indices])
+    reports, grew = [], False
+    for i, rngs in zip(indices, streams):
+        drawn: list[tuple[dict, int]] = []
+        check = _CHECKS[i]
+        reports.append(_run_check(system, cfg, check,
+                                  _witnesses(cfg, check, positive, kept[i], rngs, drawn)))
+        if drawn:
+            kept[i] = kept[i][0] + tuple(wit for wit, _ in drawn), drawn[-1][1]
+            grew = True
+    if grew:
+        with _store_merge:  # another thread may have kept more meanwhile
+            stored_at, stored = _store
+            if stored_at == at:
+                kept = [max(mine, theirs, key=lambda k: len(k[0]))
+                        for mine, theirs in zip(kept, stored)]
+            _store = at, tuple(kept)
+    return tuple(reports)
+
+
 def _named_check(name: str):
-    check = _CHECKS[_CHECK_INDEX[name]]
+    index = _CHECK_INDEX[name]
 
     def run(system: MeanSystem, cfg: CheckConfig | None = None) -> CheckReport:
-        cfg = cfg or CheckConfig()
-        return _run_check(system, cfg, check, _trial_rngs(cfg.seed, _CHECK_INDEX[name],
-                                                          cfg.trials))
+        return _run_stored(system, cfg or CheckConfig(), (index,))[0]
 
     run.__name__ = f"check_{name}"
     run.__doc__ = f"Run the {name} check and return its report."
@@ -747,10 +826,7 @@ check_homogeneity = _named_check("homogeneity")
 
 def run_full_suite(system: MeanSystem, cfg: CheckConfig | None = None) -> tuple[CheckReport, ...]:
     """Run all ten checks in canonical order and return their reports."""
-    cfg = cfg or CheckConfig()
-    # Check i draws from stream i; one hashing pass seeds all ten.
-    streams = _trial_streams(cfg.seed, [(i, cfg.trials) for i in range(len(_CHECKS))])
-    return tuple(_run_check(system, cfg, check, rngs) for check, rngs in zip(_CHECKS, streams))
+    return _run_stored(system, cfg or CheckConfig(), range(len(_CHECKS)))
 
 
 def suite_passed(reports) -> bool:

@@ -4,6 +4,8 @@ replay, and byte-level determinism of reports."""
 import itertools
 import json
 import math
+import sys
+import threading
 from collections import Counter
 from dataclasses import asdict, replace
 
@@ -361,24 +363,53 @@ def _reference_rng(key):
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
 
 
-def _assert_stream_draws_as_default_rng(seed, stream, trials, rngs):
-    for t, rng in enumerate(rngs):
-        if trials < 200 or t % 97 == 0 or abs(t - harness._SEED_BLOCK) <= 1 or t == trials - 1:
+def _sampled(trials, t):
+    return trials < 200 or t % 97 == 0 or abs(t - harness._SEED_BLOCK) <= 1 or t == trials - 1
+
+
+def _assert_stream_draws_as_default_rng(seed, stream, trials, rngs, start=0):
+    t = start - 1
+    for t, rng in enumerate(rngs, start):
+        if _sampled(trials, t):
             assert _draws(rng) == _draws(_reference_rng((seed, stream, t))), (seed, stream, t)
     assert t == trials - 1
 
 
+_EMPTY_STORE = (None, harness._NOTHING_KEPT)
+
+
+@pytest.fixture
+def empty_store(monkeypatch):
+    """An empty witness store, and the store as it was once the test ends."""
+    monkeypatch.setattr(harness, "_store", _EMPTY_STORE)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_full_suite_streams_draw_as_default_rng(monkeypatch):
+def test_full_suite_streams_draw_as_default_rng(monkeypatch, empty_store):
     # run_full_suite hashes the first block of all ten streams in one pass and
-    # hands each check its stream; 1100 trials cross the block.
-    ran, made = [], []
+    # hands each check the witnesses its stream draws; 1100 trials cross the
+    # block.  Each trial here holds the draws of its Generator.  A warm run
+    # reads the kept trials and draws only those past the store's cap.
+    ran, made, drawn = [], [], []
     real = np.random.default_rng
     monkeypatch.setattr(np.random, "default_rng", lambda key: made.append(key) or real(key))
 
-    def consume(system, cfg, check, rngs=None):
+    def make_trial(cfg, positive, trial, rng):
+        drawn.append(trial)
+        return {"trial": trial, "draws": _draws(rng) if _sampled(cfg.trials, trial) else None}
+
+    monkeypatch.setattr(harness, "_CHECKS", tuple(
+        replace(check, make_trial=make_trial, fields=()) for check in harness._CHECKS))
+
+    def consume(system, cfg, check, witnesses):
         stream = harness._CHECK_INDEX[check.name]
-        _assert_stream_draws_as_default_rng(cfg.seed, stream, cfg.trials, rngs)
+        t = -1
+        for t, wit in enumerate(witnesses):
+            assert wit["trial"] == t
+            if _sampled(cfg.trials, t):
+                want = _draws(_reference_rng((cfg.seed, stream, t)))
+                assert wit["draws"] == want, (cfg.seed, stream, t)
+        assert t == cfg.trials - 1
         ran.append(stream)
         return harness.CheckReport(check.name, True, cfg.trials, None, 0.0)
 
@@ -386,13 +417,33 @@ def test_full_suite_streams_draw_as_default_rng(monkeypatch):
     system = builtin_power_mean_system(2)
     for seed in (0, 11, 2 ** 32 - 1, 2 ** 32):
         for trials in (1, 100, 1100):
-            ran.clear()
-            made.clear()
-            run_full_suite(system, CheckConfig(seed=seed, trials=trials))
-            assert ran == list(range(10))
-            # default_rng only where the seed does not fit in 32 bits
-            want = [(seed, s, t) for s in range(10) for t in range(trials)]
-            assert made == (want if seed >= 2 ** 32 else []), (seed, trials)
+            harness._store = _EMPTY_STORE
+            for warm in (False, True):
+                ran.clear()
+                made.clear()
+                drawn.clear()
+                run_full_suite(system, CheckConfig(seed=seed, trials=trials))
+                assert ran == list(range(10))
+                start = min(trials, harness._SEED_BLOCK) if warm else 0
+                assert drawn == [t for _ in range(10) for t in range(start, trials)]
+                # default_rng only where the seed does not fit in 32 bits
+                want = [(seed, s, t) for s in range(10) for t in range(start, trials)]
+                assert made == (want if seed >= 2 ** 32 else []), (seed, trials, warm)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("seed", [11, 2 ** 32])
+def test_a_stream_started_mid_way_draws_as_default_rng(seed):
+    # A check whose first trials are kept starts its stream at the first trial
+    # it lacks, and draws on across a whole hashing block from there.
+    for start in (1, 1000):
+        trials = start + harness._SEED_BLOCK + 5
+        rngs, = harness._trial_streams(seed, [(4, trials)], [start])
+        _assert_stream_draws_as_default_rng(seed, 4, trials, rngs, start)
+    streams = harness._trial_streams(seed, [(3, 50), (5, 1100), (6, 7)], [40, 1020, 7])
+    for (stream, trials), start, rngs in zip([(3, 50), (5, 1100)], [40, 1020], streams):
+        _assert_stream_draws_as_default_rng(seed, stream, trials, rngs, start)
+    assert list(streams[2]) == []
 
 
 @pytest.mark.parametrize("trials", [60, 1100])
@@ -1156,25 +1207,160 @@ def test_shrinking_ends_on_the_grid_within_budget(monkeypatch):
         assert min(abs(v - g) for g in (0.0, 0.5, 1.0)) <= harness._ON_GRID_TOL, blend
 
 
-@pytest.mark.parametrize("field", ["w", "x"])
-def test_systems_cannot_write_into_witnesses(field):
-    # The containers a system is handed are read-only, fresh trials included:
-    # an assignment is a failing trial, and the witness keeps its values.
+def _vandal(field, flip=False):
+    """M_2, but once n >= 3 it writes -1 into w or x, with ``flip`` after
+    making the array writable."""
     def vandal(w, x):
         if len(x) >= 3:
-            (w if field == "w" else x).entries[0] = -1.0
+            entries = (w if field == "w" else x).entries
+            if flip:
+                entries.setflags(write=True)
+            entries[0] = -1.0
         return power_mean(2, w, x)
 
-    system = MeanSystem(vandal, f"writes into {field}")
+    return MeanSystem(vandal, f"{'flips and ' * flip}writes into {field}")
+
+
+_VANDALS = tuple(_vandal(field, flip) for flip in (False, True) for field in "wx")
+
+
+@pytest.mark.parametrize("field, flip", [("w", False), ("x", False), ("w", True), ("x", True)],
+                         ids=["w", "x", "w-flipped", "x-flipped"])
+def test_systems_cannot_write_into_witnesses(field, flip):
+    # The containers a system is handed are read-only, fresh trials included:
+    # an assignment is a failing trial, and the witness keeps its values.  A
+    # fresh witness's arrays sit over immutable memory, so making one writable
+    # raises too, and nothing the system does escapes run_full_suite.
+    system = _vandal(field, flip)
     failed = [r for r in run_full_suite(system, _FAST) if not r.passed]
     assert len(failed) == len(PROPERTY_NAMES) - 1  # consistency has n = 1
     for report in failed:
         ce = report.counterexample
-        assert "assignment destination is read-only" in ce.aux["error"]
         assert -1.0 not in ce.w + ce.x, report.property_name
+        if not flip:  # a shrink candidate's copies can be made writable
+            assert "assignment destination is read-only" in ce.aux["error"]
+    if flip:  # the characterization stages' fresh arrays are not frozen
+        return
     report = verify_characterization(system, CharacterizationConfig(trials=40))
     assert report.verdict == "counterexample"
     assert [s.passed for s in report.stages] == [False, False, False]
     for stage in report.stages:
         assert "assignment destination is read-only" in stage.detail["error"]
         assert -1.0 not in stage.detail["x"] + stage.detail.get("w", [])
+
+
+# ── Shared witnesses ──────────────────────────────────────────────────────────
+
+
+def _suite_json(system, cfg):
+    return deterministic_json(suite_to_dict(system, cfg, run_full_suite(system, cfg)))
+
+
+def _first_value(w, x):
+    return float(x.entries[0])
+
+
+_SHARED = (
+    builtin_power_mean_system(2),
+    dsl_mean_system("sum(w*x^3)^(1/3)"),
+    builtin_power_mean_system(2, positivity_only=True),
+    dsl_mean_system("sum(w^2*x)", positivity_only=True),
+    *(MeanSystem(_first_value, s) if s == "x[0]" else dsl_mean_system(s)
+      for s in _BROKEN_SYSTEMS),
+    *_VANDALS,
+)
+# At 1100 trials a suite costs about ten times as much.  These run checks past
+# the store's 1024-trial cap (the honest one on all ten, the blend on nine),
+# fail others early, and flip write flags.
+_SHARED_LONG = (_SHARED[0], dsl_mean_system("(sum(w*x)+sum(w*x^2)^0.5)/2"), _VANDALS[3])
+
+
+@pytest.mark.parametrize("seed", [5, 2 ** 32 + 5])
+@pytest.mark.parametrize("trials", [60, 1100])
+def test_a_warm_store_gives_the_bytes_of_an_empty_one(empty_store, trials, seed):
+    systems = _SHARED if trials < 1000 else _SHARED_LONG
+    cfg = CheckConfig(seed=seed, trials=trials)
+    alone = []
+    for system in systems:
+        harness._store = _EMPTY_STORE
+        alone.append(_suite_json(system, cfg))
+    for order in (range(len(systems)), range(len(systems) - 1, -1, -1)):
+        harness._store = _EMPTY_STORE
+        for i in order:
+            assert _suite_json(systems[i], cfg) == alone[i], (systems[i].label, order)
+    if trials > harness._SEED_BLOCK:
+        assert max(len(wits) for wits, _ in harness._store[1]) == harness._SEED_BLOCK
+        return
+    checks = [getattr(harness, f"check_{name}") for name in PROPERTY_NAMES]
+    for system, want in zip(systems, alone):  # check_* alone, from the warm store
+        one_by_one = tuple(check(system, cfg) for check in checks)
+        assert deterministic_json(suite_to_dict(system, cfg, one_by_one)) == want, system.label
+
+
+def test_threads_sharing_a_seed_give_their_single_thread_reports(empty_store):
+    # More threads than cores, swapping often, inside checks too, at one seed
+    # and trial counts that differ: each report keeps its single-thread bytes,
+    # and the store ends with the longest prefix of each check that any suite
+    # drew, so no merge was lost.
+    runs = ((CheckConfig(seed=9, trials=100), builtin_power_mean_system(2),
+             _vandal("x", flip=True)),
+            (CheckConfig(seed=9, trials=60), dsl_mean_system("(sum(w*x)+sum(w*x^2)^0.5)/2"),
+             dsl_mean_system("sum(w*x)+1")),
+            (CheckConfig(seed=9, trials=30), dsl_mean_system("sum(w^2*x)"),
+             dsl_mean_system("prod(x^w)")))
+    want = []
+    for cfg, *systems in runs:
+        for system in systems:
+            harness._store = _EMPTY_STORE
+            want.append(_suite_json(system, cfg))
+    drawn = [max(check["trials"] for check in checks)
+             for checks in zip(*(json.loads(report)["checks"] for report in want))]
+
+    def run(i, got, barrier):
+        cfg, *systems = runs[i]
+        barrier.wait()
+        got[i] = [_suite_json(system, cfg) for system in systems]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(3):
+            harness._store = _EMPTY_STORE
+            got, barrier = [None] * len(runs), threading.Barrier(len(runs))
+            threads = [threading.Thread(target=run, args=(i, got, barrier))
+                       for i in range(len(runs))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert got == [want[2 * i:2 * i + 2] for i in range(len(runs))]
+            assert harness._store[0] == (9, 8, False)
+            assert [len(wits) for wits, _ in harness._store[1]] == drawn
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_the_store_stays_bounded(empty_store):
+    # A mean that passes every law draws every trial.  At max_n 1000 the
+    # entry cap ends each check's kept prefix after a few dozen trials, and
+    # consistency, whose witness holds no vector, keeps 1024.  Multiplicativity
+    # runs 40 trials: each builds a tensor of up to a million entries.
+    mean = MeanSystem(lambda w, x: float(w.entries @ x.entries), "arithmetic mean")
+    cfg = CheckConfig(seed=3, trials=1100, max_n=1000)
+    runs = {name: 40 if name == "multiplicativity" else cfg.trials for name in PROPERTY_NAMES}
+    for name, trials in runs.items():
+        report = getattr(harness, f"check_{name}")(mean, replace(cfg, trials=trials))
+        assert report.passed and report.trials_run == trials, name
+    at, kept = harness._store
+    assert at == (3, 1000, False)
+    for check, (wits, floats) in zip(harness._CHECKS, kept):
+        vectors = [key for key, kind, _ in check.fields if kind in harness._VECTORS]
+        assert floats == sum(wit[key].size for wit in wits for key in vectors)
+        assert floats <= harness._STORE_FLOATS and len(wits) <= harness._SEED_BLOCK
+        assert len(wits) < runs[check.name] and (floats > 0) == bool(vectors), check.name
+        for wit in wits[:3]:
+            for key in vectors:
+                with pytest.raises(ValueError, match="cannot set WRITEABLE flag"):
+                    wit[key].setflags(write=True)
+    assert len(kept[harness._CHECK_INDEX["consistency"]][0]) == harness._SEED_BLOCK
