@@ -34,12 +34,13 @@ from .core import (
     ValueVector,
     Weighting,
     _EXPANSION_CAP,
+    _frozen,
     _weighting_from_counts,
     expand_rational,
     power_mean,
     uniform,
 )
-from .harness import CheckConfig, _field_dict, _gen_values, _residual, _trial_streams
+from .harness import CheckConfig, _field_dict, _gen_values, _residual, _trial_rngs
 from .systems import MeanSystem, SystemEvalError
 
 __all__ = [
@@ -222,9 +223,12 @@ def rational_sandwich(system: MeanSystem, w: Weighting, x: ValueVector,
     sweeping coordinates in ascending order of value (carry drifts toward
     larger values); the lower one sweeps descending.  Raises ``ValueError``
     when delta is out of range, D would exceed ``max_denominator`` or the
-    lengths differ, before the system is called.
+    lengths differ, before the system is called.  The system sees a frozen
+    copy of ``x`` (and brackets in frozen memory), so all three values are
+    taken at the same x and the reported brackets are the ones evaluated.
     """
-    return _sandwich(system, w, x, delta, max_denominator, None, None)
+    return _sandwich(system, w, ValueVector._unchecked(_frozen(x.entries)), delta,
+                     max_denominator, None, None)
 
 
 def _ascending(x: ValueVector) -> list[int]:
@@ -350,7 +354,10 @@ class CharacterizationReport:
 
 # The stages draw their own witnesses, valid by construction, and wrap them
 # without the public constructors' checks, as they do every container made
-# from them.  ``expand_rational``'s repeated values are valid for every input.
+# from them.  A stage's w and x, which it reads again after the system has
+# had them, sit in immutable memory: a system that makes one writable raises
+# and fails its trial.  ``expand_rational``'s repeated values are valid for
+# every input.
 # The sandwich stage's shifted slope weightings are valid because
 # CharacterizationConfig keeps every delta at most 1/(2*max_n), the least
 # weight the stage draws: no entry goes negative, and the sum moves only by
@@ -442,7 +449,7 @@ def _stage_sandwich(system: MeanSystem, cfg: CharacterizationConfig,
     for trial, rng in enumerate(rngs):
         n = int(rng.integers(2, cfg.max_n + 1))
         g = rng.exponential(1.0, n)
-        w = Weighting._unchecked(0.5 * g / g.sum() + 0.5 / n)  # every entry >= 1/(2n)
+        w = Weighting._unchecked(_frozen(0.5 * g / g.sum() + 0.5 / n))  # every entry >= 1/(2n)
         x = ValueVector._reused(np.power(10.0, rng.uniform(-3.0, 3.0, n)))  # ~13 weightings
         order = _ascending(x)
         value_at = None  # system(w, x), once the trial's first delta has it
@@ -498,8 +505,8 @@ def verify_characterization(system: MeanSystem,
             note="probe is identically zero; exponent not identifiable")
 
     assert recovery.exponent is not None
-    # One hashing pass seeds all three stages' streams.
-    uniform_rngs, rational_rngs, sandwich_rngs = _trial_streams(cfg.seed, _stage_streams(cfg))
+    uniform_rngs, rational_rngs, sandwich_rngs = (_trial_rngs(cfg.seed, stream, trials)
+                                                  for stream, trials in _stage_streams(cfg))
     stages = (
         _stage_uniform(system, cfg, recovery.exponent, uniform_rngs),
         _stage_rational(system, cfg, recovery.exponent, rational_rngs),

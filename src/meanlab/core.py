@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -162,6 +163,13 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     instance ``__dict__``: ``object.__setattr__`` would cost more per wrap."""
     a.setflags(write=False)
     return a
+
+
+def _frozen(a: np.ndarray | array) -> np.ndarray:
+    """A copy of the float64 array ``a`` (numpy's or an ``array("d")``) in
+    immutable memory, which no ``setflags(write=True)`` can make writable: a
+    system handed it cannot change what its caller reads again."""
+    return np.frombuffer(a.tobytes())
 
 
 _REAL = (numbers.Real, np.bool_)  # np.bool_ is no numbers.Real
@@ -333,8 +341,10 @@ class ValueVector(_Entries):
         weightings at one exponent: :func:`power_mean` keeps the part of
         its power sum that reads only the values (2n floats per exponent).
         A vector evaluated once gains nothing and would pay for that part.
+        It holds ``_frozen(a)``, so nothing can change the values under the
+        kept part.
         """
-        x = cls._unchecked(a)
+        x = cls._unchecked(_frozen(a))
         x.__dict__["_power_terms_by_p"] = {}
         return x
 
@@ -430,11 +440,11 @@ def _weighting_from_counts(counts: list[int], d: int) -> Weighting:
     Only the integers are checked: nonnegative counts summing to d.  That
     implies every rule the public constructor enforces, so it is not re-run:
     each float is the correctly rounded k / d, within 2⁻⁵³ of its twin, and
-    the floats sum to 1 within 2⁻⁵³.
+    the floats sum to 1 within 2⁻⁵³.  The entries are :func:`_frozen`.
     """
     if d < 1 or sum(counts) != d or min(counts) < 0:
         raise ValueError("counts must be nonnegative integers summing to the denominator")
-    return Weighting._unchecked(np.array([k / d for k in counts]), counts, d)
+    return Weighting._unchecked(_frozen(array("d", [k / d for k in counts])), counts, d)
 
 
 def _checked_from_counts(entries: np.ndarray, counts: list[int], d: int) -> Weighting:
@@ -446,10 +456,11 @@ def _checked_from_counts(entries: np.ndarray, counts: list[int], d: int) -> Weig
 
 
 def uniform(n: int) -> Weighting:
-    """The uniform weighting u_n = (1/n, …, 1/n), with exact rationals attached."""
+    """The uniform weighting u_n = (1/n, …, 1/n), with exact rationals attached.
+    Its entries are :func:`_frozen`."""
     if n < 1:
         raise ValueError("uniform weighting needs n ≥ 1")
-    return Weighting._unchecked(np.full(n, 1 / n), (1,) * n, n)
+    return Weighting._unchecked(_frozen(array("d", [1 / n]) * n), (1,) * n, n)
 
 
 # ── Double-double helpers (Dekker splitting; no fma required) ─────────────────
@@ -960,6 +971,7 @@ def expand_rational(
     Raises if the common denominator k would exceed ``max_size``.  Neither
     result is re-validated: u_k is built from counts, and x′ repeats a valid
     vector's entries by counts summing to k ≥ 1, which is valid for every input.
+    Both sit in immutable memory (:func:`_frozen`).
     """
     if w._counts is None:
         raise ValueError("rational expansion needs exact rational weights")
@@ -970,4 +982,4 @@ def expand_rational(
     if k > max_size:
         raise ValueError(f"common denominator {k} exceeds the size cap {max_size}")
     counts = w._counts if g == 1 else [c // g for c in w._counts]
-    return uniform(k), ValueVector._unchecked(np.repeat(x.entries, counts))
+    return uniform(k), ValueVector._unchecked(_frozen(np.repeat(x.entries, counts)))

@@ -40,12 +40,13 @@ import math
 import numbers
 import threading
 from dataclasses import dataclass, fields
-from itertools import accumulate, chain, islice
+from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, Sequence, TypeAlias
 
 import numpy as np
 
-from .core import _EXPANSION_CAP, IndexMap, ValueVector, Weighting, _outer, _pulled, _pushed
+from .core import (_EXPANSION_CAP, IndexMap, ValueVector, Weighting, _frozen, _outer, _pulled,
+                   _pushed)
 from .systems import MeanSystem, SystemEvalError
 
 __all__ = [
@@ -176,19 +177,19 @@ def _evaluate(check: "_CheckDef", system: MeanSystem, wit: dict, wrap: "_Wrap"):
 # ── Input generators ──────────────────────────────────────────────────────────
 
 
-# ``_trial_streams`` re-states what ``np.random.default_rng((seed, stream, t))``
+# ``_trial_rngs`` re-states what ``np.random.default_rng((seed, stream, t))``
 # does: numpy's SeedSequence (O'Neill's seed_seq_fe: hash the entropy words into
 # a pool of four, cross-mix the pool, hash it out into four 64-bit words) and
 # PCG64's set-seed step.  The hashing runs as array arithmetic over the trial
-# indices of every stream at once, up to _SEED_BLOCK trials of each at a time;
-# only the 128-bit set-seed step and the state write are paid per trial.  Each
-# word of seed, stream and t must fit in 32 bits, or SeedSequence lays the
-# entropy out differently.
+# indices of one stream, _SEED_BLOCK trials at a time, when the stream first
+# reaches them; only the 128-bit set-seed step and the state write are paid per
+# trial.  Each word of seed, stream and t must fit in 32 bits, or SeedSequence
+# lays the entropy out differently.
 
 _WORD = 1 << 32
 _MASK128 = (1 << 128) - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG_DEFAULT_MULTIPLIER_128
-_SEED_BLOCK = 1024  # trials per stream hashed per array pass; bounds the memory used
+_SEED_BLOCK = 1024  # trials hashed per array pass; bounds the memory used
 
 
 def _hash_chain(init: int, mult: int, length: int) -> np.ndarray:
@@ -214,10 +215,9 @@ def _hashmix(v: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
     return v ^ v >> _U16
 
 
-def _seed_words(seed: int, stream: int | np.ndarray, t: np.ndarray) -> np.ndarray:
-    """SeedSequence((seed, stream, t)).generate_state(4, np.uint64) for every t
-    (``stream`` a number, or an array matching ``t``), as a (4, t.size) array:
-    one row per output word."""
+def _seed_words(seed: int, stream: int, t: np.ndarray) -> np.ndarray:
+    """SeedSequence((seed, stream, t)).generate_state(4, np.uint64) for every t,
+    as a (4, t.size) array: one row per output word."""
     pool = np.zeros((4, t.size), dtype=np.uint64)
     pool[0], pool[1], pool[2] = seed, stream, t  # pool[3]: the zero pad
     pool = _hashmix(pool, _HASH_A[0:4], _HASH_A[1:5])
@@ -228,58 +228,32 @@ def _seed_words(seed: int, stream: int | np.ndarray, t: np.ndarray) -> np.ndarra
     return words[0::2] | words[1::2] << _U32
 
 
-def _reseeding(rng: np.random.Generator, seed: int, stream: int, start: int, trials: int,
-               head: np.ndarray) -> Iterator[np.random.Generator]:
-    """``rng``, reseeded in place for trials ``start`` to ``trials`` of one
-    stream: from ``head``, the seed words of its first block, then from each
-    later block's."""
+def _trial_rngs(seed: int, stream: int, trials: int,
+                start: int = 0) -> Iterator[np.random.Generator]:
+    """A Generator per trial t of one stream, from ``start`` up to ``trials``,
+    that draws as ``np.random.default_rng((seed, stream, t))`` does.  Every
+    trial gets the stream's own Generator, reseeded in place: draw from it
+    before advancing.  With nothing left to draw, nothing is hashed or made."""
+    if not (0 <= seed < _WORD and 0 <= stream < _WORD and trials <= _WORD):
+        for t in range(start, trials):
+            yield np.random.default_rng((seed, stream, t))
+        return
+    if start >= trials:
+        return
+    rng = np.random.Generator(np.random.PCG64(0))
     bitgen = rng.bit_generator
     # One state dict, refilled per trial: the setter copies what it reads.
     pcg = {"state": 0, "inc": 0}
     full = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0, "state": pcg}
     for block in range(start, trials, _SEED_BLOCK):
-        if block > start:
-            t = np.arange(block, min(trials, block + _SEED_BLOCK), dtype=np.uint64)
-            head = _seed_words(seed, stream, t)
-        for s0, s1, s2, s3 in zip(*head.tolist()):
+        t = np.arange(block, min(trials, block + _SEED_BLOCK), dtype=np.uint64)
+        for s0, s1, s2, s3 in zip(*_seed_words(seed, stream, t).tolist()):
             # pcg_setseq_128_srandom_r with initstate (s0, s1), initseq (s2, s3)
             inc = (s2 << 65 | s3 << 1 | 1) & _MASK128
             pcg["state"] = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128
             pcg["inc"] = inc
             bitgen.state = full
             yield rng
-
-
-def _default_rngs(seed: int, stream: int, start: int,
-                  trials: int) -> Iterator[np.random.Generator]:
-    for t in range(start, trials):
-        yield np.random.default_rng((seed, stream, t))
-
-
-def _trial_streams(seed: int, streams: Sequence[tuple[int, int]],
-                   starts: Sequence[int] | None = None) -> list[Iterator[np.random.Generator]]:
-    """For each (stream, trials), a Generator per trial t, from its start
-    (default 0) up to ``trials``, that draws as ``np.random.default_rng((seed,
-    stream, t))`` does.  One array pass hashes the first _SEED_BLOCK trials of
-    every stream, and every trial of every stream gets the same Generator
-    object, reseeded in place: draw from it before advancing any stream."""
-    starts = starts or [0] * len(streams)
-    if not (0 <= seed < _WORD and all(0 <= s < _WORD and n <= _WORD for s, n in streams)):
-        return [_default_rngs(seed, s, k, n) for (s, n), k in zip(streams, starts)]
-    heads = [max(0, min(n - k, _SEED_BLOCK)) for (_, n), k in zip(streams, starts)]
-    if not any(heads):  # every trial is kept: nothing to hash
-        return [iter(()) for _ in streams]
-    t = np.concatenate([np.arange(k, k + h, dtype=np.uint64) for k, h in zip(starts, heads)])
-    words = _seed_words(seed, np.repeat(np.array([s for s, _ in streams], dtype=np.uint64),
-                                        heads), t)
-    rng = np.random.Generator(np.random.PCG64(0))
-    return [_reseeding(rng, seed, s, k, n, words[:, end - h:end])
-            for (s, n), k, h, end in zip(streams, starts, heads, accumulate(heads))]
-
-
-def _trial_rngs(seed: int, stream: int, trials: int) -> Iterator[np.random.Generator]:
-    """The one stream of :func:`_trial_streams`, hashed on its own."""
-    return _trial_streams(seed, ((stream, trials),))[0]
 
 
 def _gen_weights(rng: np.random.Generator, n: int, positive_only: bool) -> np.ndarray:
@@ -763,7 +737,7 @@ def _witnesses(cfg: CheckConfig, check: _CheckDef, positive: bool, kept: _Kept,
         wit = check.make_trial(cfg, positive, trial, rng)
         for key in vectors:
             floats += wit[key].size
-            wit[key] = np.frombuffer(wit[key].tobytes())
+            wit[key] = _frozen(wit[key])
         if trial < _SEED_BLOCK and floats <= _STORE_FLOATS:
             drawn.append((wit, floats))
         yield wit
@@ -778,14 +752,12 @@ def _run_stored(system: MeanSystem, cfg: CheckConfig,
     at = (cfg.seed, cfg.max_n, positive)
     stored_at, stored = _store
     kept = list(stored if stored_at == at else _NOTHING_KEPT)
-    # Check i draws from stream i, from its first trial not kept; one hashing
-    # pass seeds them all.
-    streams = _trial_streams(cfg.seed, [(i, cfg.trials) for i in indices],
-                             [len(kept[i][0]) for i in indices])
     reports, grew = [], False
-    for i, rngs in zip(indices, streams):
+    for i in indices:
         drawn: list[tuple[dict, int]] = []
         check = _CHECKS[i]
+        # Check i draws from stream i, from its first trial not kept.
+        rngs = _trial_rngs(cfg.seed, i, cfg.trials, len(kept[i][0]))
         reports.append(_run_check(system, cfg, check,
                                   _witnesses(cfg, check, positive, kept[i], rngs, drawn)))
         if drawn:

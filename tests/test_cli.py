@@ -5,12 +5,14 @@ import csv
 import inspect
 import io
 import json
+import math
 import subprocess
 import sys
 
 import pytest
 
-from meanlab import CharacterizationConfig, CheckConfig, rational_sandwich, recover_exponent
+from meanlab import (CharacterizationConfig, CheckConfig, Counterexample, dsl_mean_system,
+                     rational_sandwich, recover_exponent, replay_counterexample)
 from meanlab import cli
 from meanlab.cli import _check_settings, build_parser, main
 
@@ -318,6 +320,25 @@ def test_axioms_csv_has_one_record_per_check(capsys):
     rows = list(csv.reader(io.StringIO(out)))
     records = {r[0] for r in rows[1:]}
     assert "checks:convexity" in records and "report" in records
+
+
+def test_a_product_that_overflows_is_an_infinite_residual(capsys):
+    # Both factors of multiplicativity's rhs are finite (1e300 * x), but their
+    # product overflows: the residual is inf, printed as the string "inf" in
+    # JSON and as inf in CSV, and replay gives inf again.
+    args = ("axioms", "--dsl", "sum(w*x)*1e300", "--seed", "3", "--trials", "50")
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 1
+    assert ('{"counterexample":{"aux":{"v":[1.0],"y":[0.5]},"lhs":2.5e+299,"residual":"inf",'
+            '"rhs":"inf","w":[1.0],"x":[0.5]},"passed":false,"property_name":"multiplicativity",'
+            '"seed":3,"trials":1,"worst_residual":"inf"}') in out
+    check = json.loads(out)["checks"][4]
+    code, out, _ = run_cli(capsys, *args, "--format", "csv")
+    assert code == 1
+    assert "\nchecks:multiplicativity,worst_residual,inf\n" in out
+    ce = Counterexample.from_dict(check["counterexample"])
+    assert replay_counterexample(dsl_mean_system("sum(w*x)*1e300"), "multiplicativity",
+                                 ce) == (2.5e299, math.inf, math.inf)
 
 
 def test_seed_env_var_default(capsys, monkeypatch):

@@ -37,7 +37,7 @@ from meanlab import (
     verify_characterization,
 )
 from meanlab import characterize, core, harness
-from meanlab.systems import MeanSystem
+from meanlab.systems import MeanSystem, SystemEvalError
 
 _FAST = CheckConfig(seed=0, trials=120)
 
@@ -386,10 +386,10 @@ def empty_store(monkeypatch):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_full_suite_streams_draw_as_default_rng(monkeypatch, empty_store):
-    # run_full_suite hashes the first block of all ten streams in one pass and
-    # hands each check the witnesses its stream draws; 1100 trials cross the
-    # block.  Each trial here holds the draws of its Generator.  A warm run
-    # reads the kept trials and draws only those past the store's cap.
+    # run_full_suite hands each check the witnesses its own stream draws;
+    # 1100 trials cross the hashing block.  Each trial here holds the draws of
+    # its Generator.  A warm run reads the kept trials and draws only those
+    # past the store's cap.
     ran, made, drawn = [], [], []
     real = np.random.default_rng
     monkeypatch.setattr(np.random, "default_rng", lambda key: made.append(key) or real(key))
@@ -438,12 +438,37 @@ def test_a_stream_started_mid_way_draws_as_default_rng(seed):
     # it lacks, and draws on across a whole hashing block from there.
     for start in (1, 1000):
         trials = start + harness._SEED_BLOCK + 5
-        rngs, = harness._trial_streams(seed, [(4, trials)], [start])
+        rngs = harness._trial_rngs(seed, 4, trials, start)
         _assert_stream_draws_as_default_rng(seed, 4, trials, rngs, start)
-    streams = harness._trial_streams(seed, [(3, 50), (5, 1100), (6, 7)], [40, 1020, 7])
-    for (stream, trials), start, rngs in zip([(3, 50), (5, 1100)], [40, 1020], streams):
+    for stream, trials, start in [(3, 50, 40), (5, 1100, 1020)]:
+        rngs = harness._trial_rngs(seed, stream, trials, start)
         _assert_stream_draws_as_default_rng(seed, stream, trials, rngs, start)
-    assert list(streams[2]) == []
+    assert list(harness._trial_rngs(seed, 6, 7, 7)) == []
+
+
+def test_each_stream_reseeds_only_its_own_generator():
+    # Advancing one stream leaves the Generator another stream handed out as
+    # it was, whatever order the streams are advanced in.
+    for seed in (7, 2 ** 32):
+        streams = harness._trial_rngs(seed, 3, 5), harness._trial_rngs(seed, 4, 5, 2)
+        for t, (first, second) in enumerate(zip(*streams)):
+            assert _draws(first) == _draws(_reference_rng((seed, 3, t))), (seed, t)
+            assert _draws(second) == _draws(_reference_rng((seed, 4, t + 2))), (seed, t)
+
+
+def test_a_stream_hashes_nothing_until_drawn_and_nothing_when_done(monkeypatch):
+    # A stream is hashed and given its Generator on its first draw, so one
+    # made but never advanced, or started past its last trial, as a check
+    # whose trials are all kept is, costs nothing.
+    made = []
+    monkeypatch.setattr(harness, "_seed_words", lambda *args: made.append(args))
+    monkeypatch.setattr(np.random, "Generator", lambda *args: made.append(args))
+    monkeypatch.setattr(np.random, "default_rng", lambda *args: made.append(args))
+    for seed in (7, 2 ** 32):
+        harness._trial_rngs(seed, 3, 50)
+        assert list(harness._trial_rngs(seed, 3, 50, 50)) == []
+        assert list(harness._trial_rngs(seed, 3, 50, 1024)) == []
+    assert made == []
 
 
 @pytest.mark.parametrize("trials", [60, 1100])
@@ -464,9 +489,8 @@ def test_full_suite_reports_match_the_checks_run_one_by_one(trials):
 
 
 def test_characterization_stages_draw_their_own_streams(monkeypatch):
-    # verify_characterization hashes streams 100-102 in one pass; each stage
-    # draws its stream as it did when it seeded it alone, the sandwich stage a
-    # quarter of the trials.
+    # verify_characterization hands each stage its own stream of 100-102, the
+    # sandwich stage a quarter of the trials.
     ran = []
 
     def stage(index, name):
@@ -1207,6 +1231,35 @@ def test_shrinking_ends_on_the_grid_within_budget(monkeypatch):
         assert min(abs(v - g) for g in (0.0, 0.5, 1.0)) <= harness._ON_GRID_TOL, blend
 
 
+def test_a_shrink_that_runs_out_of_budget_keeps_what_it_reached(monkeypatch):
+    # A 980-entry monotonicity witness can lose one entry per accepted merge,
+    # so the shrink spends its 500-candidate budget (two system calls each)
+    # long before the scan runs out of moves.  The witness it reached still
+    # fails and replays bit for bit.
+    system = dsl_mean_system("sum(w/(1+x))")
+    shrink, calls, in_shrinks = harness._shrink, [0], []
+
+    def counting(w, x):
+        calls[0] += 1
+        return system(w, x)
+
+    def counting_shrink(*args):
+        before = calls[0]
+        best = shrink(*args)
+        in_shrinks.append(calls[0] - before)
+        return best
+
+    monkeypatch.setattr(harness, "_shrink", counting_shrink)
+    report = check_monotonicity(MeanSystem(counting, system.label),
+                                CheckConfig(seed=0, trials=5, max_n=1000))
+    assert not report.passed and report.trials_run == 1
+    ce = report.counterexample
+    assert "error" not in ce.aux and len(ce.w) == len(ce.x) > 1
+    assert len(in_shrinks) == 1 and in_shrinks[0] <= 2 * 500, in_shrinks
+    got = replay_counterexample(system, "monotonicity", ce)
+    assert all(map(_same, got, (ce.lhs, ce.rhs, ce.residual)))
+
+
 def _vandal(field, flip=False):
     """M_2, but once n >= 3 it writes -1 into w or x, with ``flip`` after
     making the array writable."""
@@ -1239,14 +1292,28 @@ def test_systems_cannot_write_into_witnesses(field, flip):
         assert -1.0 not in ce.w + ce.x, report.property_name
         if not flip:  # a shrink candidate's copies can be made writable
             assert "assignment destination is read-only" in ce.aux["error"]
-    if flip:  # the characterization stages' fresh arrays are not frozen
-        return
+
+
+@pytest.mark.parametrize("field, flip", [("w", False), ("x", False), ("w", True), ("x", True)],
+                         ids=["w", "x", "w-flipped", "x-flipped"])
+def test_systems_cannot_rewrite_what_characterize_and_sandwich_report(field, flip):
+    # Every w and x a stage or rational_sandwich hands the system and then
+    # reads again sits over immutable memory, so the write, or the flag flip
+    # before it, fails inside the system: each stage fails its first trial at
+    # n >= 3, and rational_sandwich raises.  No reported vector holds the -1,
+    # and nothing warns (a RuntimeWarning is an error here).
+    system = _vandal(field, flip)
+    error = "cannot set WRITEABLE flag" if flip else "assignment destination is read-only"
     report = verify_characterization(system, CharacterizationConfig(trials=40))
     assert report.verdict == "counterexample"
     assert [s.passed for s in report.stages] == [False, False, False]
     for stage in report.stages:
-        assert "assignment destination is read-only" in stage.detail["error"]
-        assert -1.0 not in stage.detail["x"] + stage.detail.get("w", [])
+        assert error in stage.detail["error"], stage.name
+        assert -1.0 not in stage.detail["x"] + stage.detail.get("w", []), stage.name
+    w, x = Weighting([0.2, 0.3, 0.5]), ValueVector([1.0, 2.0, 3.0])
+    with pytest.raises(SystemEvalError, match=error):
+        characterize.rational_sandwich(system, w, x, 0.1)
+    assert (w.entries.tolist(), x.entries.tolist()) == ([0.2, 0.3, 0.5], [1.0, 2.0, 3.0])
 
 
 # ── Shared witnesses ──────────────────────────────────────────────────────────
