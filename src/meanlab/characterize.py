@@ -34,7 +34,6 @@ from .core import (
     ValueVector,
     Weighting,
     _EXPANSION_CAP,
-    _frozen,
     _weighting_from_counts,
     expand_rational,
     power_mean,
@@ -223,12 +222,11 @@ def rational_sandwich(system: MeanSystem, w: Weighting, x: ValueVector,
     sweeping coordinates in ascending order of value (carry drifts toward
     larger values); the lower one sweeps descending.  Raises ``ValueError``
     when delta is out of range, D would exceed ``max_denominator`` or the
-    lengths differ, before the system is called.  The system sees a frozen
-    copy of ``x`` (and brackets in frozen memory), so all three values are
-    taken at the same x and the reported brackets are the ones evaluated.
+    lengths differ, before the system is called.  ``x`` and the brackets are
+    immutable, as every container is, so all three values are taken at the
+    same x and the reported brackets are the ones evaluated.
     """
-    return _sandwich(system, w, ValueVector._unchecked(_frozen(x.entries)), delta,
-                     max_denominator, None, None)
+    return _sandwich(system, w, x, delta, max_denominator, None, None)
 
 
 def _ascending(x: ValueVector) -> list[int]:
@@ -354,10 +352,10 @@ class CharacterizationReport:
 
 # The stages draw their own witnesses, valid by construction, and wrap them
 # without the public constructors' checks, as they do every container made
-# from them.  A stage's w and x, which it reads again after the system has
-# had them, sit in immutable memory: a system that makes one writable raises
-# and fails its trial.  ``expand_rational``'s repeated values are valid for
-# every input.
+# from them.  Like every container, those hold their entries in immutable
+# memory, so a system that makes a w or x writable, which the stage reads
+# again, raises and fails its trial.  ``expand_rational``'s repeated values
+# are valid for every input.
 # The sandwich stage's shifted slope weightings are valid because
 # CharacterizationConfig keeps every delta at most 1/(2*max_n), the least
 # weight the stage draws: no entry goes negative, and the sum moves only by
@@ -449,7 +447,7 @@ def _stage_sandwich(system: MeanSystem, cfg: CharacterizationConfig,
     for trial, rng in enumerate(rngs):
         n = int(rng.integers(2, cfg.max_n + 1))
         g = rng.exponential(1.0, n)
-        w = Weighting._unchecked(_frozen(0.5 * g / g.sum() + 0.5 / n))  # every entry >= 1/(2n)
+        w = Weighting._unchecked(0.5 * g / g.sum() + 0.5 / n)  # every entry >= 1/(2n)
         x = ValueVector._reused(np.power(10.0, rng.uniform(-3.0, 3.0, n)))  # ~13 weightings
         order = _ascending(x)
         value_at = None  # system(w, x), once the trial's first delta has it

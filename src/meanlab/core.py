@@ -157,18 +157,13 @@ def as_exponent(p: ExponentLike) -> Exponent:
 # ── Vector types ───────────────────────────────────────────────────────────────
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    """``a``, made read-only.  The frozen containers store what this returns,
-    and every other field they set in construction, straight into the
-    instance ``__dict__``: ``object.__setattr__`` would cost more per wrap."""
-    a.setflags(write=False)
-    return a
-
-
 def _frozen(a: np.ndarray | array) -> np.ndarray:
     """A copy of the float64 array ``a`` (numpy's or an ``array("d")``) in
-    immutable memory, which no ``setflags(write=True)`` can make writable: a
-    system handed it cannot change what its caller reads again."""
+    immutable memory, over ``bytes``, which no ``setflags(write=True)`` can
+    make writable.  Every container's constructors store its entries so, and
+    every other field they set, straight into the instance ``__dict__``
+    (``object.__setattr__`` would cost more per wrap): a system handed a
+    container cannot change what its caller reads again."""
     return np.frombuffer(a.tobytes())
 
 
@@ -209,12 +204,11 @@ class _Entries:
     @classmethod
     def _unchecked(cls, a: np.ndarray):
         """Wrap a one-dimensional float64 array that meanlab built itself and
-        that is valid by construction: read-only, with no rule re-checked.
-        The container takes the array over, with no copy, so nothing else may
-        write to it."""
-        a.setflags(write=False)  # as _read_only does, with no call per wrap
+        that is valid by construction, with no rule re-checked.  An array
+        already in immutable memory is kept as it is, with no copy; any other
+        is copied there (:func:`_frozen`)."""
         obj = object.__new__(cls)
-        obj.__dict__["entries"] = a
+        obj.__dict__["entries"] = a if a.base.__class__ is bytes else _frozen(a)
         return obj
 
 
@@ -283,7 +277,7 @@ class Weighting(_Entries):
             d = math.lcm(*(f.denominator for f in ex))
             counts = [f.numerator * (d // f.denominator) for f in ex]
             _check_twins(a, counts, d)
-        self.__dict__["entries"] = _read_only(a)
+        self.__dict__["entries"] = _frozen(a)
         if counts is not None:
             self.__dict__.update(_counts=tuple(counts), _denominator=d)
 
@@ -291,9 +285,8 @@ class Weighting(_Entries):
     def _unchecked(cls, a: np.ndarray, counts: list[int] | None = None, d: int = 1):
         """Wrap ``a`` as :meth:`_Entries._unchecked` does, with the exact twins
         counts / d if ``counts`` is given."""
-        a.setflags(write=False)
         w = object.__new__(cls)
-        w.__dict__["entries"] = a
+        w.__dict__["entries"] = a if a.base.__class__ is bytes else _frozen(a)
         if counts is not None:
             w.__dict__.update(_counts=tuple(counts), _denominator=d)
         return w
@@ -333,7 +326,7 @@ class ValueVector(_Entries):
             if not np.all(np.isfinite(a)):
                 raise ValueError("value entries must be finite")
             raise ValueError("value entries must be nonnegative")
-        self.__dict__["entries"] = _read_only(a)
+        self.__dict__["entries"] = _frozen(a)
 
     @classmethod
     def _reused(cls, a: np.ndarray) -> "ValueVector":
@@ -341,10 +334,10 @@ class ValueVector(_Entries):
         weightings at one exponent: :func:`power_mean` keeps the part of
         its power sum that reads only the values (2n floats per exponent).
         A vector evaluated once gains nothing and would pay for that part.
-        It holds ``_frozen(a)``, so nothing can change the values under the
-        kept part.
+        Its entries are immutable, as every container's are, so nothing can
+        change the values under the kept part.
         """
-        x = cls._unchecked(_frozen(a))
+        x = cls._unchecked(a)
         x.__dict__["_power_terms_by_p"] = {}
         return x
 
@@ -360,7 +353,7 @@ class SignedVector(_Entries):
         # Not a.sum(): finite entries such as (1e308, 1e308) overflow it and warn.
         if not np.isfinite(a).all():
             raise ValueError("signed entries must be finite")
-        self.__dict__["entries"] = _read_only(a)
+        self.__dict__["entries"] = _frozen(a)
 
 
 @dataclass(frozen=True)
@@ -390,8 +383,9 @@ class IndexMap:
         if images and (min(images) < 0 or max(images) >= m):
             raise ValueError("an image falls outside the codomain")
         # _index: the images as an index array, built once for every transport along f.
-        self.__dict__.update(domain_size=n, codomain_size=m, images=images,
-                             _index=_read_only(np.array(images, dtype=np.intp)))
+        index = np.array(images, dtype=np.intp)
+        index.setflags(write=False)  # never handed to a system
+        self.__dict__.update(domain_size=n, codomain_size=m, images=images, _index=index)
 
     @staticmethod
     def identity(n: int) -> "IndexMap":
@@ -440,7 +434,7 @@ def _weighting_from_counts(counts: list[int], d: int) -> Weighting:
     Only the integers are checked: nonnegative counts summing to d.  That
     implies every rule the public constructor enforces, so it is not re-run:
     each float is the correctly rounded k / d, within 2⁻⁵³ of its twin, and
-    the floats sum to 1 within 2⁻⁵³.  The entries are :func:`_frozen`.
+    the floats sum to 1 within 2⁻⁵³.
     """
     if d < 1 or sum(counts) != d or min(counts) < 0:
         raise ValueError("counts must be nonnegative integers summing to the denominator")
@@ -456,8 +450,7 @@ def _checked_from_counts(entries: np.ndarray, counts: list[int], d: int) -> Weig
 
 
 def uniform(n: int) -> Weighting:
-    """The uniform weighting u_n = (1/n, …, 1/n), with exact rationals attached.
-    Its entries are :func:`_frozen`."""
+    """The uniform weighting u_n = (1/n, …, 1/n), with exact rationals attached."""
     if n < 1:
         raise ValueError("uniform weighting needs n ≥ 1")
     return Weighting._unchecked(_frozen(array("d", [1 / n]) * n), (1,) * n, n)
@@ -971,7 +964,6 @@ def expand_rational(
     Raises if the common denominator k would exceed ``max_size``.  Neither
     result is re-validated: u_k is built from counts, and x′ repeats a valid
     vector's entries by counts summing to k ≥ 1, which is valid for every input.
-    Both sit in immutable memory (:func:`_frozen`).
     """
     if w._counts is None:
         raise ValueError("rational expansion needs exact rational weights")
@@ -982,4 +974,4 @@ def expand_rational(
     if k > max_size:
         raise ValueError(f"common denominator {k} exceeds the size cap {max_size}")
     counts = w._counts if g == 1 else [c // g for c in w._counts]
-    return uniform(k), ValueVector._unchecked(_frozen(np.repeat(x.entries, counts)))
+    return uniform(k), ValueVector._unchecked(np.repeat(x.entries, counts))

@@ -14,9 +14,10 @@ A fresh witness is drawn once per ``(seed, max_n, positivity)`` and shared
 with every system checked there: one store holds the most recent such key,
 per check its drawn prefix of trials (at most _SEED_BLOCK of them, holding at
 most _STORE_FLOATS vector entries), replaced whole and never changed in place.
-Its arrays sit over immutable memory, so a system's ``setflags(write=True)``
-raises and fails its trial.  Reports are byte-identical whether the store was
-warm or empty.
+Every container holds its entries in immutable memory (``core._frozen``), so
+a system's ``setflags(write=True)`` raises and fails its trial, and a system
+cannot change what a later one is shown.  Reports are byte-identical whether
+the store was warm or empty.
 
 Failing inputs are shrunk before reporting, for as long as they keep failing:
 off-grid entries are snapped onto {0, 1/2, 1}, and adjacent coordinates merge
@@ -326,13 +327,13 @@ def _gen_index_map(rng: np.random.Generator, max_n: int,
 # coordinates of a "tail" axis, where a "tail+1" field has one entry more.
 #
 # Each ``_ev_*`` raises ValueError before it calls the system when a witness
-# does not fit its law (``MeanSystem.__call__`` rejects unequal lengths), so
-# shrink moves and replayed counterexamples meet the same rules.  Before its
-# first system call it wraps every array it passes, derived ones too, with the
-# (weighting, values) constructor pair it is given.  A fresh trial's arrays are
-# valid by construction, so they are only made read-only; shrink candidates and
-# replayed counterexamples go through the public constructors.  A shrink for a
-# positivity-only system also refuses a weighting with a zero entry.
+# does not fit its law, vectors that do not line up included, so shrink moves
+# and replayed counterexamples meet the same rules.  Before its first system
+# call it wraps every array it passes, derived ones too, with the (weighting,
+# values) constructor pair it is given.  A fresh trial's arrays are valid by
+# construction, so they are wrapped with no rule re-checked; shrink candidates
+# and replayed counterexamples go through the public constructors.  A shrink
+# for a positivity-only system also refuses a weighting with a zero entry.
 
 _Wrap = tuple[Callable[..., Weighting], Callable[..., ValueVector]]
 _Rng: TypeAlias = "np.random.Generator"  # numpy imports np.random on first use
@@ -410,8 +411,8 @@ def _mk_monotonicity(cfg: CheckConfig, positive: bool, trial: int, rng: _Rng) ->
 def _ev_monotonicity(system: MeanSystem, wit: dict, weighting, values) -> _Sides:
     w = weighting(wit["w"])
     x, y = values(wit["x"]), values(wit["y"])
-    if (y.entries < x.entries).any():
-        raise ValueError("monotonicity needs y >= x")
+    if not w.entries.size == x.entries.size == y.entries.size or (y.entries < x.entries).any():
+        raise ValueError("monotonicity needs w, x and y of one length, and y >= x")
     return system(w, x), system(w, y)
 
 
@@ -433,6 +434,8 @@ def _mk_convexity(cfg: CheckConfig, positive: bool, trial: int, rng: _Rng) -> di
 
 def _ev_convexity(system: MeanSystem, wit: dict, weighting, values) -> _Sides:
     w, x, y = weighting(wit["w"]), wit["x"], wit["y"]
+    if not w.entries.size == x.size == y.size:
+        raise ValueError("convexity needs w, x and y of one length")
     mid, xv, yv = values((x + y) / 2.0), values(x), values(y)
     return system(w, mid), max(system(w, xv), system(w, yv))
 
@@ -456,6 +459,8 @@ def _ev_multiplicativity(system: MeanSystem, wit: dict, weighting, values) -> _S
     v = weighting(wit["v"])
     x = values(wit["x"])
     y = values(wit["y"])
+    if w.entries.size != x.entries.size or v.entries.size != y.entries.size:
+        raise ValueError("multiplicativity needs w and x, and v and y, of one length")
     wv, xy = weighting(_outer(w.entries, v.entries)), values(_outer(x.entries, y.entries))
     return system(wv, xy), system(w, x) * system(v, y)
 
@@ -470,8 +475,8 @@ def _mk_symmetry(cfg: CheckConfig, positive: bool, trial: int, rng: _Rng) -> dic
 
 def _ev_symmetry(system: MeanSystem, wit: dict, weighting, values) -> _Sides:
     w, x = wit["w"], wit["x"]
-    if sorted(wit["sigma"]) != list(range(len(w))):
-        raise ValueError("sigma must be a permutation of the weight indices")
+    if x.size != w.size or sorted(wit["sigma"]) != list(range(len(w))):
+        raise ValueError("symmetry needs w and x of one length, and sigma a permutation")
     sigma = np.array(wit["sigma"], dtype=np.intp)
     wv, xv, moved_w, moved_x = weighting(w), values(x), weighting(w[sigma]), values(x[sigma])
     return system(wv, xv), system(moved_w, moved_x)
@@ -728,8 +733,9 @@ def _witnesses(cfg: CheckConfig, check: _CheckDef, positive: bool, kept: _Kept,
                drawn: list[tuple[dict, int]]) -> Iterator[dict]:
     """Trial t's witness for t = 0, 1, ..: the kept ones, then fresh ones from
     ``rngs``, which starts at the first trial not kept.  A fresh witness's
-    arrays are frozen; while the store has room, the witness goes to ``drawn``
-    with the vector entries kept up to it."""
+    arrays are frozen once here, so every system at this seed wraps them with
+    no copy; while the store has room, the witness goes to ``drawn`` with the
+    vector entries kept up to it."""
     wits, floats = kept
     yield from islice(wits, cfg.trials)
     vectors = [key for key, kind, _ in check.fields if kind in _VECTORS]

@@ -193,6 +193,101 @@ def test_validated_containers_own_their_entries(make, entries):
     assert not got.entries.flags.writeable
 
 
+def _twins(*counts):
+    d = sum(counts)
+    return Weighting([k / d for k in counts], exact=[Fraction(k, d) for k in counts])
+
+
+_MADE = {
+    "Weighting": lambda: Weighting([0.2, 0.3, 0.5]),
+    "ValueVector": lambda: ValueVector([1.0, 2.0, 3.0]),
+    "SignedVector": lambda: SignedVector([-1.0, 2.0]),
+    "normalize_weights": lambda: normalize_weights([1.0, 3.0]),
+    "uniform": lambda: uniform(3),
+    "pushforward": lambda: pushforward(IndexMap(3, 2, (0, 1, 1)), _twins(1, 1, 2)),
+    "tensor_weights": lambda: tensor_weights(_twins(1, 2), _twins(1, 1)),
+    "pullback": lambda: pullback(IndexMap(3, 2, (0, 1, 1)), ValueVector([1.0, 2.0])),
+    "embed": lambda: embed(IndexMap(2, 3, (0, 2)), SignedVector([1.0, -1.0])),
+    "tensor_values": lambda: tensor_values(ValueVector([1.0, 2.0]), ValueVector([3.0])),
+    "expand_rational w": lambda: expand_rational(_twins(1, 2), ValueVector([1.0, 2.0]))[0],
+    "expand_rational x": lambda: expand_rational(_twins(1, 2), ValueVector([1.0, 2.0]))[1],
+    "ValueVector._reused": lambda: ValueVector._reused(np.array([1.0, 2.0])),
+    "ValueVector._unchecked": lambda: ValueVector._unchecked(np.array([1.0, 2.0])),
+    "Weighting._unchecked": lambda: Weighting._unchecked(np.array([0.5, 0.5])),
+    "SignedVector._unchecked": lambda: SignedVector._unchecked(np.array([-1.0])),
+}
+
+
+@pytest.mark.parametrize("how", list(_MADE))
+def test_every_container_holds_its_entries_in_immutable_memory(how):
+    # Read-only is not enough: a system handed a container could make its
+    # array writable again and rewrite what its caller reads after it.
+    got = _MADE[how]()
+    if how in ("pushforward", "tensor_weights"):
+        assert got.exact is not None  # the exact-twin path
+    with pytest.raises(ValueError, match="cannot set WRITEABLE flag"):
+        got.entries.setflags(write=True)
+
+
+def test_unchecked_keeps_an_array_already_in_immutable_memory():
+    # No second copy: the witness store's frozen fields and the count-built
+    # weightings are wrapped as they are.  This pins numpy's np.frombuffer,
+    # whose array has the bytes object as its base.
+    a = core._frozen(np.array([0.25, 0.75]))
+    assert a.base.__class__ is bytes
+    for wrap in (Weighting._unchecked, ValueVector._unchecked, SignedVector._unchecked,
+                 ValueVector._reused):
+        assert wrap(a).entries is a, wrap
+    counted = core._weighting_from_counts([1, 3], 4)
+    assert counted.entries.base.__class__ is bytes
+    assert Weighting._unchecked(counted.entries, [1, 3], 4).entries is counted.entries
+    # A fresh array, or a view of a frozen one, is copied, and the caller's stays as it was.
+    fresh = np.array([0.5, 0.5])
+    assert Weighting._unchecked(fresh).entries is not fresh and fresh.flags.writeable
+    view = a[1:]
+    assert ValueVector._unchecked(view).entries is not view
+
+
+def _oracle_of_unequal_lengths():
+    return power_mean_oracle(2, uniform(2), ValueVector([1.0]))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: IndexMap(-1, 2, ()), ValueError, "index set sizes must be nonnegative"),
+    (lambda: normalize_weights([]), ValueError, "need at least one weight"),
+    (lambda: normalize_weights([1.0, -1.0]), ValueError, "weights must be finite and nonnegative"),
+    (_oracle_of_unequal_lengths, ValueError, "length mismatch: 2 weights vs 1 values"),
+    (lambda: pushforward(IndexMap(3, 2, (0, 1, 1)), Weighting([0.5, 0.5])), ValueError,
+     "weighting length must equal the map's domain size"),
+    (lambda: pullback(IndexMap(2, 3, (0, 1)), ValueVector([1.0, 2.0])), ValueError,
+     "value length must equal the map's codomain size"),
+    (lambda: embed(IndexMap(2, 3, (0, 1)), SignedVector([1.0])), ValueError,
+     "vector length must equal the map's domain size"),
+    (lambda: tensor_values(uniform(2), uniform(2)), TypeError,
+     "tensor_values works on value or signed vectors"),
+    (lambda: expand_rational(uniform(2), ValueVector([1.0])), ValueError,
+     "length mismatch: 2 weights vs 1 values"),
+], ids=["index-map-size", "normalize-empty", "normalize-negative", "oracle-lengths",
+        "pushforward-length", "pullback-length", "embed-length", "tensor-of-weightings",
+        "expand-lengths"])
+def test_each_validation_refuses_with_its_own_message(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error and str(err.value) == message
+
+
+def test_exponent_finiteness_weighting_repr_and_json_of_numpy_values():
+    from meanlab.harness import json_ready
+
+    assert Exponent(2.0).is_finite and ZERO.is_finite
+    assert not (POS_INF.is_finite or NEG_INF.is_finite)
+    assert repr(uniform(2)) == \
+        "Weighting(entries=array([0.5, 0.5]), exact=(Fraction(1, 2), Fraction(1, 2)))"
+    assert repr(Weighting([1.0])) == "Weighting(entries=array([1.]), exact=None)"
+    got = json_ready({"a": np.array([1.0, math.inf]), "n": np.int64(3)})
+    assert got == {"a": [1.0, "inf"], "n": 3} and type(got["n"]) is int
+
+
 @pytest.mark.parametrize("make", [Weighting, ValueVector, SignedVector])
 @pytest.mark.parametrize("entries", [
     ["0.5", "0.5"], [0.5, "0.5"], np.array(["1", "1"]), np.array([b"0.5", b"0.5"]),

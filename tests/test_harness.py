@@ -222,6 +222,28 @@ def test_replay_rejects_counterexamples_that_do_not_fit():
     for bad in not_integers:
         with pytest.raises(ValueError, match="^index map sizes and images must be integers"):
             replay_counterexample(system, "functoriality", bad)
+    # Vectors that do not line up, which numpy broadcast or indexed into
+    # containers of one length: the system ran on them, and a system that
+    # raised made a confirmed violation (nan, nan, inf) of the replay, or
+    # symmetry escaped as an IndexError.  Each is refused before any call.
+    calls = []
+
+    def recording(w, x):
+        calls.append((len(w), len(x)))
+        raise RuntimeError("must not be called")
+
+    unaligned = [
+        ("convexity", ce((0.5, 0.5), (1.0, 0.0), y=[2.0])),
+        ("monotonicity", ce((0.5, 0.5), (1.0, 0.0), y=[2.0])),
+        ("multiplicativity", ce((0.5, 0.5), (1.0, 2.0, 3.0),
+                                v=[0.2, 0.3, 0.5], y=[1.0, 2.0])),
+        ("symmetry", ce((0.2, 0.3, 0.5), (1.0, 2.0), sigma=[2, 1, 0])),
+    ]
+    for name, bad in unaligned:
+        for replayed in (system, MeanSystem(recording, "recording")):
+            with pytest.raises(ValueError, match=f"^{name} needs "):
+                replay_counterexample(replayed, name, bad)
+        assert calls == [], name
 
 
 def test_malformed_reports_are_value_errors():
@@ -742,7 +764,7 @@ def _revalidating_system(positivity_only):
     read-only, rebuilt bit for bit by the public constructors, and for a
     positivity-only system, a weighting with no zero."""
     def evaluate(w, x):
-        # Before rebuilding: a constructor makes the array it is given read-only.
+        # Before rebuilding: every container's entries are read-only.
         assert not (w.entries.flags.writeable or x.entries.flags.writeable)
         for wrapped, rebuilt in ((w, Weighting(w.entries, exact=w.exact)),
                                  (x, ValueVector(x.entries))):
@@ -1280,18 +1302,18 @@ _VANDALS = tuple(_vandal(field, flip) for flip in (False, True) for field in "wx
 @pytest.mark.parametrize("field, flip", [("w", False), ("x", False), ("w", True), ("x", True)],
                          ids=["w", "x", "w-flipped", "x-flipped"])
 def test_systems_cannot_write_into_witnesses(field, flip):
-    # The containers a system is handed are read-only, fresh trials included:
-    # an assignment is a failing trial, and the witness keeps its values.  A
-    # fresh witness's arrays sit over immutable memory, so making one writable
-    # raises too, and nothing the system does escapes run_full_suite.
+    # Every container holds its entries in immutable memory, fresh trials,
+    # shrink candidates and replays alike: an assignment, or making the array
+    # writable first, is a failing trial, the witness keeps its values, and
+    # nothing the system does escapes run_full_suite.
     system = _vandal(field, flip)
     failed = [r for r in run_full_suite(system, _FAST) if not r.passed]
     assert len(failed) == len(PROPERTY_NAMES) - 1  # consistency has n = 1
+    error = "cannot set WRITEABLE flag" if flip else "assignment destination is read-only"
     for report in failed:
         ce = report.counterexample
         assert -1.0 not in ce.w + ce.x, report.property_name
-        if not flip:  # a shrink candidate's copies can be made writable
-            assert "assignment destination is read-only" in ce.aux["error"]
+        assert error in ce.aux["error"], report.property_name
 
 
 @pytest.mark.parametrize("field, flip", [("w", False), ("x", False), ("w", True), ("x", True)],
@@ -1314,6 +1336,66 @@ def test_systems_cannot_rewrite_what_characterize_and_sandwich_report(field, fli
     with pytest.raises(SystemEvalError, match=error):
         characterize.rational_sandwich(system, w, x, 0.1)
     assert (w.entries.tolist(), x.entries.tolist()) == ([0.2, 0.3, 0.5], [1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("field", "wx")
+def test_a_system_cannot_rewrite_a_callers_containers(field):
+    # A caller's validated Weighting([0.2, 0.3, 0.5]) became [-1, 0.3, 0.5]
+    # under a system that made its entries writable, and
+    # transfer_slope_estimate then refused it as a usage error ("weighting
+    # entries must be nonnegative") instead of reporting the system.
+    system = _vandal(field, flip=True)
+    w, x = Weighting([0.2, 0.3, 0.5]), ValueVector([1.0, 2.0, 3.0])
+    with pytest.raises(SystemEvalError, match="cannot set WRITEABLE flag"):
+        system(w, x)
+    with pytest.raises(SystemEvalError, match="cannot set WRITEABLE flag"):
+        characterize.transfer_slope_estimate(system, w, x, 0.1)
+    assert (w.entries.tolist(), x.entries.tolist()) == ([0.2, 0.3, 0.5], [1.0, 2.0, 3.0])
+
+
+def test_every_container_a_system_is_handed_is_immutable(monkeypatch):
+    # Fresh trials, shrink candidates, replays, characterization stages and
+    # rational_sandwich: whatever made a container, no system can make its
+    # entries writable.
+    phase, seen, flipped = ["fresh"], Counter(), []
+
+    def recording(w, x):
+        seen[phase[0]] += 1
+        for entries in (w.entries, x.entries):
+            try:
+                entries.setflags(write=True)
+                flipped.append((phase[0], entries.tolist()))
+            except ValueError:
+                pass
+        # M_2 up to two coordinates and M_1 beyond, so most laws fail and shrink.
+        return power_mean(2 if len(x) <= 2 else 1, w, x)
+
+    shrink = harness._shrink
+
+    def shrinking(*args):
+        phase[0] = "shrink"
+        try:
+            return shrink(*args)
+        finally:
+            phase[0] = "fresh"
+
+    monkeypatch.setattr(harness, "_shrink", shrinking)
+    system = MeanSystem(recording, "recording")
+    reports = run_full_suite(system, CheckConfig(seed=3, trials=40))
+    phase[0] = "replay"
+    for report in reports:
+        if report.counterexample is not None:
+            replay_counterexample(system, report.property_name, report.counterexample)
+    phase[0] = "characterize"
+    verify_characterization(system, CharacterizationConfig(trials=12))
+    phase[0] = "sandwich"
+    sr = characterize.rational_sandwich(system, Weighting([0.2, 0.3, 0.5]),
+                                        ValueVector([1.0, 2.0, 3.0]), 0.1)
+    assert set(seen) == {"fresh", "shrink", "replay", "characterize", "sandwich"}, seen
+    assert flipped == []
+    for bracket in (sr.w_lower, sr.w_upper):
+        with pytest.raises(ValueError, match="cannot set WRITEABLE flag"):
+            bracket.entries.setflags(write=True)
 
 
 # ── Shared witnesses ──────────────────────────────────────────────────────────
