@@ -364,7 +364,10 @@ class CharacterizationReport:
 
 
 def _stage_values(rng: np.random.Generator, n: int) -> ValueVector:
-    # evaluated twice: by the system, and as the reference power mean
+    # Evaluated twice: as the reference power mean, and by the system.  The
+    # reference comes first: the terms power_mean keeps on the vector sit in a
+    # plain dict, which a system handed the vector could fill with forged
+    # terms.  They are a pure function of (p, x), so the order changes no value.
     return ValueVector._reused(_gen_values(rng, n, decades=4.0))
 
 
@@ -385,12 +388,12 @@ def _stage_uniform(system: MeanSystem, cfg: CharacterizationConfig, p: Exponent,
         n = int(rng.integers(1, cfg.max_n + 1))
         x = _stage_values(rng, n)
         w = uniform(n)
+        want = power_mean(p, w, x)  # before the system has x: see _stage_values
         try:
             got = system(w, x)
         except SystemEvalError as exc:
             return StageReport("uniform", False, trial + 1, math.inf,
                                {"n": n, "x": x.entries.tolist(), "error": str(exc)})
-        want = power_mean(p, w, x)
         resid = _residual("equality", got, want)
         if resid > cfg.rel_tol:
             return StageReport("uniform", False, trial + 1, resid,
@@ -422,6 +425,7 @@ def _stage_rational(system: MeanSystem, cfg: CharacterizationConfig, p: Exponent
                                 system.positivity_only)
         x = _stage_values(rng, n)
         uw, ux = expand_rational(w, x)
+        want = power_mean(p, w, x)  # before the system has x: see _stage_values
         try:
             got = system(w, x)
             via_uniform = system(uw, ux)
@@ -429,7 +433,6 @@ def _stage_rational(system: MeanSystem, cfg: CharacterizationConfig, p: Exponent
             return StageReport("rational", False, trial + 1, math.inf,
                                {"w": w.entries.tolist(), "x": x.entries.tolist(),
                                 "error": str(exc)})
-        want = power_mean(p, w, x)
         resid = max(_residual("equality", got, want), _residual("equality", got, via_uniform))
         if resid > cfg.rel_tol:
             return StageReport("rational", False, trial + 1, resid,

@@ -167,6 +167,16 @@ def _frozen(a: np.ndarray | array) -> np.ndarray:
     return np.frombuffer(a.tobytes())
 
 
+def _immutable(a: np.ndarray) -> np.ndarray:
+    """``a`` itself if its entries already sit in immutable memory: an array
+    over ``bytes``, or a view of one (numpy points a view's base at the array
+    that holds the memory).  Any other array is copied there (:func:`_frozen`)."""
+    base = a.base
+    if base.__class__ is bytes or (base.__class__ is np.ndarray and base.base.__class__ is bytes):
+        return a
+    return _frozen(a)
+
+
 _REAL = (numbers.Real, np.bool_)  # np.bool_ is no numbers.Real
 
 
@@ -206,9 +216,9 @@ class _Entries:
         """Wrap a one-dimensional float64 array that meanlab built itself and
         that is valid by construction, with no rule re-checked.  An array
         already in immutable memory is kept as it is, with no copy; any other
-        is copied there (:func:`_frozen`)."""
+        is copied there (:func:`_immutable`)."""
         obj = object.__new__(cls)
-        obj.__dict__["entries"] = a if a.base.__class__ is bytes else _frozen(a)
+        obj.__dict__["entries"] = _immutable(a)
         return obj
 
 
@@ -286,7 +296,7 @@ class Weighting(_Entries):
         """Wrap ``a`` as :meth:`_Entries._unchecked` does, with the exact twins
         counts / d if ``counts`` is given."""
         w = object.__new__(cls)
-        w.__dict__["entries"] = a if a.base.__class__ is bytes else _frozen(a)
+        w.__dict__["entries"] = _immutable(a)
         if counts is not None:
             w.__dict__.update(_counts=tuple(counts), _denominator=d)
         return w

@@ -19,6 +19,10 @@ a system's ``setflags(write=True)`` raises and fails its trial, and a system
 cannot change what a later one is shown.  Reports are byte-identical whether
 the store was warm or empty.
 
+Each check declares the axes its witness runs along, and one rule (``_fit``)
+decides from them whether a shrink candidate or a replayed counterexample lines
+up, before any system call; a fresh witness lines up by construction.
+
 Failing inputs are shrunk before reporting, for as long as they keep failing:
 off-grid entries are snapped onto {0, 1/2, 1}, and adjacent coordinates merge
 where the law reads none by its position (monotonicity, convexity,
@@ -41,6 +45,7 @@ import math
 import numbers
 import threading
 from dataclasses import dataclass, fields
+from functools import cached_property
 from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, Sequence, TypeAlias
 
@@ -167,7 +172,10 @@ def _residual(kind: str, lhs: float, rhs: float) -> float:
 
 def _evaluate(check: "_CheckDef", system: MeanSystem, wit: dict, wrap: "_Wrap"):
     """Returns (lhs, rhs, residual, error_message).  A witness that does not fit
-    the check raises ValueError; a failing system is a failing trial."""
+    the check raises ValueError; a failing system is a failing trial.  A fresh
+    witness lines up by construction; any other must pass ``_fit`` first."""
+    if wrap is not _FRESH:
+        _fit(check, wit)
     try:
         lhs, rhs = check.evaluate(system, wit, *wrap)
     except SystemEvalError as exc:
@@ -320,15 +328,17 @@ def _gen_index_map(rng: np.random.Generator, max_n: int,
 #
 # A check declares its witness once, as ``fields`` of (name, kind, axis) in the
 # trial dict's order, scalars last.  A _VECTORS field is a float64 array and a
-# _SCALAR a float, wherever the witness came from; no move changes _INDEX data
-# (codomain_size, an int, counts its axis).  Fields on one axis share
-# coordinates.  On a _FREE_AXES axis, weighting first, the law reads no
-# coordinate by position, so adjacent ones may merge; it reads the last
-# coordinates of a "tail" axis, where a "tail+1" field has one entry more.
+# _SCALAR a float, wherever the witness came from; no move changes _INDEX data.
+# The fields on one axis share its n >= 1 coordinates: a "tail+1" field has
+# n + 1 entries, the _INDEX field named "<axis>_size" (codomain_size) counts
+# them, and the one named as its axis (sigma) is a permutation of them.  On a
+# _FREE_AXES axis, weighting first, the law reads no coordinate by position, so
+# adjacent ones may merge; it reads the last coordinates of a "tail" axis.
 #
-# Each ``_ev_*`` raises ValueError before it calls the system when a witness
-# does not fit its law, vectors that do not line up included, so shrink moves
-# and replayed counterexamples meet the same rules.  Before its first system
+# ``_fit`` holds shrink candidates and replayed counterexamples to those axes
+# before any system call; a fresh trial fits them by construction.  Each
+# ``_ev_*`` then raises ValueError, before it calls the system, only where the
+# values break its law's precondition (y >= x, say).  Before its first system
 # call it wraps every array it passes, derived ones too, with the (weighting,
 # values) constructor pair it is given.  A fresh trial's arrays are valid by
 # construction, so they are wrapped with no rule re-checked; shrink candidates
@@ -363,6 +373,41 @@ class _CheckDef:
     make_trial: Callable[[CheckConfig, bool, int, _Rng], dict]
     evaluate: Callable[..., _Sides]  # (system, wit, weighting, values)
     fields: tuple[tuple[str, str, str | None], ...]  # (name, kind, axis)
+
+    @cached_property
+    def axes(self) -> tuple[tuple[list[tuple[str, int]], str | None, str | None], ...]:
+        """Per axis in field order: (its fields with a length, as (name, entries
+        beyond the axis's n); the field counting it; the field permuting it),
+        the last two told by name as the comment above says."""
+        fields_on: dict[str, list[tuple[str, int]]] = {}
+        for key, _, axis in self.fields:
+            if axis is not None:
+                base, _, extra = axis.partition("+")
+                fields_on.setdefault(base, []).append((key, int(extra or 0)))
+        axes = []
+        for axis, on in fields_on.items():
+            names = [key for key, _ in on]
+            count = f"{axis}_size" if f"{axis}_size" in names else None
+            perm = axis if axis in names else None
+            axes.append(([(key, extra) for key, extra in on if key != count], count, perm))
+        return tuple(axes)
+
+
+def _fit(check: _CheckDef, wit: dict) -> None:
+    """Raise ValueError, naming the rule, unless ``wit`` lines up on every axis
+    of ``check.axes``.  A field with no length (``sigma=5``) is a TypeError; a
+    count that is no integer is left for ``IndexMap`` to refuse."""
+    for sized, count, perm in check.axes:
+        lengths = {len(wit[key]) - extra for key, extra in sized}
+        n = lengths.pop()
+        if (lengths or n < 1
+                or (count and isinstance(wit[count], numbers.Integral) and wit[count] != n)
+                or (perm and sorted(wit[perm]) != list(range(n)))):
+            sides = [f"len({key})" + (f" - {extra}" if extra else "") for key, extra in sized]
+            rule = " = ".join(sides + ([count] if count else [])) + " = n >= 1"
+            if perm:
+                rule += f", and {perm} a permutation of range(n)"
+            raise ValueError(f"{check.name} needs {rule}")
 
 
 # functoriality ---------------------------------------------------------------
@@ -411,8 +456,8 @@ def _mk_monotonicity(cfg: CheckConfig, positive: bool, trial: int, rng: _Rng) ->
 def _ev_monotonicity(system: MeanSystem, wit: dict, weighting, values) -> _Sides:
     w = weighting(wit["w"])
     x, y = values(wit["x"]), values(wit["y"])
-    if not w.entries.size == x.entries.size == y.entries.size or (y.entries < x.entries).any():
-        raise ValueError("monotonicity needs w, x and y of one length, and y >= x")
+    if (y.entries < x.entries).any():
+        raise ValueError("monotonicity needs y >= x")
     return system(w, x), system(w, y)
 
 
@@ -434,8 +479,6 @@ def _mk_convexity(cfg: CheckConfig, positive: bool, trial: int, rng: _Rng) -> di
 
 def _ev_convexity(system: MeanSystem, wit: dict, weighting, values) -> _Sides:
     w, x, y = weighting(wit["w"]), wit["x"], wit["y"]
-    if not w.entries.size == x.size == y.size:
-        raise ValueError("convexity needs w, x and y of one length")
     mid, xv, yv = values((x + y) / 2.0), values(x), values(y)
     return system(w, mid), max(system(w, xv), system(w, yv))
 
@@ -459,8 +502,6 @@ def _ev_multiplicativity(system: MeanSystem, wit: dict, weighting, values) -> _S
     v = weighting(wit["v"])
     x = values(wit["x"])
     y = values(wit["y"])
-    if w.entries.size != x.entries.size or v.entries.size != y.entries.size:
-        raise ValueError("multiplicativity needs w and x, and v and y, of one length")
     wv, xy = weighting(_outer(w.entries, v.entries)), values(_outer(x.entries, y.entries))
     return system(wv, xy), system(w, x) * system(v, y)
 
@@ -475,8 +516,6 @@ def _mk_symmetry(cfg: CheckConfig, positive: bool, trial: int, rng: _Rng) -> dic
 
 def _ev_symmetry(system: MeanSystem, wit: dict, weighting, values) -> _Sides:
     w, x = wit["w"], wit["x"]
-    if x.size != w.size or sorted(wit["sigma"]) != list(range(len(w))):
-        raise ValueError("symmetry needs w and x of one length, and sigma a permutation")
     sigma = np.array(wit["sigma"], dtype=np.intp)
     wv, xv, moved_w, moved_x = weighting(w), values(x), weighting(w[sigma]), values(x[sigma])
     return system(wv, xv), system(moved_w, moved_x)
@@ -492,8 +531,6 @@ def _mk_repetition(cfg: CheckConfig, positive: bool, trial: int, rng: _Rng) -> d
 
 def _ev_repetition(system: MeanSystem, wit: dict, weighting, values) -> _Sides:
     w, x = wit["w"], wit["x"]
-    if not 1 <= x.size == w.size - 1:
-        raise ValueError("repetition needs n >= 1 values and n + 1 weights")
     wv, repeated = weighting(w), values(np.concatenate((x, x[-1:])))
     merged, xv = weighting(np.concatenate((w[:-2], (w[-2] + w[-1],)))), values(x)
     return system(wv, repeated), system(merged, xv)
@@ -534,8 +571,7 @@ def _mk_transfer(cfg: CheckConfig, positive: bool, trial: int, rng: _Rng) -> dic
 
 def _ev_transfer(system: MeanSystem, wit: dict, weighting, values) -> _Sides:
     w, x, eps = wit["w"], values(wit["x"]), wit["epsilon"]
-    if not (2 <= len(w) == len(x) and 0.0 <= eps <= float(w[-1])
-            and x.entries[-1] <= x.entries[-2]):
+    if not (w.size >= 2 and 0.0 <= eps <= float(w[-1]) and x.entries[-1] <= x.entries[-2]):
         raise ValueError("transfer needs n >= 2, 0 <= epsilon <= w[-1], x[-1] <= x[-2]")
     before, after = weighting(w), weighting(np.concatenate((w[:-2], (w[-2] + eps, w[-1] - eps))))
     return system(before, x), system(after, x)

@@ -40,8 +40,12 @@ class MeanSystem:
         """The value as a float: the one boundary between meanlab and the black
         box.  Any ``Exception`` from the system, or a result that is not a
         finite real number, is a ``SystemEvalError``; unequal lengths are a
-        ``ValueError``, raised before the system runs."""
-        if w.entries.size != x.entries.size:
+        ``ValueError``, raised before the system runs.  A frozen dataclass
+        cannot stop ``object.__setattr__``, so a system that rebinds the
+        ``entries`` of ``w`` or ``x`` gets them put back, and that is a
+        ``SystemEvalError`` too."""
+        we, xe = w.entries, x.entries
+        if we.size != xe.size:
             raise ValueError(f"length mismatch: {len(w)} weights vs {len(x)} values")
         try:
             value = self.evaluate(w, x)
@@ -49,6 +53,15 @@ class MeanSystem:
                 value = float(value)
         except Exception as exc:
             raise SystemEvalError(str(exc)) from exc
+        finally:  # whatever the system did, its caller reads the entries it passed
+            try:
+                rebound = w.entries is not we or x.entries is not xe
+            except AttributeError:  # deleted, as object.__delattr__ can
+                rebound = True
+            if rebound:
+                w.__dict__["entries"], x.__dict__["entries"] = we, xe
+        if rebound:
+            raise SystemEvalError("the system rebound the entries of its inputs")
         if type(value) is not float or not math.isfinite(value):
             raise SystemEvalError(f"result {value!r} is not a finite real number")
         return value

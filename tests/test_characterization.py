@@ -540,6 +540,34 @@ def test_system_raising_value_error_after_the_probes_fails_a_stage():
         assert failed[0].detail["error"] == "flaky system gave up"
 
 
+def test_a_system_cannot_forge_the_reference_it_is_compared_against():
+    # The stages' value vectors keep power_mean's x-half in a plain dict.  This
+    # system answers the probes as p = 2 and gives the arithmetic mean
+    # elsewhere, and it writes terms into that dict that make the p = 2
+    # reference read its own value.  It was reported consistent with p = 2
+    # while the reference was computed after the system had x.
+    def forging(w, x):
+        we, xe = w.entries, x.entries
+        if xe.tolist() in ([1.0, 0.0], [1.0]):  # a recovery probe
+            return power_mean(2, w, x)
+        mean = float(we @ xe)
+        kept = x._power_terms_by_p
+        if kept is not None:
+            i = int(we.argmax())
+            ts = [0.0] * xe.size
+            ts[i] = 1.0 / we[i]  # the weighted power sum is then 1
+            kept[2.0] = (i, mean, ts, [0.0] * xe.size, [])
+        return mean
+
+    report = verify_characterization(MeanSystem(forging, "forging"),
+                                     CharacterizationConfig(seed=7))
+    assert report.recovery.exponent.value == 2.0
+    assert report.verdict == "counterexample"
+    uniform_stage = report.stages[0]
+    assert uniform_stage.name == "uniform" and not uniform_stage.passed
+    assert uniform_stage.detail["power_mean_value"] != uniform_stage.detail["system_value"]
+
+
 def test_stages_compare_values_with_the_harness_equality_residual():
     # A subnormal where the mean is 0 is off by the whole value, residual 1,
     # as check_consistency finds too.

@@ -518,6 +518,39 @@ def test_hostile_dsl_fails_with_the_error_recorded(capsys, argv):
             "non-finite result -inf", "-inf + inf in fsum")
 
 
+@pytest.mark.parametrize("p, code, verdict", [
+    *((p, 0, "consistent") for p in ("1", "1.5", "2", "3", "10", "inf", "1e301")),
+    ("0.5", 1, "counterexample"),
+    ("0", 1, "degenerate"),
+])
+def test_characterize_verdicts_at_the_default_settings(capsys, p, code, verdict):
+    # The honest exponents are identified (exit 0), 1e301 among them as p =
+    # inf; p = 0.5 (a counterexample) and p = 0 (degenerate) are not (exit 1).
+    got, out, err = run_cli(capsys, "characterize", "--builtin", p)
+    assert (got, err) == (code, "")
+    assert json.loads(out)["verdict"] == verdict
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_positivity_only_system_fails_and_both_formats_echo_the_flag(capsys, fmt):
+    # The hostile system fails every check it runs through the positive
+    # shrink path, whose counterexamples keep every weighting strictly
+    # positive; zero_weight is not applicable.
+    code, out, err = run_cli(capsys, "axioms", "--dsl", _HOSTILE, "--trials", "20",
+                             "--positive-weights", "--format", fmt)
+    assert (code, err) == (1, "")
+    if fmt == "csv":
+        assert "report,positive_weights_only,true" in out.splitlines()
+        return
+    assert '"positive_weights_only":true' in out
+    failing = [c for c in json.loads(out)["checks"] if not c["passed"]]
+    assert len(failing) == 9
+    for check in failing:
+        ce = check["counterexample"]
+        weights = (ce["w"] or []) + ce["aux"].get("v", [])  # consistency has none
+        assert all(v > 0.0 for v in weights), check["property_name"]
+
+
 @pytest.mark.parametrize("argv", [["eval", "--w", "0.5,0.5", "--x", "0,2"],
                                   ["axioms", "--trials", "20"], ["recover"],
                                   ["characterize", "--trials", "20"],

@@ -241,11 +241,23 @@ def test_unchecked_keeps_an_array_already_in_immutable_memory():
     counted = core._weighting_from_counts([1, 3], 4)
     assert counted.entries.base.__class__ is bytes
     assert Weighting._unchecked(counted.entries, [1, 3], 4).entries is counted.entries
-    # A fresh array, or a view of a frozen one, is copied, and the caller's stays as it was.
+    # A slice of a frozen array is a view over the same bytes, which no
+    # setflags(write=True) can make writable either, so it is kept too: the
+    # zero_weight check's x[:-1] costs no copy.
+    for view in (a[1:], a[:-1], a[::2], a[::-1], a[1:][:1]):
+        for wrap in (Weighting._unchecked, ValueVector._unchecked):
+            kept = wrap(view).entries
+            assert kept is view, wrap
+            with pytest.raises(ValueError, match="cannot set WRITEABLE flag"):
+                kept.setflags(write=True)
+    # A fresh array, or a view of a writable one, is copied, and the caller's
+    # stays as it was.
     fresh = np.array([0.5, 0.5])
     assert Weighting._unchecked(fresh).entries is not fresh and fresh.flags.writeable
-    view = a[1:]
-    assert ValueVector._unchecked(view).entries is not view
+    for view in (fresh[1:], fresh[::2], fresh[1:][:1]):
+        copied = ValueVector._unchecked(view).entries
+        assert copied is not view and copied.base.__class__ is bytes
+        assert view.flags.writeable
 
 
 def _oracle_of_unequal_lengths():

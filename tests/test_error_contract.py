@@ -23,6 +23,21 @@ from meanlab.cli import main
 from test_dsl import _random_tree
 
 _W, _X = uniform(2), ValueVector(np.array([1.0, 7.0]))
+_REBOUND = "the system rebound the entries of its inputs"
+
+
+def _rebind(target: str):
+    """A fault: point the entries of ``target`` ("w" or "x") at the other
+    input's, as ``object.__setattr__`` can on a frozen dataclass, and return a
+    finite value.  Unmended, it turned a characterize stage into a ValueError
+    ("weights sum above 1 beyond tolerance; cannot bracket")."""
+    def fault(w, x):
+        victim, other = (w, x) if target == "w" else (x, w)
+        object.__setattr__(victim, "entries", other.entries)
+        return 1.0
+
+    return fault
+
 
 # (label, what the system does from its k-th call on, the recorded message)
 _FAULTS = [
@@ -38,13 +53,16 @@ _FAULTS = [
     ("nan", math.nan, "result nan is not a finite real number"),
     ("inf", math.inf, "result inf is not a finite real number"),
     ("-inf", -math.inf, "result -inf is not a finite real number"),
+    ("rebinds w", _rebind("w"), _REBOUND),
+    ("rebinds x", _rebind("x"), _REBOUND),
 ]
 _FAULT_IDS = [label for label, _, _ in _FAULTS]
 
 
 def _breaks_at(k: int, fault) -> MeanSystem:
     """The quadratic mean until its k-th call; from then on every call raises
-    ``fault`` if it is an exception and returns it otherwise."""
+    ``fault`` if it is an exception, returns what it returns if it is a
+    function, and returns it otherwise."""
     honest = builtin_power_mean_system(2)
     calls = [0]
 
@@ -54,7 +72,7 @@ def _breaks_at(k: int, fault) -> MeanSystem:
             return honest(w, x)
         if isinstance(fault, BaseException):
             raise fault
-        return fault
+        return fault(w, x) if callable(fault) else fault
 
     return MeanSystem(evaluate, label=f"breaks at call {k}")
 
@@ -71,6 +89,21 @@ def test_the_boundary_wraps_failures_and_passes_values_through():
     for result in (np.float64(2.5), 3, np.int64(3)):
         got = _breaks_at(1, result)(_W, _X)
         assert type(got) is float and got == float(result)
+    # a system that rebinds an input's entries fails, and its caller reads
+    # the entries it passed, even when the system then raises
+    entries = _W.entries, _X.entries
+    for target in ("w", "x"):
+        with pytest.raises(SystemEvalError, match=f"^{_REBOUND}$"):
+            _breaks_at(1, _rebind(target))(_W, _X)
+        assert _W.entries is entries[0] and _X.entries is entries[1], target
+
+    def rebind_and_interrupt(w, x):
+        object.__setattr__(w, "entries", x.entries)
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        MeanSystem(rebind_and_interrupt, "interrupted")(_W, _X)
+    assert _W.entries is entries[0]
     # unequal lengths are a bad argument, and the system is not called
     with pytest.raises(ValueError, match="length mismatch"):
         _breaks_at(1, ZeroDivisionError())(uniform(3), _X)

@@ -209,7 +209,6 @@ def test_replay_rejects_counterexamples_that_do_not_fit():
         # Integers no float holds, which escaped as an OverflowError.
         ("consistency", ce(None, None, c=10 ** 400)),
         ("monotonicity", ce((0.5, 0.5), (1.0, 2.0), y=[10 ** 400, 3.0])),
-        ("functoriality", ce((0.5, 0.5), (1.0, 2.0), images=[0, 1], codomain_size=10 ** 30)),
     ]
     for name, bad in wrong_types:
         with pytest.raises(ValueError, match=f"^{name} counterexample does not fit"):
@@ -225,7 +224,10 @@ def test_replay_rejects_counterexamples_that_do_not_fit():
     # Vectors that do not line up, which numpy broadcast or indexed into
     # containers of one length: the system ran on them, and a system that
     # raised made a confirmed violation (nan, nan, inf) of the replay, or
-    # symmetry escaped as an IndexError.  Each is refused before any call.
+    # symmetry escaped as an IndexError.  Each is refused before any call, by
+    # the one rule on the axes the check declares: one case per axis kind of
+    # every check that has an axis.  A codomain_size no float holds once
+    # escaped as an OverflowError.
     calls = []
 
     def recording(w, x):
@@ -233,11 +235,22 @@ def test_replay_rejects_counterexamples_that_do_not_fit():
         raise RuntimeError("must not be called")
 
     unaligned = [
+        ("functoriality", ce((0.5, 0.5), (1.0, 2.0), images=[0, 1, 1], codomain_size=2)),
+        ("functoriality", ce((0.5, 0.5), (1.0, 2.0), images=[0, 1], codomain_size=3)),
+        ("functoriality", ce((0.5, 0.5), (1.0, 2.0), images=[0, 1], codomain_size=10 ** 30)),
+        ("functoriality", ce((1.0,), (), images=[0], codomain_size=0)),  # an empty codomain
         ("convexity", ce((0.5, 0.5), (1.0, 0.0), y=[2.0])),
         ("monotonicity", ce((0.5, 0.5), (1.0, 0.0), y=[2.0])),
         ("multiplicativity", ce((0.5, 0.5), (1.0, 2.0, 3.0),
                                 v=[0.2, 0.3, 0.5], y=[1.0, 2.0])),
+        ("multiplicativity", ce((0.5, 0.5), (1.0, 2.0), v=[0.2, 0.3, 0.5], y=[1.0, 2.0])),
         ("symmetry", ce((0.2, 0.3, 0.5), (1.0, 2.0), sigma=[2, 1, 0])),
+        ("symmetry", ce((0.5, 0.5), (1.0, 2.0), sigma=[1, 1])),  # not a permutation
+        ("repetition", ce((0.5, 0.5), (1.0, 2.0))),
+        ("repetition", ce((1.0,), ())),  # n = 0
+        ("zero_weight", ce((0.5, 0.5), (1.0, 2.0))),
+        ("transfer", ce((0.5, 0.5), (2.0, 1.0, 0.5), epsilon=0.1)),
+        ("homogeneity", ce((0.5, 0.5), (1.0, 2.0, 3.0), c=2.0)),
     ]
     for name, bad in unaligned:
         for replayed in (system, MeanSystem(recording, "recording")):
@@ -267,7 +280,8 @@ def test_malformed_reports_are_value_errors():
     sides = Counterexample.from_dict({**good, "lhs": "nan", "rhs": "inf", "residual": "-inf"})
     assert math.isnan(sides.lhs) and (sides.rhs, sides.residual) == (math.inf, -math.inf)
     empty_x = Counterexample.from_dict({**good, "x": []})
-    with pytest.raises(ValueError, match="^repetition needs n >= 1 values"):
+    with pytest.raises(ValueError,
+                       match=r"^repetition needs len\(w\) - 1 = len\(x\) = n >= 1$"):
         replay_counterexample(system, "repetition", empty_x)
 
 
@@ -1016,7 +1030,8 @@ def test_check_schemas_are_well_formed():
 def test_fresh_witnesses_fit_their_schema(max_n, positive):
     # Each field has the schema's name, place and type, and the fields on one
     # axis have one length, a "tail+1" field one more; an integer on an axis
-    # is its length.
+    # is its length.  _fit, which runs only on shrink candidates and replays,
+    # accepts every fresh witness too.
     for seed in range(20):
         cfg = CheckConfig(seed=seed, trials=100, max_n=max_n)
         for stream, check in enumerate(harness._CHECKS):
@@ -1043,6 +1058,7 @@ def test_fresh_witnesses_fit_their_schema(max_n, positive):
                     base, _, extra = axis.partition("+")
                     lengths[base, length - int(extra or 0)] += 1
                 assert len(lengths) == len({base for base, _ in lengths}), (where, lengths)
+                harness._fit(check, wit)  # the rule shrink candidates and replays meet
 
 
 def test_rewritten_array_expressions_match_their_originals():
