@@ -395,18 +395,15 @@ class _CheckDef:
 
 def _fit(check: _CheckDef, wit: dict) -> None:
     """Raise ValueError, naming the rule, unless ``wit`` lines up on every axis
-    of ``check.axes``.  A field with no length (``sigma=5``) is a TypeError; a
-    count that is no integer is left for ``IndexMap`` to refuse."""
+    of ``check.axes``.  A field with no length (``sigma=5``) is a TypeError."""
     for sized, count, perm in check.axes:
         lengths = {len(wit[key]) - extra for key, extra in sized}
         n = lengths.pop()
-        if (lengths or n < 1
-                or (count and isinstance(wit[count], numbers.Integral) and wit[count] != n)
+        if (lengths or n < 1 or (count and wit[count] != n)
                 or (perm and sorted(wit[perm]) != list(range(n)))):
             sides = [f"len({key})" + (f" - {extra}" if extra else "") for key, extra in sized]
             rule = " = ".join(sides + ([count] if count else [])) + " = n >= 1"
-            if perm:
-                rule += f", and {perm} a permutation of range(n)"
+            rule += f", and {perm} a permutation of range(n)" if perm else ""
             raise ValueError(f"{check.name} needs {rule}")
 
 
@@ -855,9 +852,12 @@ def _real(value) -> float:
 
 
 def _replayed(kind: str, value):
-    """A replayed field as a fresh trial holds it; index data goes as given."""
+    """A replayed field as a fresh trial holds it; index data integers only."""
     if kind in _VECTORS:
         return np.array([_real(v) for v in value], dtype=np.float64)
+    if kind == _INDEX and not all(isinstance(v, numbers.Integral)
+                                  for v in np.array(value, dtype=object).flat):
+        raise ValueError("index map sizes and images must be integers")
     return _real(value) if kind == _SCALAR else value
 
 

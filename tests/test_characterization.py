@@ -31,14 +31,7 @@ from meanlab import (
 )
 from meanlab import characterize, harness
 from meanlab.systems import MeanSystem, SystemEvalError
-
-
-def W(*entries):
-    return Weighting(np.array(entries, dtype=np.float64))
-
-
-def V(*entries):
-    return ValueVector(np.array(entries, dtype=np.float64))
+from conftest import SUITE_DSL, V, W, revalidating
 
 
 # ── Probe ─────────────────────────────────────────────────────────────────────
@@ -349,33 +342,8 @@ def test_sandwich_gap_shrinks_linearly():
 
 # ── Staged verification ───────────────────────────────────────────────────────
 
-# The builtin exponents and the DSL systems of the benchmark's suites.
+# The builtin exponents of the benchmark's suites (SUITE_DSL holds its DSL systems).
 _BUILTIN_EXPONENTS = ("1", "1.5", "2", "3", "10", "inf", "0.5", "0")
-_SUITE_DSL = ("sum(w*x^2)^0.5", "sum(w*x^3)^(1/3)", "sum(w*x)", "sum(w*x^2)", "sum(w^2*x)",
-              "(sum(w*x)+sum(w*x^2)^0.5)/2", "prod(x^w)", "max(x*w^0)",
-              "sum(w*(x-1)*1e300*1e300)")
-
-
-def _revalidating(system, seen):
-    """``system``, re-validating every container it is handed first: read-only,
-    and rebuilt bit for bit by the public constructors (a positivity-only
-    system's weighting with no zero).  Failures go to ``seen["invalid"]``, not
-    raised, so that no stage reads them as the system's error."""
-    def evaluate(w, x):
-        seen["calls"] += 1
-        seen["exact"] += w.exact is not None
-        try:
-            assert not (w.entries.flags.writeable or x.entries.flags.writeable)
-            for wrapped, rebuilt in ((w, Weighting(w.entries, exact=w.exact)),
-                                     (x, ValueVector(x.entries))):
-                assert rebuilt.entries.dtype == wrapped.entries.dtype == np.float64
-                assert rebuilt.entries.tobytes() == wrapped.entries.tobytes()
-            assert not system.positivity_only or w.support.all()
-        except (AssertionError, ValueError) as exc:
-            seen["invalid"].append((w.entries.tolist(), x.entries.tolist(), repr(exc)))
-        return system.evaluate(w, x)
-
-    return MeanSystem(evaluate, system.label, system.positivity_only)
 
 
 def test_unchecked_stage_containers_pass_the_public_constructors():
@@ -385,11 +353,11 @@ def test_unchecked_stage_containers_pass_the_public_constructors():
     systems = ([builtin_power_mean_system(p) for p in _BUILTIN_EXPONENTS]
                + [builtin_power_mean_system(p, positivity_only=True)
                   for p in _BUILTIN_EXPONENTS[:6]]  # positive-only rational weightings
-               + [dsl_mean_system(source) for source in _SUITE_DSL])
+               + [dsl_mean_system(source) for source in SUITE_DSL])
     seen = Counter(invalid=[])
     for system, seed in itertools.product(systems, range(20)):
         cfg = CharacterizationConfig(seed=seed, trials=24)
-        report = verify_characterization(_revalidating(system, seen), cfg)
+        report = verify_characterization(revalidating(system, seen), cfg)
         assert seen["invalid"] == [], (system.label, seed)
         # The wrapper adds nothing: the report is the unwrapped system's.
         if seed == 0:
@@ -399,7 +367,7 @@ def test_unchecked_stage_containers_pass_the_public_constructors():
     assert seen["calls"] > 50_000 and seen["exact"] > 20_000, seen
     # The probe takes any real s in (0, 1].  It reads s as a float: in float32,
     # 1 - s rounds, and (s, 1 - s) misses the unit sum by up to 3e-8.
-    system = _revalidating(builtin_power_mean_system(2), seen)
+    system = revalidating(builtin_power_mean_system(2), seen)
     for s in (np.float32(0.3889214), Fraction(1, 3), np.float64(0.25), 0.1, 1):
         assert indicator_probe(system, s) == pytest.approx(math.sqrt(float(s)), rel=1e-15), s
     assert seen["invalid"] == []
@@ -434,7 +402,7 @@ def _characterization_to_dict_reference(report):
 
 
 def test_report_dicts_match_their_asdict_reference():
-    sources = _SUITE_DSL + ("sum(w*x)+1", "min(x*w^0)", "sum(w^2*x)/sum(w^2)",
+    sources = SUITE_DSL + ("sum(w*x)+1", "min(x*w^0)", "sum(w^2*x)/sum(w^2)",
                             "sum(w*x)+1e999-1e999", "max(x)")
     short = MeanSystem(lambda w, x: power_mean(2, w, x) if len(w) <= 2 else 1 / 0,
                        "fails past the probes")  # a stage reports its error

@@ -15,12 +15,7 @@ from meanlab import (CharacterizationConfig, CheckConfig, Counterexample, dsl_me
                      rational_sandwich, recover_exponent, replay_counterexample)
 from meanlab import cli
 from meanlab.cli import _check_settings, build_parser, main
-
-
-def run_cli(capsys, *argv):
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
+from conftest import HOSTILE, SUITE_DSL, run_cli
 
 
 # ── eval ──────────────────────────────────────────────────────────────────────
@@ -134,7 +129,7 @@ def test_runtime_evaluation_error_exits_1(capsys):
 def test_eval_system_value_error_exits_1(capsys):
     # math.fsum raises ValueError on inf + -inf inside the system; the DSL
     # reports it as an evaluation error.
-    code, out, err = run_cli(capsys, "eval", "--dsl", "sum(w*(x-1)*1e300*1e300)",
+    code, out, err = run_cli(capsys, "eval", "--dsl", HOSTILE,
                              "--w", "0.5,0.5", "--x", "0,2")
     assert code == 1 and out == "" and "evaluation failed" in err
 
@@ -163,6 +158,19 @@ def test_deeply_nested_dsl_exits_2(capsys, source):
     assert code == 2 and out == ""
     assert err.startswith("meanlab: bad --dsl expression: expression nests deeper "
                           "than 100 levels at line 1, column ")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["axioms", "--builtin", "2", "--trials", "0"], "need at least one trial"),
+    (["recover", "--builtin", "2", "--samples", "1"],
+     "need at least two sample points and at most 7083"),
+    (["sandwich", "--builtin", "2", "--w", "1", "--x", "1", "--delta", "0"],
+     "delta must lie in (0, 1]"),
+    (["eval", "--builtin", "2", "--w", "0.5,0.6", "--x", "1,2"],
+     "weighting sums to 1.1, off by more than 1e-12 — normalize explicitly if that is intended"),
+], ids=["axioms-trials", "recover-samples", "sandwich-delta", "eval-weights"])
+def test_invalid_settings_exit_2_with_one_line(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", f"meanlab: {message}\n")
 
 
 def test_usage_errors_from_argparse_exit_2(capsys):
@@ -423,18 +431,6 @@ def test_a_huge_exponent_is_the_max_or_min(capsys):
         == (0, "1.0\n", "")
 
 
-def test_weights_whose_sum_overflows_exit_2_with_one_line():
-    # In a real process, where numpy's overflow warning would reach stderr.
-    proc = subprocess.run(
-        [sys.executable, "-m", "meanlab.cli", "eval", "--builtin", "2",
-         "--w", "1e308,1e308", "--x", "1,2"],
-        capture_output=True, text=True, timeout=60,
-    )
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == ("meanlab: weighting sums to inf, off by more than 1e-12"
-                           " — normalize explicitly if that is intended\n")
-
-
 def test_characterize_out_of_range_settings_exit_2(capsys):
     # A stage cannot use any of these; each must be a usage error.
     for flags in (["--rel-tol", "nan"], ["--slack", "nan"],
@@ -481,27 +477,22 @@ def test_sandwich_bad_delta_exits_2(capsys):
                            "--w", "0.5,0.5", "--x", "1,2,3", "--delta", "0.1")
     assert code == 2 and "length" in err
     # checked before the system runs, so a raising system changes nothing
-    code, _, err = run_cli(capsys, "sandwich", "--dsl", "sum(w*(x-1)*1e300*1e300)",
+    code, _, err = run_cli(capsys, "sandwich", "--dsl", HOSTILE,
                            "--w", "0.5,0.5", "--x", "0,2", "--delta", "0")
     assert code == 2 and "delta" in err
 
 
 def test_sandwich_system_value_error_exits_1(capsys):
-    code, out, err = run_cli(capsys, "sandwich", "--dsl", "sum(w*(x-1)*1e300*1e300)",
+    code, out, err = run_cli(capsys, "sandwich", "--dsl", HOSTILE,
                              "--w", "0.5,0.5", "--x", "0,2", "--delta", "0.1")
     assert code == 1 and out == "" and err.startswith("meanlab: evaluation failed: ")
-
-
-_HOSTILE = "sum(w*(x-1)*1e300*1e300)"
 
 
 @pytest.mark.parametrize("argv", [["axioms", "--trials", "30"], ["recover"],
                                   ["characterize", "--trials", "20"]],
                          ids=lambda argv: argv[0])
 def test_hostile_dsl_fails_with_the_error_recorded(capsys, argv):
-    # Its terms overflow to -inf (or to both infinities, which fsum rejects)
-    # wherever a value differs from 1.
-    code, out, err = run_cli(capsys, *argv, "--dsl", _HOSTILE)
+    code, out, err = run_cli(capsys, *argv, "--dsl", HOSTILE)
     assert code == 1
     if argv[0] == "recover":
         assert out == "" and err == "meanlab: evaluation failed: non-finite result -inf\n"
@@ -536,7 +527,7 @@ def test_a_positivity_only_system_fails_and_both_formats_echo_the_flag(capsys, f
     # The hostile system fails every check it runs through the positive
     # shrink path, whose counterexamples keep every weighting strictly
     # positive; zero_weight is not applicable.
-    code, out, err = run_cli(capsys, "axioms", "--dsl", _HOSTILE, "--trials", "20",
+    code, out, err = run_cli(capsys, "axioms", "--dsl", HOSTILE, "--trials", "20",
                              "--positive-weights", "--format", fmt)
     assert (code, err) == (1, "")
     if fmt == "csv":
@@ -567,11 +558,41 @@ def test_infinite_literals_fail_without_a_traceback(capsys, argv):
             assert err.startswith("meanlab: evaluation failed: "), source
 
 
-def test_console_script_is_installed():
-    proc = subprocess.run(
-        [sys.executable, "-m", "meanlab.cli", "eval", "--builtin", "2",
-         "--w", "0.5,0.5", "--x", "1,7"],
-        capture_output=True, text=True, timeout=60,
-    )
-    assert proc.returncode == 0
-    assert float(proc.stdout.strip()) == 5.0
+# Each run alone, on an empty witness store, prints what it prints in one
+# process after the others: suites that read what another system drew, the
+# first three at seed 7 and 2**32 + 5 (a default_rng per trial) in turn, and
+# characterize.
+_STORE_RUNS = (
+    *(["axioms", "--dsl", source, "--seed", seed, "--trials", "100"] for source in SUITE_DSL
+      for seed in (("7", "4294967301") if source in SUITE_DSL[:3] else ("7",))),
+    *(["characterize", *system, "--seed", seed]
+      for system in (["--builtin", "2"], ["--dsl", SUITE_DSL[0]]) for seed in ("7", "4294967301")),
+)
+
+
+def test_reports_keep_their_bytes_on_a_warm_store(capsys, empty_store):
+    alone = []
+    for argv in _STORE_RUNS:
+        empty_store()
+        alone.append(run_cli(capsys, *argv))
+    assert {code for code, _, _ in alone} == {0, 1}
+    empty_store()
+    for argv, want in zip(_STORE_RUNS, alone):
+        assert run_cli(capsys, *argv) == want, argv
+
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    (["eval", "--builtin", "2", "--w", "0.5,0.5", "--x", "1,7"], 0, "5.0\n", ""),
+    (["eval", "--dsl", HOSTILE, "--w", "0.5,0.5", "--x", "0,2"], 1, "",
+     "meanlab: evaluation failed: -inf + inf in fsum\n"),
+    # numpy's overflow warning on the weights' sum would reach stderr
+    (["eval", "--builtin", "2", "--w", "1e308,1e308", "--x", "1,2"], 2, "",
+     "meanlab: weighting sums to inf, off by more than 1e-12"
+     " — normalize explicitly if that is intended\n"),
+], ids=["exit0", "exit1", "exit2"])
+def test_a_real_process_exits_with_mains_code_and_at_most_one_line(argv, code, out, err):
+    # The module runs sys.exit(main()): its exit code is main's, and stderr
+    # holds one "meanlab: " line or nothing, never a traceback or a warning.
+    proc = subprocess.run([sys.executable, "-m", "meanlab.cli", *argv],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)

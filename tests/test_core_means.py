@@ -36,18 +36,7 @@ from meanlab import (
     uniform,
 )
 from meanlab import core
-
-
-def W(*entries):
-    return Weighting(np.array(entries, dtype=np.float64))
-
-
-def V(*entries):
-    return ValueVector(np.array(entries, dtype=np.float64))
-
-
-def S(*entries):
-    return SignedVector(np.array(entries, dtype=np.float64))
+from conftest import S, V, W
 
 
 # ── Exponent type ─────────────────────────────────────────────────────────────

@@ -28,14 +28,7 @@ from meanlab import (
 )
 from meanlab import dsl
 from meanlab.systems import SystemEvalError
-
-
-def W(*entries):
-    return Weighting(np.array(entries, dtype=np.float64))
-
-
-def V(*entries):
-    return ValueVector(np.array(entries, dtype=np.float64))
+from conftest import V, W
 
 
 # ── Parsing ───────────────────────────────────────────────────────────────────

@@ -38,6 +38,7 @@ from meanlab import (
 )
 from meanlab import characterize, core, harness
 from meanlab.systems import MeanSystem, SystemEvalError
+from conftest import HOSTILE, revalidating
 
 _FAST = CheckConfig(seed=0, trials=120)
 
@@ -213,14 +214,18 @@ def test_replay_rejects_counterexamples_that_do_not_fit():
     for name, bad in wrong_types:
         with pytest.raises(ValueError, match=f"^{name} counterexample does not fit"):
             replay_counterexample(system, name, bad)
-    # A map that is not one of integers, which replay used to truncate into a
-    # different map and evaluate.
-    not_integers = [ce((0.5, 0.5), (1.0, 2.0), images=[0.7, 1.2], codomain_size=2),
-                    ce((0.5, 0.5), (1.0, 2.0), images=["1", "0"], codomain_size=2),
-                    ce((0.5, 0.5), (1.0, 2.0), images=[0, 1], codomain_size=2.5)]
-    for bad in not_integers:
+    # Index data that is not all integers, which replay used to truncate into
+    # a different map and evaluate; a float sigma was cast and evaluated.
+    not_integers = [
+        ("functoriality", ce((0.5, 0.5), (1.0, 2.0), images=[0.7, 1.2], codomain_size=2)),
+        ("functoriality", ce((0.5, 0.5), (1.0, 2.0), images=["1", "0"], codomain_size=2)),
+        ("functoriality", ce((0.5, 0.5), (1.0, 2.0), images=[0, 1], codomain_size=2.5)),
+        ("functoriality", ce((0.5, 0.5), (1.0, 2.0), images=[0, 1], codomain_size=2.0)),
+        ("symmetry", ce((0.25, 0.75), (1.0, 2.0), sigma=[1.0, 0.0])),
+    ]
+    for name, bad in not_integers:
         with pytest.raises(ValueError, match="^index map sizes and images must be integers"):
-            replay_counterexample(system, "functoriality", bad)
+            replay_counterexample(system, name, bad)
     # Vectors that do not line up, which numpy broadcast or indexed into
     # containers of one length: the system ran on them, and a system that
     # raised made a confirmed violation (nan, nan, inf) of the replay, or
@@ -285,8 +290,6 @@ def test_malformed_reports_are_value_errors():
         replay_counterexample(system, "repetition", empty_x)
 
 
-_HOSTILE = "sum(w*(x-1)*1e300*1e300)"
-
 # Each system with a law it breaks; together they fail all ten checks.
 _BROKEN_SYSTEMS = {
     "sum(w^2*x)": ("functoriality",),
@@ -298,7 +301,7 @@ _BROKEN_SYSTEMS = {
     "sum(w^2*x)/sum(w^2)": ("repetition",),
     "max(x*w^0)": ("zero_weight",),
     "sum(w*x)+1": ("homogeneity",),
-    _HOSTILE: PROPERTY_NAMES,  # its sides are NaN and its aux carries the error
+    HOSTILE: PROPERTY_NAMES,  # its sides are NaN and its aux carries the error
 }
 
 
@@ -326,7 +329,7 @@ def test_every_counterexample_replays_through_json(source):
         for c in (ce, restored):  # the shallow field dict serializes as asdict's did
             assert deterministic_json(c.to_dict()) == deterministic_json(_ce_dict_reference(c))
         got = replay_counterexample(system, report.property_name, restored)
-        assert ("error" in ce.aux) == (source == _HOSTILE)
+        assert ("error" in ce.aux) == (source == HOSTILE)
         assert all(map(_same, got, (ce.lhs, ce.rhs, ce.residual))), report.property_name
 
 
@@ -411,15 +414,6 @@ def _assert_stream_draws_as_default_rng(seed, stream, trials, rngs, start=0):
     assert t == trials - 1
 
 
-_EMPTY_STORE = (None, harness._NOTHING_KEPT)
-
-
-@pytest.fixture
-def empty_store(monkeypatch):
-    """An empty witness store, and the store as it was once the test ends."""
-    monkeypatch.setattr(harness, "_store", _EMPTY_STORE)
-
-
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_full_suite_streams_draw_as_default_rng(monkeypatch, empty_store):
     # run_full_suite hands each check the witnesses its own stream draws;
@@ -453,7 +447,7 @@ def test_full_suite_streams_draw_as_default_rng(monkeypatch, empty_store):
     system = builtin_power_mean_system(2)
     for seed in (0, 11, 2 ** 32 - 1, 2 ** 32):
         for trials in (1, 100, 1100):
-            harness._store = _EMPTY_STORE
+            empty_store()
             for warm in (False, True):
                 ran.clear()
                 made.clear()
@@ -589,7 +583,7 @@ def test_positivity_only_system_forces_positive_mode():
 
 # Positive-only systems, each failing at least one law on some seed.
 _POSITIVE_ONLY_SYSTEMS = (
-    "sum(w^2*x)", "(sum(w*x)+sum(w*x^2)^0.5)/2", _HOSTILE, "sum(w^3*x)/sum(w^3)",
+    "sum(w^2*x)", "(sum(w*x)+sum(w*x^2)^0.5)/2", HOSTILE, "sum(w^3*x)/sum(w^3)",
     "prod(x^w)", "sum(w*x^2)", "max(x*w)",
 )
 
@@ -773,23 +767,6 @@ def _bits(*values):
     return [float(v).hex() for v in values]
 
 
-def _revalidating_system(positivity_only):
-    """The arithmetic mean, which also checks every container it is handed:
-    read-only, rebuilt bit for bit by the public constructors, and for a
-    positivity-only system, a weighting with no zero."""
-    def evaluate(w, x):
-        # Before rebuilding: every container's entries are read-only.
-        assert not (w.entries.flags.writeable or x.entries.flags.writeable)
-        for wrapped, rebuilt in ((w, Weighting(w.entries, exact=w.exact)),
-                                 (x, ValueVector(x.entries))):
-            assert rebuilt.entries.dtype == wrapped.entries.dtype == np.float64
-            assert rebuilt.entries.tobytes() == wrapped.entries.tobytes()
-        assert not positivity_only or w.support.all()
-        return float(np.dot(w.entries, x.entries))
-
-    return MeanSystem(evaluate, "revalidating", positivity_only)
-
-
 def _stage_rngs(cfg, index):
     """The trial stream that ``verify_characterization`` hands stage ``index``."""
     return harness._trial_rngs(cfg.seed, *characterize._stage_streams(cfg)[index])
@@ -799,14 +776,17 @@ def test_fresh_witnesses_pass_the_public_constructors():
     # Fresh trials wrap what the generators drew, and the pushed, pulled and
     # tensor arrays derived from it, without the constructors' checks; this
     # test stands in for those checks.  max_n = 33 draws vectors longer than
-    # power_mean's scalar path takes.  A system that fails an assertion raises
-    # SystemEvalError here, and a stage reports it in its detail.
-    system = MeanSystem(lambda w, x: float(np.dot(w.entries, x.entries)), "dot")
+    # power_mean's scalar path takes.  The re-validating system records every
+    # container that fails a check in seen["invalid"].
+    def dot(w, x):
+        return float(np.dot(w.entries, x.entries))
+
+    system, seen = MeanSystem(dot, "dot"), Counter(invalid=[])
     p = Exponent(1.0)
     for seed, max_n in itertools.product((0, 7, 2 ** 31), (2, 8, 33)):
         for positive in (False, True):
             cfg = CheckConfig(seed=seed, trials=200, max_n=max_n)
-            revalidating = _revalidating_system(positive)
+            checking = revalidating(MeanSystem(dot, "dot", positive), seen)
             for stream, check in enumerate(harness._CHECKS):
                 if positive and check.name == "zero_weight":
                     continue  # not run for positivity-only systems
@@ -815,15 +795,16 @@ def test_fresh_witnesses_pass_the_public_constructors():
                     fresh = check.evaluate(system, wit, *harness._FRESH)
                     checked = check.evaluate(system, wit, *harness._CHECKED)
                     assert _bits(*fresh) == _bits(*checked), (check.name, seed, max_n, trial)
-                    check.evaluate(revalidating, wit, *harness._FRESH)
+                    check.evaluate(checking, wit, *harness._FRESH)
             stage_cfg = CharacterizationConfig(seed=seed, trials=200, max_n=max_n)
-            report = characterize._stage_rational(_revalidating_system(positive), stage_cfg, p,
+            report = characterize._stage_rational(checking, stage_cfg, p,
                                                   _stage_rngs(stage_cfg, 1))
             assert report.passed and report.trials == 200, (seed, max_n, positive, report)
+            assert seen["invalid"] == [], (seed, max_n, positive)
         # Only the rational stage draws differently for positive-only systems.
         # The sandwich stage runs a quarter of its trials; its witness does not
         # depend on delta.
-        stage_system = _revalidating_system(False)
+        stage_system = revalidating(system, seen)
         sandwich_cfg = replace(stage_cfg, trials=800, deltas=(1e-2,))
         reports = (characterize._stage_uniform(stage_system, stage_cfg, p,
                                                _stage_rngs(stage_cfg, 0)),
@@ -831,6 +812,7 @@ def test_fresh_witnesses_pass_the_public_constructors():
                                                 _stage_rngs(sandwich_cfg, 2)))
         for report in reports:
             assert report.passed and report.trials == 200, (seed, max_n, report)
+        assert seen["invalid"] == [], (seed, max_n)
 
 
 # The trial generators and the derived arrays as they were before they were
@@ -1221,7 +1203,7 @@ def test_every_shrink_candidate_is_smaller_than_its_source():
 
 # The broken and hostile systems of the DSL benchmark.
 _SHRINK_SYSTEMS = ("sum(w*x^2)", "sum(w^2*x)", "(sum(w*x)+sum(w*x^2)^0.5)/2", "prod(x^w)",
-                   "max(x*w^0)", _HOSTILE)
+                   "max(x*w^0)", HOSTILE)
 
 
 def test_shrinking_ends_on_the_grid_within_budget(monkeypatch):
@@ -1447,10 +1429,10 @@ def test_a_warm_store_gives_the_bytes_of_an_empty_one(empty_store, trials, seed)
     cfg = CheckConfig(seed=seed, trials=trials)
     alone = []
     for system in systems:
-        harness._store = _EMPTY_STORE
+        empty_store()
         alone.append(_suite_json(system, cfg))
     for order in (range(len(systems)), range(len(systems) - 1, -1, -1)):
-        harness._store = _EMPTY_STORE
+        empty_store()
         for i in order:
             assert _suite_json(systems[i], cfg) == alone[i], (systems[i].label, order)
     if trials > harness._SEED_BLOCK:
@@ -1476,7 +1458,7 @@ def test_threads_sharing_a_seed_give_their_single_thread_reports(empty_store):
     want = []
     for cfg, *systems in runs:
         for system in systems:
-            harness._store = _EMPTY_STORE
+            empty_store()
             want.append(_suite_json(system, cfg))
     drawn = [max(check["trials"] for check in checks)
              for checks in zip(*(json.loads(report)["checks"] for report in want))]
@@ -1490,7 +1472,7 @@ def test_threads_sharing_a_seed_give_their_single_thread_reports(empty_store):
     sys.setswitchinterval(1e-5)
     try:
         for _ in range(3):
-            harness._store = _EMPTY_STORE
+            empty_store()
             got, barrier = [None] * len(runs), threading.Barrier(len(runs))
             threads = [threading.Thread(target=run, args=(i, got, barrier))
                        for i in range(len(runs))]

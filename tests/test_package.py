@@ -1,9 +1,16 @@
-"""The package's public surface: each module's ``__all__``, re-exported once."""
+"""The package's public surface: each module's ``__all__``, re-exported once,
+and the demos that use it."""
+
+import runpy
+from pathlib import Path
+
+import pytest
 
 import meanlab
 from meanlab import characterize, core, dsl, harness, systems
 
 MODULES = (core, dsl, systems, harness, characterize)
+DEMOS = sorted((Path(__file__).parents[1] / "demos").glob("*.py"))
 
 # The names the package exported before the module lists became its surface.
 EARLIER_EXPORTS = """
@@ -48,3 +55,13 @@ def test_star_imports_bind_each_modules_list():
         exec(f"from {module.__name__} import *", namespace)
         assert set(module.__all__) <= namespace.keys(), module.__name__
     assert {"POS_INF", "NEG_INF", "ZERO"} <= set(core.__all__)
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
+def test_demos_run_without_a_warning(capsys, demo):
+    # Fresh witnesses are wrapped without re-validation, so an overflow in a
+    # derived array must not pass silently: pyproject's filterwarnings make
+    # any RuntimeWarning a demo raises an error here.
+    assert len(DEMOS) == 5
+    runpy.run_path(str(demo), run_name="__main__")
+    assert capsys.readouterr().out
