@@ -39,7 +39,7 @@ from .core import (
     power_mean,
     uniform,
 )
-from .harness import CheckConfig, _field_dict, _gen_values, _residual, _trial_rngs
+from .harness import CheckConfig, _check_integer, _field_dict, _gen_values, _residual, _trial_rngs
 from .systems import MeanSystem, SystemEvalError
 
 __all__ = [
@@ -70,6 +70,7 @@ _GRID_CAP = 10 ** 6
 
 
 def _check_sample_count(sample_count: int) -> None:
+    _check_integer("sample_count", sample_count)
     if not 2 <= sample_count <= _MAX_SAMPLES:
         raise ValueError(f"need at least two sample points and at most {_MAX_SAMPLES}")
 
@@ -273,9 +274,11 @@ def transfer_slope_estimate(system: MeanSystem, w: Weighting, x: ValueVector,
     from the smaller-value coordinate to the larger one and measure the change
     in the system's value per unit weight moved.  The sum bounds how fast the
     value can change under any combination of such transfers, which is exactly
-    how sandwich brackets differ from their target.  Requires every weight to
-    exceed ``step``.
+    how sandwich brackets differ from their target.  Requires a positive,
+    finite ``step`` that every weight exceeds.
     """
+    if not (0.0 < step < math.inf):
+        raise ValueError(f"step must be positive and finite, got {step!r}")
     return _transfer_slope(system, w, x, step, None, None, Weighting)
 
 
@@ -311,6 +314,7 @@ class CharacterizationConfig(CheckConfig):
     deltas: tuple[float, ...] = (1e-2, 1e-3)
     weight_denominator_max: int = 100
     sample_count: int = _SAMPLE_COUNT
+    _INTEGER_FIELDS = CheckConfig._INTEGER_FIELDS + ("weight_denominator_max", "sample_count")
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -371,113 +375,100 @@ def _stage_values(rng: np.random.Generator, n: int) -> ValueVector:
     return ValueVector._reused(_gen_values(rng, n, decades=4.0))
 
 
-def _stage_streams(cfg: CharacterizationConfig) -> tuple[tuple[int, int], ...]:
-    """(stream, trials) of the uniform, rational and sandwich stages.  The
-    sandwich stage runs a quarter of the trials, each under ~13 weightings."""
-    return (100, cfg.trials), (101, cfg.trials), (102, max(1, cfg.trials // 4))
+# A trial draws its witness from ``rng`` and names it in ``witness`` before it
+# calls the system.  It then yields, one comparison at a time, the residual,
+# the tolerance it must not exceed and the compared values; a later comparison
+# runs only once the earlier one passed.  A failing stage's detail is the
+# witness plus the failing comparison's values or the system's error.
 
 
-# Each stage draws trial t from the t-th Generator of ``rngs``, its stream of
-# ``_stage_streams``.
+def _uniform_trial(system: MeanSystem, cfg: CharacterizationConfig, p: Exponent,
+                   rng: np.random.Generator, witness: dict) -> Iterator[tuple]:
+    n = int(rng.integers(1, cfg.max_n + 1))
+    x = _stage_values(rng, n)
+    w = uniform(n)
+    want = power_mean(p, w, x)  # before the system has x: see _stage_values
+    witness.update(n=n, x=x)
+    got = system(w, x)
+    yield (_residual("equality", got, want), cfg.rel_tol,
+           {"system_value": got, "power_mean_value": want})
 
 
-def _stage_uniform(system: MeanSystem, cfg: CharacterizationConfig, p: Exponent,
-                   rngs: Iterator[np.random.Generator]) -> StageReport:
-    worst = 0.0
-    for trial, rng in enumerate(rngs):
-        n = int(rng.integers(1, cfg.max_n + 1))
-        x = _stage_values(rng, n)
-        w = uniform(n)
-        want = power_mean(p, w, x)  # before the system has x: see _stage_values
-        try:
-            got = system(w, x)
-        except SystemEvalError as exc:
-            return StageReport("uniform", False, trial + 1, math.inf,
-                               {"n": n, "x": x.entries.tolist(), "error": str(exc)})
-        resid = _residual("equality", got, want)
-        if resid > cfg.rel_tol:
-            return StageReport("uniform", False, trial + 1, resid,
-                               {"n": n, "x": x.entries.tolist(),
-                                "system_value": got, "power_mean_value": want})
-        worst = max(worst, resid)
-    return StageReport("uniform", True, cfg.trials, worst)
-
-
-def _rational_weighting(rng: np.random.Generator, n: int, denominator_max: int,
-                        positive_only: bool) -> Weighting:
+def _rational_trial(system: MeanSystem, cfg: CharacterizationConfig, p: Exponent,
+                    rng: np.random.Generator, witness: dict) -> Iterator[tuple]:
+    n = int(rng.integers(1, cfg.max_n + 1))
     # n positive weights need a denominator of at least n, even above the cap
-    low = max(2, n if positive_only else 2)
-    q = int(rng.integers(low, max(low, denominator_max) + 1))
+    low = max(2, n if system.positivity_only else 2)
+    q = int(rng.integers(low, max(low, cfg.weight_denominator_max) + 1))
     probs = rng.dirichlet(np.ones(n))
-    if positive_only:
+    if system.positivity_only:
         counts = np.ones(n, dtype=np.int64) + rng.multinomial(q - n, probs)
     else:
         counts = rng.multinomial(q, probs)
-    return _weighting_from_counts(counts.tolist(), q)
+    w = _weighting_from_counts(counts.tolist(), q)
+    x = _stage_values(rng, n)
+    uw, ux = expand_rational(w, x)
+    want = power_mean(p, w, x)  # before the system has x: see _stage_values
+    witness.update(w=w, x=x)
+    got = system(w, x)
+    via_uniform = system(uw, ux)
+    yield (max(_residual("equality", got, want), _residual("equality", got, via_uniform)),
+           cfg.rel_tol, {"system_value": got, "power_mean_value": want,
+                         "expanded_uniform_value": via_uniform})
 
 
-def _stage_rational(system: MeanSystem, cfg: CharacterizationConfig, p: Exponent,
-                    rngs: Iterator[np.random.Generator]) -> StageReport:
+def _sandwich_trial(system: MeanSystem, cfg: CharacterizationConfig, p: Exponent,
+                    rng: np.random.Generator, witness: dict) -> Iterator[tuple]:
+    n = int(rng.integers(2, cfg.max_n + 1))
+    g = rng.exponential(1.0, n)
+    w = Weighting._unchecked(0.5 * g / g.sum() + 0.5 / n)  # every entry >= 1/(2n)
+    x = ValueVector._reused(_gen_values(rng, n, zero_prob=0.0, decades=3.0))  # ~13 weightings
+    order = _ascending(x)
+    value_at = None  # system(w, x), once the trial's first delta has it
+    witness.update(w=w, x=x)
+    for delta in cfg.deltas:
+        witness["delta"] = delta
+        sr = _sandwich(system, w, x, delta, _GRID_CAP, value_at, order)
+        value_at = sr.value_at
+        slope = _transfer_slope(system, w, x, delta, value_at, order, Weighting._unchecked)
+        scale = max(1.0, abs(value_at))
+        order_violation = max(sr.value_lower - value_at, value_at - sr.value_upper) / scale
+        width_excess = (sr.gap - 4.0 * slope * delta) / scale - cfg.slack
+        yield (max(order_violation - cfg.slack, width_excess), 0.0,
+               {"value_lower": sr.value_lower, "value_at": value_at,
+                "value_upper": sr.value_upper, "gap": sr.gap, "slope_estimate": slope})
+
+
+# One row per stage: its name, stream and trial, and the share of cfg.trials
+# it runs.  The sandwich stage runs a quarter, each trial under ~13 weightings.
+_STAGES = (
+    ("uniform", 100, _uniform_trial, 1),
+    ("rational", 101, _rational_trial, 1),
+    ("sandwich", 102, _sandwich_trial, 4),
+)
+
+
+def _run_stage(system: MeanSystem, cfg: CharacterizationConfig, p: Exponent, name: str,
+               stream: int, trial: Callable[..., Iterator[tuple]], share: int) -> StageReport:
+    """Run ``trial`` on the stage's share of cfg.trials, trial t on the t-th
+    Generator of ``stream``, up to the first failing comparison or error."""
+    trials = max(1, cfg.trials // share)
     worst = 0.0
-    for trial, rng in enumerate(rngs):
-        n = int(rng.integers(1, cfg.max_n + 1))
-        w = _rational_weighting(rng, n, cfg.weight_denominator_max,
-                                system.positivity_only)
-        x = _stage_values(rng, n)
-        uw, ux = expand_rational(w, x)
-        want = power_mean(p, w, x)  # before the system has x: see _stage_values
+    for t, rng in enumerate(_trial_rngs(cfg.seed, stream, trials), 1):
+        witness: dict = {}
         try:
-            got = system(w, x)
-            via_uniform = system(uw, ux)
+            for resid, tol, compared in trial(system, cfg, p, rng, witness):
+                if resid > tol:
+                    return StageReport(name, False, t, resid, {**_listed(witness), **compared})
+                worst = max(worst, resid)
         except SystemEvalError as exc:
-            return StageReport("rational", False, trial + 1, math.inf,
-                               {"w": w.entries.tolist(), "x": x.entries.tolist(),
-                                "error": str(exc)})
-        resid = max(_residual("equality", got, want), _residual("equality", got, via_uniform))
-        if resid > cfg.rel_tol:
-            return StageReport("rational", False, trial + 1, resid,
-                               {"w": w.entries.tolist(), "x": x.entries.tolist(),
-                                "system_value": got, "power_mean_value": want,
-                                "expanded_uniform_value": via_uniform})
-        worst = max(worst, resid)
-    return StageReport("rational", True, cfg.trials, worst)
+            return StageReport(name, False, t, math.inf, {**_listed(witness), "error": str(exc)})
+    return StageReport(name, True, trials, worst)
 
 
-def _stage_sandwich(system: MeanSystem, cfg: CharacterizationConfig,
-                    rngs: Iterator[np.random.Generator]) -> StageReport:
-    trials = _stage_streams(cfg)[2][1]
-    worst = 0.0
-    for trial, rng in enumerate(rngs):
-        n = int(rng.integers(2, cfg.max_n + 1))
-        g = rng.exponential(1.0, n)
-        w = Weighting._unchecked(0.5 * g / g.sum() + 0.5 / n)  # every entry >= 1/(2n)
-        x = ValueVector._reused(np.power(10.0, rng.uniform(-3.0, 3.0, n)))  # ~13 weightings
-        order = _ascending(x)
-        value_at = None  # system(w, x), once the trial's first delta has it
-        for delta in cfg.deltas:
-            try:
-                sr = _sandwich(system, w, x, delta, _GRID_CAP, value_at, order)
-                value_at = sr.value_at
-                slope = _transfer_slope(system, w, x, delta, value_at, order,
-                                        Weighting._unchecked)
-            except SystemEvalError as exc:
-                return StageReport("sandwich", False, trial + 1, math.inf,
-                                   {"w": w.entries.tolist(), "x": x.entries.tolist(),
-                                    "delta": delta, "error": str(exc)})
-            scale = max(1.0, abs(sr.value_at))
-            order_violation = max(sr.value_lower - sr.value_at,
-                                  sr.value_at - sr.value_upper) / scale
-            width_excess = (sr.gap - 4.0 * slope * delta) / scale - cfg.slack
-            resid = max(order_violation - cfg.slack, width_excess)
-            if resid > 0.0:
-                return StageReport(
-                    "sandwich", False, trial + 1, resid,
-                    {"w": w.entries.tolist(), "x": x.entries.tolist(),
-                     "delta": delta, "value_lower": sr.value_lower,
-                     "value_at": sr.value_at, "value_upper": sr.value_upper,
-                     "gap": sr.gap, "slope_estimate": slope})
-            worst = max(worst, resid)
-    return StageReport("sandwich", True, trials, worst)
+def _listed(witness: dict) -> dict:
+    return {k: v.entries.tolist() if isinstance(v, (Weighting, ValueVector)) else v
+            for k, v in witness.items()}
 
 
 def verify_characterization(system: MeanSystem,
@@ -506,13 +497,7 @@ def verify_characterization(system: MeanSystem,
             note="probe is identically zero; exponent not identifiable")
 
     assert recovery.exponent is not None
-    uniform_rngs, rational_rngs, sandwich_rngs = (_trial_rngs(cfg.seed, stream, trials)
-                                                  for stream, trials in _stage_streams(cfg))
-    stages = (
-        _stage_uniform(system, cfg, recovery.exponent, uniform_rngs),
-        _stage_rational(system, cfg, recovery.exponent, rational_rngs),
-        _stage_sandwich(system, cfg, sandwich_rngs),
-    )
+    stages = tuple(_run_stage(system, cfg, recovery.exponent, *stage) for stage in _STAGES)
     verdict = "consistent" if all(s.passed for s in stages) else "counterexample"
     return CharacterizationReport(verdict, recovery, stages)
 

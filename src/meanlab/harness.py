@@ -88,6 +88,11 @@ _MAX_N_CAP = math.isqrt(_EXPANSION_CAP)
 # ── Configuration and report types ────────────────────────────────────────────
 
 
+def _check_integer(name: str, value) -> None:
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class CheckConfig:
     """Knobs shared by all checks."""
@@ -97,12 +102,12 @@ class CheckConfig:
     max_n: int = 8
     rel_tol: float = 1e-9
     slack: float = 1e-12
+    # The settings that must be integers; a subclass adds its own.
+    _INTEGER_FIELDS = ("seed", "trials", "max_n")
 
     def __post_init__(self) -> None:
-        for name in ("seed", "trials", "max_n"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in self._INTEGER_FIELDS:
+            _check_integer(name, getattr(self, name))
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
         if self.trials < 1:

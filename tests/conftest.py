@@ -1,11 +1,11 @@
 """Helpers the test modules share: container builders, the hostile DSL
-system, an in-process CLI call, a re-validating system wrapper and an empty
-witness store."""
+system, an in-process CLI call, a re-validating system wrapper, one
+characterize stage run alone and an empty witness store."""
 
 import numpy as np
 import pytest
 
-from meanlab import SignedVector, ValueVector, Weighting, harness
+from meanlab import SignedVector, ValueVector, Weighting, characterize, harness
 from meanlab.cli import main
 from meanlab.systems import MeanSystem
 
@@ -56,6 +56,14 @@ def revalidating(system, seen):
         return system.evaluate(w, x)
 
     return MeanSystem(evaluate, system.label, system.positivity_only)
+
+
+def run_stage(name, system, cfg, p=None):
+    """Stage ``name`` of ``characterize._STAGES`` alone, on the trial stream
+    and share of ``cfg.trials`` that ``verify_characterization`` gives it; the
+    sandwich stage needs no exponent ``p``."""
+    row = next(row for row in characterize._STAGES if row[0] == name)
+    return characterize._run_stage(system, cfg, p, *row)
 
 
 @pytest.fixture

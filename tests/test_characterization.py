@@ -29,9 +29,9 @@ from meanlab import (
     transfer_slope_estimate,
     verify_characterization,
 )
-from meanlab import characterize, harness
+from meanlab import characterize
 from meanlab.systems import MeanSystem, SystemEvalError
-from conftest import SUITE_DSL, V, W, revalidating
+from conftest import SUITE_DSL, V, W, revalidating, run_stage
 
 
 # ── Probe ─────────────────────────────────────────────────────────────────────
@@ -263,6 +263,17 @@ def test_sandwich_parameter_guards():
         rational_sandwich(system, W(1.0), V(1.0, 2.0), 0.1)
 
 
+@pytest.mark.parametrize("step", [0.0, -0.1, math.nan])
+def test_transfer_slope_refuses_a_step_that_is_not_positive_and_finite(step):
+    # 0 divided by zero, -0.1 gave a negative sum of absolute slopes, and nan
+    # was refused only as a weighting with non-finite entries.
+    calls = []
+    system = MeanSystem(lambda w, x: calls.append(w) or power_mean(2, w, x), "counting")
+    with pytest.raises(ValueError, match=f"^step must be positive and finite, got {step!r}$"):
+        transfer_slope_estimate(system, W(0.5, 0.5), V(1.0, 3.0), step)
+    assert calls == []
+
+
 def test_transfer_slope_for_the_arithmetic_mean():
     # moving mass between values 1 and 3 changes the dot product at rate 2
     system = builtin_power_mean_system(1)
@@ -270,11 +281,6 @@ def test_transfer_slope_for_the_arithmetic_mean():
     assert slope == pytest.approx(2.0, rel=1e-9)
     with pytest.raises(ValueError):
         transfer_slope_estimate(system, W(0.001, 0.999), V(1.0, 3.0), 0.01)
-
-
-def _sandwich_rngs(cfg):
-    """The trial stream that ``verify_characterization`` hands the sandwich stage."""
-    return harness._trial_rngs(cfg.seed, *characterize._stage_streams(cfg)[2])
 
 
 @pytest.mark.parametrize("source", ["sum(w*x^2)^0.5", "(sum(w*x)+sum(w*x^2)^0.5)/2"])
@@ -291,8 +297,7 @@ def test_sandwich_stage_evaluates_each_trial_point_once(monkeypatch, source):
             calls.append((x.entries.tobytes(), w.entries.tobytes()))
             return dsl(w, x)
 
-        report = characterize._stage_sandwich(MeanSystem(counting, "counting"), cfg,
-                                              _sandwich_rngs(cfg))
+        report = run_stage("sandwich", MeanSystem(counting, "counting"), cfg)
         per_trial = {}  # each trial draws its own x; the most repeated w is its own
         for x, w in calls:
             per_trial.setdefault(x, Counter())[w] += 1
@@ -315,11 +320,47 @@ def test_sandwich_stage_fails_on_its_residual():
     # sum(w^2*x)/sum(w^2) is finite everywhere; its bracket misses, and the
     # stage reports the residual, not an error.
     cfg = CharacterizationConfig(seed=0, trials=40)
-    report = characterize._stage_sandwich(dsl_mean_system("sum(w^2*x)/sum(w^2)"), cfg,
-                                          _sandwich_rngs(cfg))
+    report = run_stage("sandwich", dsl_mean_system("sum(w^2*x)/sum(w^2)"), cfg)
     assert not report.passed and report.trials == 6
     assert sorted(report.detail) == ["delta", "gap", "slope_estimate", "value_at",
                                      "value_lower", "value_upper", "w", "x"]
+
+
+# What each stage names as its witness, and what it compares.
+_STAGE_WITNESS = {"uniform": ["n", "x"], "rational": ["w", "x"], "sandwich": ["w", "x", "delta"]}
+_STAGE_COMPARED = {
+    "uniform": ["system_value", "power_mean_value"],
+    "rational": ["system_value", "power_mean_value", "expanded_uniform_value"],
+    "sandwich": ["value_lower", "value_at", "value_upper", "gap", "slope_estimate"],
+}
+
+
+@pytest.mark.parametrize("stage, source, trial, error", [
+    ("uniform", "sum(w*x^2)", 1, False),
+    ("uniform", "sum(w*x^200)^(1/200)", 1, True),  # x^200 overflows past x ~ 35
+    ("rational", "max(x*w^0)", 5, False),  # a zero weight's value counts
+    ("rational", "sum(w*x^2)^0.5*(1+0*sum(w^-1))", 5, True),  # 0^-1 at a zero weight
+    ("sandwich", "sum(w^2*x)/sum(w^2)", 6, False),
+    ("sandwich", "sum(w*x^200)^(1/200)", 2, True),
+])
+def test_a_failing_stage_reports_its_trial_witness_and_values_or_error(stage, source, trial,
+                                                                       error):
+    # A stage fails at its first residual over tolerance, or at the system's
+    # first error; either way it names the trial, the witness, and the
+    # compared values or the error.
+    cfg = CharacterizationConfig(seed=0, trials=24)
+    report = {s.name: s for s in verify_characterization(dsl_mean_system(source), cfg).stages}
+    got = report[stage]
+    assert not got.passed and got.trials == trial
+    assert sorted(got.detail) == sorted(_STAGE_WITNESS[stage]
+                                        + (["error"] if error else _STAGE_COMPARED[stage]))
+    if error:
+        assert got.worst_residual == math.inf and got.detail["error"]
+    else:
+        assert (0.0 if stage == "sandwich" else cfg.rel_tol) < got.worst_residual < math.inf
+    n = got.detail["n"] if stage == "uniform" else len(got.detail["w"])
+    assert len(got.detail["x"]) == n
+    assert stage != "sandwich" or got.detail["delta"] in cfg.deltas
 
 
 def test_sandwich_gap_shrinks_linearly():

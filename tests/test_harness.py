@@ -30,6 +30,7 @@ from meanlab import (
     deterministic_json,
     dsl_mean_system,
     power_mean,
+    recover_exponent,
     replay_counterexample,
     run_full_suite,
     suite_passed,
@@ -38,7 +39,7 @@ from meanlab import (
 )
 from meanlab import characterize, core, harness
 from meanlab.systems import MeanSystem, SystemEvalError
-from conftest import HOSTILE, revalidating
+from conftest import HOSTILE, revalidating, run_stage
 
 _FAST = CheckConfig(seed=0, trials=120)
 
@@ -68,11 +69,20 @@ def test_config_validation():
 
 @pytest.mark.parametrize("name, value", [
     ("seed", 2.7), ("seed", 2.0), ("trials", 2.5), ("max_n", 8.0), ("max_n", "8"),
+    ("weight_denominator_max", 50.5), ("sample_count", 2.5),
 ])
 def test_config_integer_settings_reject_other_types(name, value):
     # seed=2.7 ran as seed 2 and trials=2.5 died in range(); both are usage errors.
-    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
-        CheckConfig(**{name: value})
+    # CharacterizationConfig's own counts ran as a float bound or died in
+    # range(), and so did recover_exponent's sample_count.
+    calls = [CharacterizationConfig]
+    if name in CheckConfig.__dataclass_fields__:
+        calls.append(CheckConfig)
+    if name == "sample_count":
+        calls.append(lambda **kw: recover_exponent(builtin_power_mean_system(2), **kw))
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+            call(**{name: value})
 
 
 def test_config_accepts_numpy_integers():
@@ -520,26 +530,33 @@ def test_full_suite_reports_match_the_checks_run_one_by_one(trials):
 
 def test_characterization_stages_draw_their_own_streams(monkeypatch):
     # verify_characterization hands each stage its own stream of 100-102, the
-    # sandwich stage a quarter of the trials.
-    ran = []
+    # sandwich stage a quarter of the trials.  Each trial here holds the draws
+    # of its Generator and compares nothing.
+    drawn = {}  # by stage index, in the order the stages ran
 
-    def stage(index, name):
-        def consume(system, cfg, *args):
-            *_, rngs = args
+    def recording(index):
+        def trial(system, cfg, p, rng, witness):
             trials = max(1, cfg.trials // 4) if index == 2 else cfg.trials
-            _assert_stream_draws_as_default_rng(cfg.seed, 100 + index, trials, rngs)
-            ran.append(index)
-            return characterize.StageReport(name, True, trials, 0.0)
-        return consume
+            t = len(drawn.setdefault(index, []))
+            drawn[index].append(_draws(rng) if _sampled(trials, t) else None)
+            yield from ()
+        return trial
 
-    for index, name in enumerate(("uniform", "rational", "sandwich")):
-        monkeypatch.setattr(characterize, f"_stage_{name}", stage(index, name))
+    monkeypatch.setattr(characterize, "_STAGES", tuple(
+        (name, stream, recording(index), share)
+        for index, (name, stream, _, share) in enumerate(characterize._STAGES)))
     for seed in (0, 2 ** 32 - 1, 2 ** 32):
         for trials in (1, 7, 1100):
-            ran.clear()
+            drawn.clear()
             cfg = CharacterizationConfig(seed=seed, trials=trials)
             report = verify_characterization(builtin_power_mean_system(2), cfg)
-            assert report.passed and ran == [0, 1, 2], (seed, trials)
+            assert report.passed and list(drawn) == [0, 1, 2], (seed, trials)
+            for index, draws in drawn.items():
+                assert len(draws) == (max(1, trials // 4) if index == 2 else trials)
+                for t, got in enumerate(draws):
+                    if got is not None:
+                        assert got == _draws(_reference_rng((seed, 100 + index, t))), \
+                            (seed, index, t)
 
 
 # (seed, stream, trial): rng.integers(0, 2**32, 4), then rng.random().hex().
@@ -767,11 +784,6 @@ def _bits(*values):
     return [float(v).hex() for v in values]
 
 
-def _stage_rngs(cfg, index):
-    """The trial stream that ``verify_characterization`` hands stage ``index``."""
-    return harness._trial_rngs(cfg.seed, *characterize._stage_streams(cfg)[index])
-
-
 def test_fresh_witnesses_pass_the_public_constructors():
     # Fresh trials wrap what the generators drew, and the pushed, pulled and
     # tensor arrays derived from it, without the constructors' checks; this
@@ -797,8 +809,7 @@ def test_fresh_witnesses_pass_the_public_constructors():
                     assert _bits(*fresh) == _bits(*checked), (check.name, seed, max_n, trial)
                     check.evaluate(checking, wit, *harness._FRESH)
             stage_cfg = CharacterizationConfig(seed=seed, trials=200, max_n=max_n)
-            report = characterize._stage_rational(checking, stage_cfg, p,
-                                                  _stage_rngs(stage_cfg, 1))
+            report = run_stage("rational", checking, stage_cfg, p)
             assert report.passed and report.trials == 200, (seed, max_n, positive, report)
             assert seen["invalid"] == [], (seed, max_n, positive)
         # Only the rational stage draws differently for positive-only systems.
@@ -806,10 +817,8 @@ def test_fresh_witnesses_pass_the_public_constructors():
         # depend on delta.
         stage_system = revalidating(system, seen)
         sandwich_cfg = replace(stage_cfg, trials=800, deltas=(1e-2,))
-        reports = (characterize._stage_uniform(stage_system, stage_cfg, p,
-                                               _stage_rngs(stage_cfg, 0)),
-                   characterize._stage_sandwich(stage_system, sandwich_cfg,
-                                                _stage_rngs(sandwich_cfg, 2)))
+        reports = (run_stage("uniform", stage_system, stage_cfg, p),
+                   run_stage("sandwich", stage_system, sandwich_cfg))
         for report in reports:
             assert report.passed and report.trials == 200, (seed, max_n, report)
         assert seen["invalid"] == [], (seed, max_n)
