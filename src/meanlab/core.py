@@ -912,7 +912,8 @@ def tensor_values(x, y):
         raise TypeError("tensor_values needs two vectors of the same kind")
     if not isinstance(x, (ValueVector, SignedVector)):
         raise TypeError("tensor_values works on value or signed vectors")
-    return type(x)(_outer(x.entries, y.entries))
+    with np.errstate(over="ignore"):  # the constructor refuses an overflowed entry
+        return type(x)(_outer(x.entries, y.entries))
 
 
 # ── Norms ─────────────────────────────────────────────────────────────────────

@@ -10,10 +10,11 @@ are reproducible trial-by-trial, identical whether executed serially or in
 parallel, and two runs with the same system and config produce reports that
 serialize to identical bytes.
 
-A fresh witness is drawn once per ``(seed, max_n, positivity)`` and shared
-with every system checked there: one store holds the most recent such key,
-per check its drawn prefix of trials (at most _SEED_BLOCK of them, holding at
-most _STORE_FLOATS vector entries), replaced whole and never changed in place.
+A fresh witness is drawn and derived once per ``(seed, max_n, positivity)``
+and shared with every system checked there: one store holds the most recent
+such key, per check its drawn prefix of trials with the arrays each law hands
+the system (at most _SEED_BLOCK trials, holding at most _STORE_FLOATS entries
+of witness and derived arrays), replaced whole and never changed in place.
 Every container holds its entries in immutable memory (``core._frozen``), so
 a system's ``setflags(write=True)`` raises and fails its trial, and a system
 cannot change what a later one is shown.  Reports are byte-identical whether
@@ -51,8 +52,8 @@ from typing import Callable, Iterable, Iterator, Sequence, TypeAlias
 
 import numpy as np
 
-from .core import (_EXPANSION_CAP, IndexMap, ValueVector, Weighting, _frozen, _outer, _pulled,
-                   _pushed)
+from .core import (_EXPANSION_CAP, IndexMap, ValueVector, Weighting, _frozen, _immutable,
+                   _outer, _pulled, _pushed)
 from .systems import MeanSystem, SystemEvalError
 
 __all__ = [
@@ -175,17 +176,32 @@ def _residual(kind: str, lhs: float, rhs: float) -> float:
     return (lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
 
 
-def _evaluate(check: "_CheckDef", system: MeanSystem, wit: dict, wrap: "_Wrap"):
-    """Returns (lhs, rhs, residual, error_message).  A witness that does not fit
-    the check raises ValueError; a failing system is a failing trial.  A fresh
-    witness lines up by construction; any other must pass ``_fit`` first."""
-    if wrap is not _FRESH:
-        _fit(check, wit)
+def _sides(check: "_CheckDef", system: MeanSystem, made: list, scalar: float | None):
+    """Returns (lhs, rhs, residual, error_message) of a derived witness whose
+    arrays are wrapped in ``made``: the system is called on each pair of
+    ``check.calls`` in order, and a failing system is a failing trial."""
     try:
-        lhs, rhs = check.evaluate(system, wit, *wrap)
+        lhs, rhs = check.combine([system(made[i], made[j]) for i, j in check.calls], scalar)
     except SystemEvalError as exc:
         return math.nan, math.nan, math.inf, str(exc)
     return lhs, rhs, _residual(check.kind, lhs, rhs), None
+
+
+def _evaluate(check: "_CheckDef", system: MeanSystem, wit: dict, wrap: "_Wrap"):
+    """``_sides`` of a shrink candidate or a replayed counterexample.  It must
+    fit the check, and its own fields pass ``wrap``'s constructors, in field
+    order, or ValueError; it is then derived afresh, and only the derived
+    arrays are wrapped, since the system is handed the containers its own
+    fields were checked into.  An entry that a derived array overflows to, or
+    makes undefined, is refused as not finite, with no numpy warning."""
+    _fit(check, wit)
+    weighting, values = wrap
+    own = {id(wit[key]): (weighting if kind == _WEIGHTS else values)(wit[key])
+           for key, kind, _ in check.fields if kind in _VECTORS}
+    with np.errstate(over="ignore", invalid="ignore"):
+        arrays, scalar = check.derive(wit)
+    made = [own[id(a)] if id(a) in own else wrap[kind](a) for a, kind in zip(arrays, check.kinds)]
+    return _sides(check, system, made, scalar)
 
 
 # ── Input generators ──────────────────────────────────────────────────────────
@@ -340,19 +356,27 @@ def _gen_index_map(rng: np.random.Generator, max_n: int,
 # _FREE_AXES axis, weighting first, the law reads no coordinate by position, so
 # adjacent ones may merge; it reads the last coordinates of a "tail" axis.
 #
-# ``_fit`` holds shrink candidates and replayed counterexamples to those axes
-# before any system call; a fresh trial fits them by construction.  Each
-# ``_ev_*`` then raises ValueError, before it calls the system, only where the
-# values break its law's precondition (y >= x, say).  Before its first system
-# call it wraps every array it passes, derived ones too, with the (weighting,
-# values) constructor pair it is given.  A fresh trial's arrays are valid by
-# construction, so they are wrapped with no rule re-checked; shrink candidates
-# and replayed counterexamples go through the public constructors.  A shrink
-# for a positivity-only system also refuses a weighting with a zero entry.
+# A check's law is evaluated in two steps.  Its ``derive`` step is pure: it
+# turns a witness into the arrays its system calls are handed, each distinct
+# array once, in order of first use, plus the scalar its sides read (or
+# None), and raises ValueError where the values break the law's precondition
+# (y >= x, say).  The check's ``calls`` name the (weights, values) pair of
+# each call by position, so calls that pass one array share its container.
+# Every array is wrapped before the first system call, with a (weighting,
+# values) constructor pair; the system is called on each pair in order, and
+# ``combine`` makes (lhs, rhs) of the values.  A fresh witness is
+# derived once, when drawn, and every system at its seed reads the derived
+# arrays from the store; they are valid by construction, so they are wrapped
+# with no rule re-checked.  A shrink candidate or a
+# replayed counterexample must first pass ``_fit`` and the public
+# constructors on its own fields, and is then derived afresh; its derived
+# arrays go through the constructors too.  A shrink for a positivity-only
+# system also refuses a weighting with a zero entry.
 
 _Wrap = tuple[Callable[..., Weighting], Callable[..., ValueVector]]
 _Rng: TypeAlias = "np.random.Generator"  # numpy imports np.random on first use
 _Sides = tuple[float, float]  # (lhs, rhs)
+_Derived = tuple[tuple[np.ndarray, ...], float | None]  # (arrays in order of first use, scalar)
 _WEIGHTS, _VALUES, _SCALAR, _INDEX = "weighting", "values", "scalar", "index"
 _VECTORS = (_WEIGHTS, _VALUES)
 _FREE_AXES = ("free", "free b")
@@ -376,8 +400,22 @@ class _CheckDef:
     kind: str  # 'equality' | 'inequality'
     derived: bool
     make_trial: Callable[[CheckConfig, bool, int, _Rng], dict]
-    evaluate: Callable[..., _Sides]  # (system, wit, weighting, values)
+    derive: Callable[[dict], _Derived]
+    calls: tuple[tuple[int, int], ...]  # (weights, values) positions in derive's arrays
+    combine: Callable[[list[float], float | None], _Sides]  # (values in call order, scalar)
     fields: tuple[tuple[str, str, str | None], ...]  # (name, kind, axis)
+
+    def evaluate(self, system: MeanSystem, wit: dict, weighting, values) -> _Sides:
+        """(lhs, rhs) of ``wit`` under ``system``: derive, then apply."""
+        arrays, scalar = self.derive(wit)
+        made = _wrapped(self, arrays, (weighting, values))
+        return self.combine([system(made[i], made[j]) for i, j in self.calls], scalar)
+
+    @cached_property
+    def kinds(self) -> tuple[int, ...]:
+        """Per derived array, 0 if the calls pass it as weights, else 1."""
+        weights = {i for i, _ in self.calls}
+        return tuple(int(i not in weights) for i in range(1 + max(map(max, self.calls))))
 
     @cached_property
     def axes(self) -> tuple[tuple[list[tuple[str, int]], str | None, str | None], ...]:
@@ -396,6 +434,32 @@ class _CheckDef:
             perm = axis if axis in names else None
             axes.append(([(key, extra) for key, extra in on if key != count], count, perm))
         return tuple(axes)
+
+
+def _wrapped(check: _CheckDef, arrays: tuple[np.ndarray, ...], wrap: _Wrap) -> list:
+    """Each derived array wrapped by ``wrap``'s constructor for its kind."""
+    return [wrap[kind](a) for a, kind in zip(arrays, check.kinds)]
+
+
+# The five ways a law's sides read the values of its calls.
+def _pair(v: list[float], c) -> _Sides:
+    return v[0], v[1]
+
+
+def _constant(v: list[float], c: float) -> _Sides:
+    return v[0], c
+
+
+def _max_of_rest(v: list[float], c) -> _Sides:
+    return v[0], max(v[1], v[2])
+
+
+def _product_of_rest(v: list[float], c) -> _Sides:
+    return v[0], v[1] * v[2]
+
+
+def _scaled(v: list[float], c: float) -> _Sides:
+    return v[0], c * v[1]
 
 
 def _fit(check: _CheckDef, wit: dict) -> None:
@@ -422,12 +486,10 @@ def _mk_functoriality(cfg: CheckConfig, positive: bool, trial: int, rng: _Rng) -
     return {"w": w, "x": x, "images": images, "codomain_size": m}
 
 
-def _ev_functoriality(system: MeanSystem, wit: dict, weighting, values) -> _Sides:
-    w = weighting(wit["w"])
-    x = values(wit["x"])
-    f = IndexMap(w.entries.size, wit["codomain_size"], wit["images"])
-    pushed, pulled = weighting(_pushed(f, w.entries)), values(_pulled(f, x.entries))
-    return system(pushed, x), system(w, pulled)
+def _dv_functoriality(wit: dict) -> _Derived:
+    w, x = wit["w"], wit["x"]
+    f = IndexMap(w.size, wit["codomain_size"], wit["images"])
+    return (_pushed(f, w), x, w, _pulled(f, x)), None
 
 
 # consistency ------------------------------------------------------------------
@@ -441,9 +503,9 @@ def _mk_consistency(cfg: CheckConfig, positive: bool, trial: int, rng: _Rng) -> 
     return {"c": float(10.0 ** rng.uniform(-6.0, 6.0))}
 
 
-def _ev_consistency(system: MeanSystem, wit: dict, weighting, values) -> _Sides:
+def _dv_consistency(wit: dict) -> _Derived:
     c = wit["c"]
-    return system(weighting(np.array([1.0])), values(np.array([c]))), c
+    return (np.array([1.0]), np.array([c])), c
 
 
 # monotonicity ------------------------------------------------------------------
@@ -455,12 +517,11 @@ def _mk_monotonicity(cfg: CheckConfig, positive: bool, trial: int, rng: _Rng) ->
     return {"w": w, "x": x, "y": x + bump}
 
 
-def _ev_monotonicity(system: MeanSystem, wit: dict, weighting, values) -> _Sides:
-    w = weighting(wit["w"])
-    x, y = values(wit["x"]), values(wit["y"])
-    if (y.entries < x.entries).any():
+def _dv_monotonicity(wit: dict) -> _Derived:
+    w, x, y = wit["w"], wit["x"], wit["y"]
+    if (y < x).any():
         raise ValueError("monotonicity needs y >= x")
-    return system(w, x), system(w, y)
+    return (w, x, y), None
 
 
 # convexity ----------------------------------------------------------------------
@@ -470,6 +531,8 @@ _CONVEXITY_WITNESS = {
     "x": np.array([1.0, 0.0]),
     "y": np.array([0.0, 1.0]),
 }
+# Below this, x + y cannot overflow for x, y >= 0.
+_SUM_SAFE = 2.0 ** 1022
 
 
 def _mk_convexity(cfg: CheckConfig, positive: bool, trial: int, rng: _Rng) -> dict:
@@ -479,10 +542,23 @@ def _mk_convexity(cfg: CheckConfig, positive: bool, trial: int, rng: _Rng) -> di
     return {"w": w, "x": x, "y": _gen_values(rng, x.size)}
 
 
-def _ev_convexity(system: MeanSystem, wit: dict, weighting, values) -> _Sides:
-    w, x, y = weighting(wit["w"]), wit["x"], wit["y"]
-    mid, xv, yv = values((x + y) / 2.0), values(x), values(y)
-    return system(w, mid), max(system(w, xv), system(w, yv))
+def _midpoint(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(x + y) / 2 of finite x, y >= 0, bit for bit wherever that is finite,
+    and never overflowing.  Where an entry reaches _SUM_SAFE, x / 2 + y / 2 is
+    taken: each half is exact there or too small to move the sum, so it rounds
+    as (x + y) / 2 does when that is finite."""
+    big = np.maximum(x, y) >= _SUM_SAFE
+    if not big.any():
+        return (x + y) / 2.0
+    mid = x / 2.0 + y / 2.0
+    small = ~big
+    mid[small] = (x[small] + y[small]) / 2.0
+    return mid
+
+
+def _dv_convexity(wit: dict) -> _Derived:
+    w, x, y = wit["w"], wit["x"], wit["y"]
+    return (w, _midpoint(x, y), x, y), None
 
 
 # multiplicativity ---------------------------------------------------------------
@@ -499,13 +575,9 @@ def _mk_multiplicativity(cfg: CheckConfig, positive: bool, trial: int, rng: _Rng
     }
 
 
-def _ev_multiplicativity(system: MeanSystem, wit: dict, weighting, values) -> _Sides:
-    w = weighting(wit["w"])
-    v = weighting(wit["v"])
-    x = values(wit["x"])
-    y = values(wit["y"])
-    wv, xy = weighting(_outer(w.entries, v.entries)), values(_outer(x.entries, y.entries))
-    return system(wv, xy), system(w, x) * system(v, y)
+def _dv_multiplicativity(wit: dict) -> _Derived:
+    w, x, v, y = wit["w"], wit["x"], wit["v"], wit["y"]
+    return (_outer(w, v), _outer(x, y), w, x, v, y), None
 
 
 # symmetry -----------------------------------------------------------------------
@@ -516,11 +588,10 @@ def _mk_symmetry(cfg: CheckConfig, positive: bool, trial: int, rng: _Rng) -> dic
     return {"w": w, "x": x, "sigma": tuple(rng.permutation(x.size).tolist())}
 
 
-def _ev_symmetry(system: MeanSystem, wit: dict, weighting, values) -> _Sides:
+def _dv_symmetry(wit: dict) -> _Derived:
     w, x = wit["w"], wit["x"]
     sigma = np.array(wit["sigma"], dtype=np.intp)
-    wv, xv, moved_w, moved_x = weighting(w), values(x), weighting(w[sigma]), values(x[sigma])
-    return system(wv, xv), system(moved_w, moved_x)
+    return (w, x, w[sigma], x[sigma]), None
 
 
 # repetition ---------------------------------------------------------------------
@@ -531,11 +602,10 @@ def _mk_repetition(cfg: CheckConfig, positive: bool, trial: int, rng: _Rng) -> d
     return {"w": w, "x": x}
 
 
-def _ev_repetition(system: MeanSystem, wit: dict, weighting, values) -> _Sides:
+def _dv_repetition(wit: dict) -> _Derived:
     w, x = wit["w"], wit["x"]
-    wv, repeated = weighting(w), values(np.concatenate((x, x[-1:])))
-    merged, xv = weighting(np.concatenate((w[:-2], (w[-2] + w[-1],)))), values(x)
-    return system(wv, repeated), system(merged, xv)
+    merged = np.concatenate((w[:-2], (w[-2] + w[-1],)))
+    return (w, np.concatenate((x, x[-1:])), merged, x), None
 
 
 # zero weight --------------------------------------------------------------------
@@ -546,11 +616,9 @@ def _mk_zero_weight(cfg: CheckConfig, positive: bool, trial: int, rng: _Rng) -> 
     return {"w": w, "x": x}
 
 
-def _ev_zero_weight(system: MeanSystem, wit: dict, weighting, values) -> _Sides:
+def _dv_zero_weight(wit: dict) -> _Derived:
     w, x = wit["w"], wit["x"]
-    padded, xv = weighting(np.concatenate((w, (0.0,)))), values(x)
-    wv, dropped = weighting(w), values(x[:-1])
-    return system(padded, xv), system(wv, dropped)
+    return (np.concatenate((w, (0.0,))), x, w, x[:-1]), None
 
 
 # transfer -----------------------------------------------------------------------
@@ -571,12 +639,12 @@ def _mk_transfer(cfg: CheckConfig, positive: bool, trial: int, rng: _Rng) -> dic
     return {"w": w, "x": x, "epsilon": float(u * w[-1])}
 
 
-def _ev_transfer(system: MeanSystem, wit: dict, weighting, values) -> _Sides:
-    w, x, eps = wit["w"], values(wit["x"]), wit["epsilon"]
-    if not (w.size >= 2 and 0.0 <= eps <= float(w[-1]) and x.entries[-1] <= x.entries[-2]):
+def _dv_transfer(wit: dict) -> _Derived:
+    w, x, eps = wit["w"], wit["x"], wit["epsilon"]
+    if not (w.size >= 2 and 0.0 <= eps <= float(w[-1]) and x[-1] <= x[-2]):
         raise ValueError("transfer needs n >= 2, 0 <= epsilon <= w[-1], x[-1] <= x[-2]")
-    before, after = weighting(w), weighting(np.concatenate((w[:-2], (w[-2] + eps, w[-1] - eps))))
-    return system(before, x), system(after, x)
+    after = np.concatenate((w[:-2], (w[-2] + eps, w[-1] - eps)))
+    return (w, x, after), None
 
 
 # homogeneity --------------------------------------------------------------------
@@ -593,37 +661,42 @@ def _mk_homogeneity(cfg: CheckConfig, positive: bool, trial: int, rng: _Rng) -> 
     return {"w": w, "x": x, "c": c}
 
 
-def _ev_homogeneity(system: MeanSystem, wit: dict, weighting, values) -> _Sides:
-    w, x, c = weighting(wit["w"]), wit["x"], wit["c"]
-    scaled, xv = values(c * x), values(x)
-    return system(w, scaled), c * system(w, xv)
+def _dv_homogeneity(wit: dict) -> _Derived:
+    w, x, c = wit["w"], wit["x"], wit["c"]
+    return (w, c * x, x), c
 
 
 # registry -----------------------------------------------------------------------
 
 _FREE_WX = (("w", _WEIGHTS, "free"), ("x", _VALUES, "free"))
 _FREE_WXY = (*_FREE_WX, ("y", _VALUES, "free"))
+# Call shapes: two calls on four arrays; and the first array as the weights of
+# every call, against each later one.
+_TWO, _ONE_W2, _ONE_W3 = ((0, 1), (2, 3)), ((0, 1), (0, 2)), ((0, 1), (0, 2), (0, 3))
 _CHECKS: tuple[_CheckDef, ...] = (
-    _CheckDef("functoriality", "equality", False, _mk_functoriality, _ev_functoriality,
-              (("w", _WEIGHTS, "domain"), ("x", _VALUES, "codomain"),
-               ("images", _INDEX, "domain"), ("codomain_size", _INDEX, "codomain"))),
-    _CheckDef("consistency", "equality", False, _mk_consistency, _ev_consistency,
-              (("c", _SCALAR, None),)),
-    _CheckDef("monotonicity", "inequality", False, _mk_monotonicity, _ev_monotonicity, _FREE_WXY),
-    _CheckDef("convexity", "inequality", False, _mk_convexity, _ev_convexity, _FREE_WXY),
+    _CheckDef("functoriality", "equality", False, _mk_functoriality, _dv_functoriality, _TWO,
+              _pair, (("w", _WEIGHTS, "domain"), ("x", _VALUES, "codomain"),
+                      ("images", _INDEX, "domain"), ("codomain_size", _INDEX, "codomain"))),
+    _CheckDef("consistency", "equality", False, _mk_consistency, _dv_consistency, ((0, 1),),
+              _constant, (("c", _SCALAR, None),)),
+    _CheckDef("monotonicity", "inequality", False, _mk_monotonicity, _dv_monotonicity, _ONE_W2,
+              _pair, _FREE_WXY),
+    _CheckDef("convexity", "inequality", False, _mk_convexity, _dv_convexity, _ONE_W3,
+              _max_of_rest, _FREE_WXY),
     _CheckDef("multiplicativity", "equality", False, _mk_multiplicativity,
-              _ev_multiplicativity,
+              _dv_multiplicativity, ((0, 1), (2, 3), (4, 5)), _product_of_rest,
               (*_FREE_WX, ("v", _WEIGHTS, "free b"), ("y", _VALUES, "free b"))),
-    _CheckDef("symmetry", "equality", True, _mk_symmetry, _ev_symmetry,
+    _CheckDef("symmetry", "equality", True, _mk_symmetry, _dv_symmetry, _TWO, _pair,
               (("w", _WEIGHTS, "sigma"), ("x", _VALUES, "sigma"), ("sigma", _INDEX, "sigma"))),
-    _CheckDef("repetition", "equality", True, _mk_repetition, _ev_repetition,
+    _CheckDef("repetition", "equality", True, _mk_repetition, _dv_repetition, _TWO, _pair,
               (("w", _WEIGHTS, "tail+1"), ("x", _VALUES, "tail"))),
-    _CheckDef("zero_weight", "equality", True, _mk_zero_weight, _ev_zero_weight,
+    _CheckDef("zero_weight", "equality", True, _mk_zero_weight, _dv_zero_weight, _TWO, _pair,
               (("w", _WEIGHTS, "tail"), ("x", _VALUES, "tail+1"))),
-    _CheckDef("transfer", "inequality", True, _mk_transfer, _ev_transfer,
-              (("w", _WEIGHTS, "tail"), ("x", _VALUES, "tail"), ("epsilon", _SCALAR, None))),
-    _CheckDef("homogeneity", "equality", True, _mk_homogeneity, _ev_homogeneity,
-              (*_FREE_WX, ("c", _SCALAR, None))),
+    _CheckDef("transfer", "inequality", True, _mk_transfer, _dv_transfer, ((0, 1), (2, 1)),
+              _pair, (("w", _WEIGHTS, "tail"), ("x", _VALUES, "tail"),
+                      ("epsilon", _SCALAR, None))),
+    _CheckDef("homogeneity", "equality", True, _mk_homogeneity, _dv_homogeneity, _ONE_W2,
+              _scaled, (*_FREE_WX, ("c", _SCALAR, None))),
 )
 
 _CHECK_INDEX = {c.name: i for i, c in enumerate(_CHECKS)}
@@ -731,8 +804,8 @@ def _to_counterexample(check: _CheckDef, wit: dict, lhs: float, rhs: float, resi
 
 
 def _run_check(system: MeanSystem, cfg: CheckConfig, check: _CheckDef,
-               witnesses: Iterable[dict]) -> CheckReport:
-    """Run ``check``, trial t on the t-th witness of ``witnesses``."""
+               witnesses: Iterable[tuple[dict, _Derived]]) -> CheckReport:
+    """Run ``check``, trial t on the t-th (witness, derived) of ``witnesses``."""
     note = _DERIVED_NOTE if check.derived else None
     positive = system.positivity_only
     if check.name == "zero_weight" and positive:
@@ -740,8 +813,9 @@ def _run_check(system: MeanSystem, cfg: CheckConfig, check: _CheckDef,
                            note=f"{_NOT_APPLICABLE} with strictly positive weights")
     tol = cfg.rel_tol if check.kind == "equality" else cfg.slack
     worst = 0.0
-    for trial, wit in enumerate(witnesses):
-        lhs, rhs, resid, error = _evaluate(check, system, wit, _FRESH)
+    for trial, (wit, (arrays, scalar)) in enumerate(witnesses):
+        made = _wrapped(check, arrays, _FRESH)
+        lhs, rhs, resid, error = _sides(check, system, made, scalar)
         if resid > tol:
             wrap = _POSITIVE if positive else _CHECKED
             shrunk = _shrink(system, check, wit, tol, wrap)
@@ -759,8 +833,9 @@ def _run_check(system: MeanSystem, cfg: CheckConfig, check: _CheckDef,
 # a suite running in another thread always reads a complete snapshot; the
 # lock keeps two suites that merge at once from dropping what either drew.
 
-_STORE_FLOATS = 1 << 15  # max_n 8 at 1000 trials (criterion 1) fits whole
-_Kept = tuple[tuple[dict, ...], int]  # (witnesses of trials 0, 1, .., their vector entries)
+_STORE_FLOATS = 1 << 16  # max_n 8 at 1000 trials (criterion 1) fits whole
+_Stored = tuple[dict, _Derived]  # a witness and what its law derives from it
+_Kept = tuple[tuple[_Stored, ...], int]  # (trials 0, 1, .., their derived arrays' entries)
 _NOTHING_KEPT: tuple[_Kept, ...] = (((), 0),) * len(_CHECKS)
 _store: tuple[tuple[int, int, bool] | None, tuple[_Kept, ...]] = (None, _NOTHING_KEPT)
 _store_merge = threading.Lock()
@@ -768,23 +843,30 @@ _store_merge = threading.Lock()
 
 def _witnesses(cfg: CheckConfig, check: _CheckDef, positive: bool, kept: _Kept,
                rngs: Iterator[np.random.Generator],
-               drawn: list[tuple[dict, int]]) -> Iterator[dict]:
-    """Trial t's witness for t = 0, 1, ..: the kept ones, then fresh ones from
-    ``rngs``, which starts at the first trial not kept.  A fresh witness's
-    arrays are frozen once here, so every system at this seed wraps them with
-    no copy; while the store has room, the witness goes to ``drawn`` with the
-    vector entries kept up to it."""
+               drawn: list[tuple[_Stored, int]]) -> Iterator[_Stored]:
+    """(witness, derived) of trial t for t = 0, 1, ..: the kept ones, then
+    fresh ones from ``rngs``, which starts at the first trial not kept.  A
+    fresh witness is derived once here, and its fields and derived arrays are
+    frozen once, so every system at this seed wraps them with no copy and
+    derives nothing.  The derived arrays sit beside the witness, never in its
+    dict, which shrink candidates copy.  While the store has room, the pair
+    goes to ``drawn`` with the entries kept up to it: those of the derived
+    arrays, which hold every vector field, since each law hands each to the
+    system."""
     wits, floats = kept
     yield from islice(wits, cfg.trials)
     vectors = [key for key, kind, _ in check.fields if kind in _VECTORS]
     for trial, rng in enumerate(rngs, len(wits)):
         wit = check.make_trial(cfg, positive, trial, rng)
         for key in vectors:
-            floats += wit[key].size
             wit[key] = _frozen(wit[key])
+        arrays, scalar = check.derive(wit)
+        arrays = tuple(map(_immutable, arrays))  # no copy of a field or a view of one
+        floats += sum(a.size for a in arrays)
+        stored = wit, (arrays, scalar)
         if trial < _SEED_BLOCK and floats <= _STORE_FLOATS:
-            drawn.append((wit, floats))
-        yield wit
+            drawn.append((stored, floats))
+        yield stored
 
 
 def _run_stored(system: MeanSystem, cfg: CheckConfig,
@@ -798,14 +880,14 @@ def _run_stored(system: MeanSystem, cfg: CheckConfig,
     kept = list(stored if stored_at == at else _NOTHING_KEPT)
     reports, grew = [], False
     for i in indices:
-        drawn: list[tuple[dict, int]] = []
+        drawn: list[tuple[_Stored, int]] = []
         check = _CHECKS[i]
         # Check i draws from stream i, from its first trial not kept.
         rngs = _trial_rngs(cfg.seed, i, cfg.trials, len(kept[i][0]))
         reports.append(_run_check(system, cfg, check,
                                   _witnesses(cfg, check, positive, kept[i], rngs, drawn)))
         if drawn:
-            kept[i] = kept[i][0] + tuple(wit for wit, _ in drawn), drawn[-1][1]
+            kept[i] = kept[i][0] + tuple(stored for stored, _ in drawn), drawn[-1][1]
             grew = True
     if grew:
         with _store_merge:  # another thread may have kept more meanwhile

@@ -971,10 +971,12 @@ def test_tensor_weights_exact():
 
 def test_transports_validate_what_they_build():
     # Valid inputs can still give an invalid result: a product that overflows,
+    # refused with the ValueError alone (a RuntimeWarning is an error here),
     # and weight sums whose drift doubles in the tensor product.
-    with np.errstate(over="ignore"), pytest.raises(ValueError,
-                                                   match=r"^value entries must be finite$"):
-        tensor_values(V(1e200), V(1e200))
+    for x, y, kind in ((V(1e200), V(1e200), "value"), (V(1e300), V(1e300), "value"),
+                       (S(1e300), S(-1e300), "signed")):
+        with pytest.raises(ValueError, match=rf"^{kind} entries must be finite$"):
+            tensor_values(x, y)
     w = W(0.5, 0.5 + 0.9e-12)
     with pytest.raises(ValueError, match=r"^weighting sums to 1\.0000000000018, off by more "
                                          r"than 1e-12 — normalize explicitly"):

@@ -300,6 +300,62 @@ def test_malformed_reports_are_value_errors():
         replay_counterexample(system, "repetition", empty_x)
 
 
+def _ce(w, x, **aux):
+    return Counterexample(w=w, x=x, aux=aux, lhs=0.0, rhs=1.0, residual=1.0)
+
+
+@pytest.mark.parametrize("name, ce", [
+    ("multiplicativity", _ce((1.0,), (1e300,), v=[1.0], y=[1e300])),
+    ("homogeneity", _ce((1.0,), (1e300,), c=1e300)),
+    ("homogeneity", _ce((0.5, 0.5), (0.0, 1.0), c=math.inf)),  # inf * 0 is undefined
+], ids=["tensor", "scaled", "undefined"])
+def test_replay_refuses_an_overflowing_derived_array_without_a_warning(name, ce):
+    # A RuntimeWarning is an error here (pyproject's filter), and each of these
+    # leaked one from numpy before replay raised its ValueError.
+    with pytest.raises(ValueError, match="^value entries must be finite$"):
+        replay_counterexample(builtin_power_mean_system(2), name, ce)
+
+
+def test_fresh_derivations_still_warn_on_overflow():
+    # Fresh arrays are wrapped with no rule re-checked, so an overflow there
+    # must warn, as pyproject's filter relies on; only shrink candidates and
+    # replays, which the constructors check, derive with warnings off.
+    homogeneity = harness._CHECKS[harness._CHECK_INDEX["homogeneity"]]
+    wit = {"w": np.array([1.0]), "x": np.array([1e300]), "c": 1e300}
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        homogeneity.derive(wit)
+
+
+@pytest.mark.parametrize("x, y", [((1.7e308,), (1.7e308,)), ((1.7e308, 1.0), (1.6e308, 2.0))])
+def test_convexity_replays_values_whose_sum_overflows(x, y):
+    # (x + y) / 2 overflowed, so replay refused these valid witnesses with
+    # "value entries must be finite" (and a warning first).
+    w = (1.0,) if len(x) == 1 else (0.5, 0.5)
+    lhs, rhs, _ = replay_counterexample(builtin_power_mean_system(2), "convexity",
+                                        _ce(w, x, y=list(y)))
+    mid = [a / 2 + b / 2 for a, b in zip(x, y)]
+    assert _bits(lhs, rhs) == _bits(power_mean(2, Weighting(w), ValueVector(mid)),
+                                    max(power_mean(2, Weighting(w), ValueVector(v))
+                                        for v in (x, y)))
+
+
+def test_midpoint_is_the_halved_sum_wherever_that_is_finite():
+    rng = np.random.default_rng(29)
+    exponents = np.concatenate([rng.integers(-1074, 1024, 4000), [-1074, -1022, 1022, 1023]])
+    x = np.ldexp(rng.random(exponents.size), exponents)
+    y = np.concatenate([np.ldexp(rng.random(exponents.size - 4), rng.integers(-1074, 1024,
+                                                                               exponents.size - 4)),
+                        [5e-324, 2.0 ** -1022, 2.0 ** 1022, 1.7e308]])
+    x, y = np.concatenate([x, x, [0.0, 5e-324]]), np.concatenate([y, x, [0.0, 5e-324]])
+    mid = harness._midpoint(x, y)
+    with np.errstate(over="ignore"):
+        halved = (x + y) / 2.0
+    finite = np.isfinite(halved)
+    assert np.isfinite(mid).all() and not finite.all()
+    assert mid[finite].tobytes() == halved[finite].tobytes()
+    assert ((np.minimum(x, y) <= mid) & (mid <= np.maximum(x, y))).all()
+
+
 # Each system with a law it breaks; together they fail all ten checks.
 _BROKEN_SYSTEMS = {
     "sum(w^2*x)": ("functoriality",),
@@ -438,13 +494,17 @@ def test_full_suite_streams_draw_as_default_rng(monkeypatch, empty_store):
         drawn.append(trial)
         return {"trial": trial, "draws": _draws(rng) if _sampled(cfg.trials, trial) else None}
 
+    def derive(wit):
+        return (), None
+
     monkeypatch.setattr(harness, "_CHECKS", tuple(
-        replace(check, make_trial=make_trial, fields=()) for check in harness._CHECKS))
+        replace(check, make_trial=make_trial, derive=derive, fields=())
+        for check in harness._CHECKS))
 
     def consume(system, cfg, check, witnesses):
         stream = harness._CHECK_INDEX[check.name]
         t = -1
-        for t, wit in enumerate(witnesses):
+        for t, (wit, _) in enumerate(witnesses):
             assert wit["trial"] == t
             if _sampled(cfg.trials, t):
                 want = _draws(_reference_rng((cfg.seed, stream, t)))
@@ -1303,7 +1363,29 @@ def _vandal(field, flip=False):
     return MeanSystem(vandal, f"{'flips and ' * flip}writes into {field}")
 
 
-_VANDALS = tuple(_vandal(field, flip) for flip in (False, True) for field in "wx")
+def _poisoner(w, x):
+    """M_2, then every way into what it was handed that a later system might
+    read: the write flag of the entries and of the memory under them, a
+    power-sum cache and exact twins planted in the containers, and, once
+    n >= 3, entries rebound to another array (a failing trial)."""
+    value = power_mean(2, w, x)
+    for entries in (w.entries, x.entries):
+        for a in (entries, entries.base):
+            try:
+                a.setflags(write=True)
+                a[...] = 7.0
+            except (AttributeError, ValueError):  # bytes has no flags; the rest refuse
+                pass
+    n = len(x)
+    x.__dict__["_power_terms_by_p"] = {2.0: core._power_terms(2.0, [7.0] * n)}
+    w.__dict__["_counts"] = (1,) + (0,) * (n - 1)
+    if n >= 3:
+        object.__setattr__(x, "entries", np.full(n, 7.0))
+    return value
+
+
+_VANDALS = (*(_vandal(field, flip) for flip in (False, True) for field in "wx"),
+            MeanSystem(_poisoner, "poisons its containers"))
 
 
 @pytest.mark.parametrize("field, flip", [("w", False), ("x", False), ("w", True), ("x", True)],
@@ -1497,11 +1579,20 @@ def test_threads_sharing_a_seed_give_their_single_thread_reports(empty_store):
         sys.setswitchinterval(interval)
 
 
+def _kept_arrays(check, stored):
+    """The distinct arrays a kept trial holds: its vector fields and the
+    arrays derived from them, each once."""
+    wit, (arrays, _) = stored
+    fields = [wit[key] for key, kind, _ in check.fields if kind in harness._VECTORS]
+    return list({id(a): a for a in (*fields, *arrays)}.values())
+
+
 def test_the_store_stays_bounded(empty_store):
     # A mean that passes every law draws every trial.  At max_n 1000 the
-    # entry cap ends each check's kept prefix after a few dozen trials, and
-    # consistency, whose witness holds no vector, keeps 1024.  Multiplicativity
-    # runs 40 trials: each builds a tensor of up to a million entries.
+    # entry cap, which counts the derived arrays too, ends each check's kept
+    # prefix after a few dozen trials, and consistency, whose witness derives
+    # two one-entry arrays, keeps 1024.  Multiplicativity runs 40 trials: each
+    # builds a tensor of up to a million entries.
     mean = MeanSystem(lambda w, x: float(w.entries @ x.entries), "arithmetic mean")
     cfg = CheckConfig(seed=3, trials=1100, max_n=1000)
     runs = {name: 40 if name == "multiplicativity" else cfg.trials for name in PROPERTY_NAMES}
@@ -1511,12 +1602,108 @@ def test_the_store_stays_bounded(empty_store):
     at, kept = harness._store
     assert at == (3, 1000, False)
     for check, (wits, floats) in zip(harness._CHECKS, kept):
-        vectors = [key for key, kind, _ in check.fields if kind in harness._VECTORS]
-        assert floats == sum(wit[key].size for wit in wits for key in vectors)
+        held = [_kept_arrays(check, stored) for stored in wits]
+        assert floats == sum(a.size for arrays in held for a in arrays), check.name
         assert floats <= harness._STORE_FLOATS and len(wits) <= harness._SEED_BLOCK
-        assert len(wits) < runs[check.name] and (floats > 0) == bool(vectors), check.name
-        for wit in wits[:3]:
-            for key in vectors:
+        assert 0 < len(wits) < runs[check.name] and floats > 0, check.name
+        for arrays in held[:3]:
+            for a in arrays:
                 with pytest.raises(ValueError, match="cannot set WRITEABLE flag"):
-                    wit[key].setflags(write=True)
+                    a.setflags(write=True)
     assert len(kept[harness._CHECK_INDEX["consistency"]][0]) == harness._SEED_BLOCK
+
+
+def test_criterion_1_fits_the_store_whole(empty_store):
+    # At seed 42, 1000 trials and max_n 8 every check keeps every trial, its
+    # derived arrays included; multiplicativity's tensors make it the largest.
+    mean = MeanSystem(lambda w, x: float(w.entries @ x.entries), "arithmetic mean")
+    assert suite_passed(run_full_suite(mean, CheckConfig(seed=42, trials=1000)))
+    kept = dict(zip(PROPERTY_NAMES, harness._store[1]))
+    assert all(len(wits) == 1000 for wits, _ in kept.values())
+    largest = max(kept, key=lambda name: kept[name][1])
+    assert largest == "multiplicativity" and kept[largest][1] <= harness._STORE_FLOATS
+
+
+def _counting_derives(monkeypatch) -> Counter:
+    """Count each check's derive calls, by check name."""
+    counts = Counter()
+
+    def counted(check):
+        def derive(wit):
+            counts[check.name] += 1
+            return check.derive(wit)
+        return replace(check, derive=derive)
+
+    monkeypatch.setattr(harness, "_CHECKS", tuple(map(counted, harness._CHECKS)))
+    return counts
+
+
+def test_a_warm_store_derives_and_copies_nothing(monkeypatch, empty_store):
+    # A fresh trial is derived once, when drawn, and its arrays are frozen
+    # then; a system on the warm store only wraps and calls.  Before the
+    # derived arrays were kept, this warm suite made 1,400 _frozen copies.
+    derives = _counting_derives(monkeypatch)
+    cfg = CheckConfig(seed=7, trials=100)
+    assert suite_passed(run_full_suite(builtin_power_mean_system(2), cfg))
+    assert derives == {name: cfg.trials for name in PROPERTY_NAMES}
+    for check, (kept, _) in zip(harness._CHECKS, harness._store[1]):
+        assert len(kept) == cfg.trials
+        for wit, (arrays, _) in kept:  # the kept arrays are what the law hands over
+            want = [(a.tobytes(), b.tobytes()) for a, b in _handed_reference(check.name, wit)]
+            got = [(arrays[i].tobytes(), arrays[j].tobytes()) for i, j in check.calls]
+            assert got == want, (check.name, wit)
+    derives.clear()
+    copies = []
+    frozen = core._frozen
+
+    def counting_frozen(a):
+        copies.append(a.size)
+        return frozen(a)
+
+    monkeypatch.setattr(core, "_frozen", counting_frozen)
+    monkeypatch.setattr(harness, "_frozen", counting_frozen)
+    for system in (dsl_mean_system("sum(w*x^2)^0.5"), builtin_power_mean_system(2)):
+        assert suite_passed(run_full_suite(system, cfg))
+    assert copies == [] and derives == {}
+
+
+def test_shrink_candidates_and_replays_derive_their_own_arrays(monkeypatch, empty_store):
+    # A shrink candidate copies its witness's dict with one field changed, and
+    # a replay builds its own; each is derived afresh, so what it hands the
+    # system is derived from it, never read from the store.  Between them the
+    # systems fail every law.
+    handed, compared = [], Counter()
+
+    def recorded(evaluate, label):
+        def recording(w, x):
+            handed.append((w.entries.tobytes(), x.entries.tobytes()))
+            return evaluate(w, x)
+        return MeanSystem(recording, label)
+
+    evaluate = harness._evaluate
+
+    def comparing(check, system, wit, wrap):
+        handed.clear()
+        try:
+            got = evaluate(check, system, wit, wrap)
+        except ValueError:
+            assert handed == [], check.name  # refused before any call
+            raise
+        want = [(a.tobytes(), b.tobytes()) for a, b in _handed_reference(check.name, wit)]
+        assert handed == want, (check.name, wit)
+        compared[check.name] += 1
+        return got
+
+    monkeypatch.setattr(harness, "_evaluate", comparing)
+    systems = [recorded(lambda w, x: power_mean(2 if len(x) <= 2 else 1, w, x), "M_2, then M_1"),
+               recorded(_first_value, "x[0]"),
+               *(recorded(dsl_mean_system(source).evaluate, source)
+                 for source in ("sum(w*x^2)", "prod(x^w)", "sum(w/(1+x))", "sum(w^2*x)/sum(w^2)",
+                                "sum(w*x)+1"))]
+    for system, seed in itertools.product(systems, (3, 7)):
+        cfg = CheckConfig(seed=seed, trials=40)
+        for _ in range(2):  # from an empty store, then from a warm one
+            for report in run_full_suite(system, cfg):
+                if report.counterexample is not None:
+                    replay_counterexample(system, report.property_name, report.counterexample)
+    assert set(compared) == set(PROPERTY_NAMES), compared
