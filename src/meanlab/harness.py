@@ -17,8 +17,9 @@ the system (at most _SEED_BLOCK trials, holding at most _STORE_FLOATS entries
 of witness and derived arrays), replaced whole and never changed in place.
 Every container holds its entries in immutable memory (``core._frozen``), so
 a system's ``setflags(write=True)`` raises and fails its trial, and a system
-cannot change what a later one is shown.  Reports are byte-identical whether
-the store was warm or empty.
+cannot change what a later one is shown.  A trial's arrays are frozen once,
+when drawn, and wrapped into each system's own containers with no second
+check.  Reports are byte-identical whether the store was warm or empty.
 
 Each check declares the axes its witness runs along, and one rule (``_fit``)
 decides from them whether a shrink candidate or a replayed counterexample lines
@@ -176,24 +177,12 @@ def _residual(kind: str, lhs: float, rhs: float) -> float:
     return (lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
 
 
-def _sides(check: "_CheckDef", system: MeanSystem, made: list, scalar: float | None):
-    """Returns (lhs, rhs, residual, error_message) of a derived witness whose
-    arrays are wrapped in ``made``: the system is called on each pair of
-    ``check.calls`` in order, and a failing system is a failing trial."""
-    try:
-        lhs, rhs = check.combine([system(made[i], made[j]) for i, j in check.calls], scalar)
-    except SystemEvalError as exc:
-        return math.nan, math.nan, math.inf, str(exc)
-    return lhs, rhs, _residual(check.kind, lhs, rhs), None
-
-
-def _evaluate(check: "_CheckDef", system: MeanSystem, wit: dict, wrap: "_Wrap"):
-    """``_sides`` of a shrink candidate or a replayed counterexample.  It must
-    fit the check, and its own fields pass ``wrap``'s constructors, in field
-    order, or ValueError; it is then derived afresh, and only the derived
-    arrays are wrapped, since the system is handed the containers its own
-    fields were checked into.  An entry that a derived array overflows to, or
-    makes undefined, is refused as not finite, with no numpy warning."""
+def _evaluate(check: _CheckDef, system: MeanSystem, wit: dict, wrap: _Wrap):
+    """(lhs, rhs, residual, error) of a shrink candidate or a replayed
+    counterexample.  It must fit the check, and its own fields pass ``wrap``'s
+    constructors in field order, or ValueError.  The system is handed those
+    containers and the arrays derived afresh, wrapped; a derived entry that
+    overflows or is undefined is refused as not finite, with no numpy warning."""
     _fit(check, wit)
     weighting, values = wrap
     own = {id(wit[key]): (weighting if kind == _WEIGHTS else values)(wit[key])
@@ -201,7 +190,35 @@ def _evaluate(check: "_CheckDef", system: MeanSystem, wit: dict, wrap: "_Wrap"):
     with np.errstate(over="ignore", invalid="ignore"):
         arrays, scalar = check.derive(wit)
     made = [own[id(a)] if id(a) in own else wrap[kind](a) for a, kind in zip(arrays, check.kinds)]
-    return _sides(check, system, made, scalar)
+    return next(_applied(check, system, ((wit, (made, scalar)),), wrapped=True))[1:]
+
+
+def _applied(check: _CheckDef, system: MeanSystem, items: Iterable[_Stored],
+             wrapped: bool = False) -> Iterator[tuple[dict, float, float, float, str | None]]:
+    """(witness, lhs, rhs, residual, error or None) per (witness, (arrays,
+    scalar)) of ``items``: the one apply step, a generator, so that a trial
+    costs no call of its own.  Arrays frozen when drawn go into fresh
+    containers of their kinds with no check; ``wrapped`` items hold their
+    containers already.  A failing system fails its trial."""
+    new, classes = object.__new__, [(Weighting, ValueVector)[k] for k in check.kinds]
+    calls, combine, kind = check.calls, check.combine, check.kind
+    for wit, (arrays, scalar) in items:
+        made = arrays
+        if not wrapped:
+            made = []
+            for cls, a in zip(classes, arrays):
+                obj = new(cls)
+                obj.__dict__["entries"] = a
+                made.append(obj)
+        values = []
+        try:
+            for i, j in calls:
+                values.append(system(made[i], made[j]))
+        except SystemEvalError as exc:
+            yield wit, math.nan, math.nan, math.inf, str(exc)
+            continue
+        lhs, rhs = combine(values, scalar)
+        yield wit, lhs, rhs, _residual(kind, lhs, rhs), None
 
 
 # ── Input generators ──────────────────────────────────────────────────────────
@@ -362,16 +379,15 @@ def _gen_index_map(rng: np.random.Generator, max_n: int,
 # None), and raises ValueError where the values break the law's precondition
 # (y >= x, say).  The check's ``calls`` name the (weights, values) pair of
 # each call by position, so calls that pass one array share its container.
-# Every array is wrapped before the first system call, with a (weighting,
-# values) constructor pair; the system is called on each pair in order, and
-# ``combine`` makes (lhs, rhs) of the values.  A fresh witness is
-# derived once, when drawn, and every system at its seed reads the derived
-# arrays from the store; they are valid by construction, so they are wrapped
-# with no rule re-checked.  A shrink candidate or a
-# replayed counterexample must first pass ``_fit`` and the public
-# constructors on its own fields, and is then derived afresh; its derived
-# arrays go through the constructors too.  A shrink for a positivity-only
-# system also refuses a weighting with a zero entry.
+# Every array is wrapped before the first system call; ``_applied`` calls the
+# system on each pair in order, and ``combine`` makes (lhs, rhs) of the values.
+# A fresh witness is derived and frozen once, when drawn (``_witnesses``); its
+# arrays are valid by construction, so each system's trial wraps them with no
+# rule re-checked.  A shrink candidate or a replayed counterexample must first
+# pass ``_fit`` and the public constructors on its own fields, and is then
+# derived afresh; its derived arrays go through the constructors too
+# (``_evaluate``).  A shrink for a positivity-only system also refuses a
+# weighting with a zero entry.
 
 _Wrap = tuple[Callable[..., Weighting], Callable[..., ValueVector]]
 _Rng: TypeAlias = "np.random.Generator"  # numpy imports np.random on first use
@@ -406,10 +422,8 @@ class _CheckDef:
     fields: tuple[tuple[str, str, str | None], ...]  # (name, kind, axis)
 
     def evaluate(self, system: MeanSystem, wit: dict, weighting, values) -> _Sides:
-        """(lhs, rhs) of ``wit`` under ``system``: derive, then apply."""
-        arrays, scalar = self.derive(wit)
-        made = _wrapped(self, arrays, (weighting, values))
-        return self.combine([system(made[i], made[j]) for i, j in self.calls], scalar)
+        """(lhs, rhs) of ``wit`` under ``system``, as ``_evaluate`` makes them."""
+        return _evaluate(self, system, wit, (weighting, values))[:2]
 
     @cached_property
     def kinds(self) -> tuple[int, ...]:
@@ -434,11 +448,6 @@ class _CheckDef:
             perm = axis if axis in names else None
             axes.append(([(key, extra) for key, extra in on if key != count], count, perm))
         return tuple(axes)
-
-
-def _wrapped(check: _CheckDef, arrays: tuple[np.ndarray, ...], wrap: _Wrap) -> list:
-    """Each derived array wrapped by ``wrap``'s constructor for its kind."""
-    return [wrap[kind](a) for a, kind in zip(arrays, check.kinds)]
 
 
 # The five ways a law's sides read the values of its calls.
@@ -804,7 +813,7 @@ def _to_counterexample(check: _CheckDef, wit: dict, lhs: float, rhs: float, resi
 
 
 def _run_check(system: MeanSystem, cfg: CheckConfig, check: _CheckDef,
-               witnesses: Iterable[tuple[dict, _Derived]]) -> CheckReport:
+               witnesses: Iterable[_Stored]) -> CheckReport:
     """Run ``check``, trial t on the t-th (witness, derived) of ``witnesses``."""
     note = _DERIVED_NOTE if check.derived else None
     positive = system.positivity_only
@@ -813,9 +822,7 @@ def _run_check(system: MeanSystem, cfg: CheckConfig, check: _CheckDef,
                            note=f"{_NOT_APPLICABLE} with strictly positive weights")
     tol = cfg.rel_tol if check.kind == "equality" else cfg.slack
     worst = 0.0
-    for trial, (wit, (arrays, scalar)) in enumerate(witnesses):
-        made = _wrapped(check, arrays, _FRESH)
-        lhs, rhs, resid, error = _sides(check, system, made, scalar)
+    for trial, (wit, _, _, resid, _) in enumerate(_applied(check, system, witnesses)):
         if resid > tol:
             wrap = _POSITIVE if positive else _CHECKED
             shrunk = _shrink(system, check, wit, tol, wrap)
@@ -847,12 +854,12 @@ def _witnesses(cfg: CheckConfig, check: _CheckDef, positive: bool, kept: _Kept,
     """(witness, derived) of trial t for t = 0, 1, ..: the kept ones, then
     fresh ones from ``rngs``, which starts at the first trial not kept.  A
     fresh witness is derived once here, and its fields and derived arrays are
-    frozen once, so every system at this seed wraps them with no copy and
-    derives nothing.  The derived arrays sit beside the witness, never in its
-    dict, which shrink candidates copy.  While the store has room, the pair
-    goes to ``drawn`` with the entries kept up to it: those of the derived
-    arrays, which hold every vector field, since each law hands each to the
-    system."""
+    frozen once, so every system at this seed wraps them with no copy or
+    check, and derives nothing.  The derived arrays sit beside the witness,
+    never in its dict, which shrink candidates copy.  While the store has
+    room, the pair goes to ``drawn`` with the entries kept up to it: those of
+    the derived arrays, which hold every vector field, since each law hands
+    each to the system."""
     wits, floats = kept
     yield from islice(wits, cfg.trials)
     vectors = [key for key, kind, _ in check.fields if kind in _VECTORS]
@@ -862,7 +869,7 @@ def _witnesses(cfg: CheckConfig, check: _CheckDef, positive: bool, kept: _Kept,
             wit[key] = _frozen(wit[key])
         arrays, scalar = check.derive(wit)
         arrays = tuple(map(_immutable, arrays))  # no copy of a field or a view of one
-        floats += sum(a.size for a in arrays)
+        floats += sum(map(len, arrays))  # each array is one-dimensional
         stored = wit, (arrays, scalar)
         if trial < _SEED_BLOCK and floats <= _STORE_FLOATS:
             drawn.append((stored, floats))

@@ -1667,6 +1667,78 @@ def test_a_warm_store_derives_and_copies_nothing(monkeypatch, empty_store):
     assert copies == [] and derives == {}
 
 
+def test_a_trial_freezes_each_derived_array_once(monkeypatch, empty_store):
+    # A fresh trial's derived arrays are frozen once, when drawn, and each
+    # system's trial wraps them with no second check.  Before, _immutable ran
+    # 7,400 times on this empty store (twice per derived array) and 3,700
+    # times on the warm one (once per wrap).
+    calls = Counter()
+
+    def counting(name, f):
+        def counted(a):
+            calls[name] += 1
+            return f(a)
+        return counted
+
+    for name in ("_frozen", "_immutable"):
+        counted = counting(name, getattr(core, name))
+        monkeypatch.setattr(core, name, counted)
+        monkeypatch.setattr(harness, name, counted)
+    system, cfg = dsl_mean_system("sum(w*x^2)^0.5"), CheckConfig(seed=7, trials=100)
+    derived = cfg.trials * sum(len(check.kinds) for check in harness._CHECKS)
+    assert suite_passed(run_full_suite(system, cfg))
+    assert derived == 3700 and calls == {"_immutable": derived, "_frozen": 3600}
+    calls.clear()
+    assert suite_passed(run_full_suite(system, cfg))
+    assert calls == {}
+
+
+def _raises_from_three(w, x):
+    if len(x) >= 3:
+        raise ArithmeticError("n >= 3")
+    return power_mean(2, w, x)
+
+
+_AGREEING = (
+    builtin_power_mean_system(2),
+    dsl_mean_system("sum(w*x^3)^(1/3)"),
+    dsl_mean_system("sum(w^2*x)", positivity_only=True),
+    MeanSystem(_first_value, "x[0]"),
+    MeanSystem(_raises_from_three, "raises at n >= 3"),
+)
+
+
+@pytest.mark.parametrize("seed", [7, 2 ** 32 + 5])
+def test_the_trial_loop_and_evaluate_agree_trial_for_trial(empty_store, seed):
+    # The trial loop wraps the stored arrays with no check; _evaluate, which
+    # shrink candidates and replays go through, checks the witness and derives
+    # it afresh.  On every stored trial a report ran they give one residual,
+    # bit for bit: a passing report's worst is their largest (the loop starts
+    # from 0.0, which inequality laws, mostly negative, then report), and a
+    # failing report stops at the first one over the tolerance.
+    cfg = CheckConfig(seed=seed, trials=60)
+    for system in _AGREEING:
+        reports = run_full_suite(system, cfg)
+        assert harness._store[0] == (seed, cfg.max_n, system.positivity_only)
+        for check, report, (kept, _) in zip(harness._CHECKS, reports, harness._store[1]):
+            where = (system.label, check.name)
+            if report.trials_run == 0:  # zero_weight, not run for positivity-only systems
+                assert system.positivity_only and check.name == "zero_weight", where
+                continue
+            resids = [harness._evaluate(check, system, wit, harness._CHECKED)[2]
+                      for wit, _ in kept[:cfg.trials]]
+            if report.passed:
+                assert len(resids) == cfg.trials, where
+                assert report.worst_residual.hex() == max([0.0, *resids]).hex(), where
+            else:
+                tol = cfg.rel_tol if check.kind == "equality" else cfg.slack
+                first = next(t for t, resid in enumerate(resids) if resid > tol)
+                assert report.trials_run == first + 1, where
+    failed = {r.property_name for system in _AGREEING[3:] for r in run_full_suite(system, cfg)
+              if not r.passed}
+    assert failed == set(PROPERTY_NAMES) - {"consistency"}  # n = 1 there
+
+
 def test_shrink_candidates_and_replays_derive_their_own_arrays(monkeypatch, empty_store):
     # A shrink candidate copies its witness's dict with one field changed, and
     # a replay builds its own; each is derived afresh, so what it hands the
